@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
 from math import ceil, floor, gcd
 from typing import Optional, Union
 
 from .errors import InputError, OracleError
 from .modchar import WeightMultiset
+from .primes import require_prime
 from .rootsys import RootSystem
 from .weightcomb import (
     b_invariant,
@@ -44,13 +44,8 @@ THEOREM_TAGS = (
 )
 
 
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise InputError(f"p must be prime, got {p}")
-
-
 def _check_odd_prime(p: int) -> None:
-    _check_prime(p)
+    require_prime(p)
     if p == 2:
         raise InputError("this clause needs an odd prime")
 
@@ -66,7 +61,7 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
         raise InputError(f"threshold needs d >= 1, got {d}")
     if m < 0:
         raise InputError(f"threshold needs m >= 0, got {m}")
-    _check_prime(p)
+    require_prime(p)
     t = t_invariant(d, p)
     if variant == "a":
         if p != 2:
@@ -106,7 +101,7 @@ class StabilityConstants:
 
 
 def stability_constants(rs: RootSystem, p: int, m: int) -> StabilityConstants:
-    _check_prime(p)
+    require_prime(p)
     if m < 0:
         raise InputError(f"degree must be non-negative, got {m}")
     h_dual = rs.dual_coxeter_number
@@ -178,7 +173,7 @@ def lemma61_scan(
 
 def prop62_vanishing_holds(p: int, m: int, s: int, f: int, b_m: int) -> bool:
     """Tag P621: whether (s, f) clears the untwisting threshold for Ext vanishing."""
-    _check_prime(p)
+    require_prime(p)
     if min(m, s, f) < 0 or b_m < 0:
         raise InputError("m, s, f, b_m must be non-negative")
     if p == 2:
@@ -189,7 +184,7 @@ def prop62_vanishing_holds(p: int, m: int, s: int, f: int, b_m: int) -> bool:
 
 def finite_group_vanishing_range(p: int, r: int) -> int:
     """Tag T711: H^m of the finite group vanishes for 0 < m < this value."""
-    _check_prime(p)
+    require_prime(p)
     if r < 1:
         raise InputError(f"r must be positive, got {r}")
     return r if p == 2 else r * (p - 2)
@@ -226,7 +221,7 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
     overrides refine it: T821 for degree 1 at odd primes, and T831 for type
     A1 at odd primes.  Conditions record which rule fired and why.
     """
-    _check_prime(p)
+    require_prime(p)
     if m < 0:
         raise InputError(f"degree must be non-negative, got {m}")
     if b_m < 0:
@@ -319,7 +314,7 @@ def cpsvdk_thresholds(
     (one less than the source convention); the raw value is echoed in
     inputs_echo.  c_m may be rational; tpmax must be a power of p.
     """
-    _check_prime(p)
+    require_prime(p)
     if m < 0:
         raise InputError(f"degree must be non-negative, got {m}")
     c_m = Q(c_m)
@@ -371,13 +366,17 @@ class ComparisonReport:
     notes: tuple[str, ...]
 
 
-@lru_cache(maxsize=256)
 def _module_stats(rs: RootSystem, module: WeightMultiset, p: int) -> tuple[Q, int]:
-    """(max coefficient over entries, max p-part of fundamental-group order)."""
+    """(max coefficient over entries, max p-part of fundamental-group order).
+
+    Both maxima are attained at a dominant weight of a W-stable module, since
+    mu - w(mu) lies in the positive root cone and W fixes each class modulo
+    the root lattice; such a module scans its dominant entries only.
+    """
     det = rs.cartan_det
     c_max: Optional[Q] = None
     tp_max = 1
-    for coords, _ in module.coords_items():
+    for coords, _ in module.dominant or module.items:
         scaled = rs.root_basis_scaled(coords)
         top = Q(max(scaled), det)
         if c_max is None or top > c_max:

@@ -23,16 +23,12 @@ from .modchar import (
     graded_power,
     nilradical_dual_weights,
 )
+from .primes import require_prime
 from .rootsys import Coords, RootSystem, Weight, build_root_system
 from .weightcomb import b_invariant, b_of_weight, p_adic_digits, t_invariant
 
 DEFAULT_LEVELS_CAP = 4
 DEFAULT_DEGREE_CAP = 8
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise InputError(f"p must be prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ def enumerate_tuples(
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> tuple[ExponentTuple, ...]:
     """All exponent tuples of total degree m, in lexicographic order."""
-    _check_prime(p)
+    require_prime(p)
     if levels < 1:
         raise InputError(f"levels must be at least 1, got {levels}")
     if m < 0:
@@ -245,7 +241,7 @@ def invariant_page(
     cap: int = DEFAULT_ENTRY_CAP,
 ) -> InvariantPage:
     """Compute the invariant first page for coefficient lam + p^s * mu."""
-    _check_prime(p)
+    require_prime(p)
     if s < 0 or f < 0 or s + f < 1:
         raise InputError("need s, f >= 0 with s + f >= 1")
     if m < 0:

@@ -1,41 +1,46 @@
 """Weight multisets of modules: characters, graded powers, twisted products.
 
-Multiplicities are plain Python integers, so they never overflow.  Character
-construction uses the Freudenthal recursion over dominant weights and then
-spreads multiplicities along Weyl orbits; the result is checked against the
-Weyl dimension formula before it is returned.
+Multiplicities are plain Python integers, so they never overflow.  A Weyl
+character is built from its dominant weights: the dominant weights below the
+highest weight come from a downward search over positive roots, the Freudenthal
+recursion gives their multiplicities, and only then are the multiplicities
+spread along Weyl orbits.  The result is checked against the Weyl dimension
+formula before it is returned.
+
+A multiset known to be W-stable (a Weyl character, or the trivial module)
+also carries its dominant entries in `dominant`.  Every orbit invariant of
+the module (the highest-coroot pairing b, the largest root-basis coefficient,
+the class modulo the root lattice) is attained at a dominant weight, so
+readers of those invariants scan `dominant` instead of the full `items`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional
 
 from .errors import InputError, OracleError, ResourceLimitError
-from .rootsys import Coords, RootSystem, Weight, build_root_system
+from .rootsys import Coords, RootSystem, Weight, WeightLike, build_root_system
 
 DEFAULT_ENTRY_CAP = 10**7
 
-WeightLike = Union[Weight, Iterable[int]]
-
-
-def _as_coords(rs: RootSystem, w: WeightLike) -> Coords:
-    coords = w.coords if isinstance(w, Weight) else tuple(w)
-    if len(coords) != rs.rank:
-        raise InputError(
-            f"weight has {len(coords)} coordinates, {rs.name} needs {rs.rank}"
-        )
-    return coords
+Entries = tuple[tuple[Coords, int], ...]
 
 
 @dataclass(frozen=True)
 class WeightMultiset:
-    """A finite multiset of weights with positive integer multiplicities."""
+    """A finite multiset of weights with positive integer multiplicities.
 
-    items: tuple[tuple[Coords, int], ...]
+    `dominant` holds the sorted dominant entries of a W-stable multiset and
+    is None when stability is not known.  It takes no part in equality,
+    hashing or repr: two multisets with the same items are the same.
+    """
+
+    items: Entries
+    dominant: Optional[Entries] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_dict(table: Mapping[Coords, int]) -> "WeightMultiset":
@@ -50,11 +55,12 @@ class WeightMultiset:
 
     @staticmethod
     def single(rs: RootSystem, w: WeightLike, mult: int = 1) -> "WeightMultiset":
-        return WeightMultiset.from_dict({_as_coords(rs, w): mult})
+        return WeightMultiset.from_dict({rs.coords_of(w): mult})
 
     @staticmethod
     def trivial(rs: RootSystem) -> "WeightMultiset":
-        return WeightMultiset.from_dict({(0,) * rs.rank: 1})
+        entries = (((0,) * rs.rank, 1),)
+        return WeightMultiset(entries, dominant=entries)
 
     def coords_items(self) -> Iterator[tuple[Coords, int]]:
         return iter(self.items)
@@ -91,7 +97,7 @@ def nilradical_dual_weights(rs: RootSystem) -> WeightMultiset:
 
 def weyl_dimension(rs: RootSystem, lam: WeightLike) -> int:
     """Dimension of the highest-weight module, by the Weyl product formula."""
-    coords = _as_coords(rs, lam)
+    coords = rs.coords_of(lam)
     if any(c < 0 for c in coords):
         raise InputError("weyl_dimension needs a dominant weight")
     shifted = tuple(c + 1 for c in coords)
@@ -106,45 +112,37 @@ def weyl_dimension(rs: RootSystem, lam: WeightLike) -> int:
     return num // den
 
 
-def _support(rs: RootSystem, lam: Coords) -> set[Coords]:
-    """All weights of the highest-weight module with highest weight lam.
+def _dominant_levels(rs: RootSystem, lam: Coords) -> dict[Coords, int]:
+    """Every dominant weight mu <= lam, mapped to the height of lam - mu.
 
-    Level-by-level search downward from lam.  A candidate that is dominant is
-    always a weight; a non-dominant candidate is a weight exactly when its
-    reflection through any strictly negative coordinate (which lands on an
-    earlier level) is one.
+    Downward search from lam over positive roots, keeping dominant weights
+    only.  Any two dominant weights mu < lam are joined by a chain of dominant
+    weights whose steps are positive roots (Stembridge, "The partial order of
+    dominant weights", 1998), so the search reaches every one of them.
     """
-    alpha_rows = [w.coords for w in rs.simple_roots]
-    n = rs.rank
-    support = {lam}
+    steps = [(root.omega_coords, sum(root.root_coords)) for root in rs.positive_roots]
+    level = {lam: 0}
     frontier = [lam]
     while frontier:
         nxt = []
-        for w in frontier:
-            for row in alpha_rows:
-                cand = tuple(a - b for a, b in zip(w, row))
-                if cand in support:
-                    continue
-                for i, c in enumerate(cand):
-                    if c < 0:
-                        mirrored = tuple(
-                            x - c * r for x, r in zip(cand, alpha_rows[i])
-                        )
-                        accept = mirrored in support
-                        break
-                else:
-                    accept = True
-                if accept:
-                    support.add(cand)
+        for mu in frontier:
+            for omega, height in steps:
+                cand = tuple(a - b for a, b in zip(mu, omega))
+                if cand not in level and all(c >= 0 for c in cand):
+                    level[cand] = level[mu] + height
                     nxt.append(cand)
         frontier = nxt
-    return support
+    return level
 
 
 def _freudenthal_multiplicities(
-    rs: RootSystem, lam: Coords, support: set[Coords]
+    rs: RootSystem, lam: Coords, level: dict[Coords, int]
 ) -> dict[Coords, int]:
-    """Multiplicity of every dominant weight in the support."""
+    """Multiplicity of every dominant weight mu <= lam, keyed in `level`.
+
+    A weight nu belongs to the module exactly when its dominant
+    representative is one of the dominant weights in `level`.
+    """
     n = rs.rank
     det = rs.cartan_det
 
@@ -164,27 +162,16 @@ def _freudenthal_multiplicities(
         for root in rs.positive_roots
     ]
 
-    level_of = {}
-    for coords in support:
-        diff = tuple(a - b for a, b in zip(lam, coords))
-        scaled = rs.root_basis_scaled(diff)
-        level_of[coords] = sum(scaled) // det
-    dominants = sorted(
-        (c for c in support if all(x >= 0 for x in c)),
-        key=lambda c: level_of[c],
-    )
-
     top_norm = scaled_norm(lam)
     mult: dict[Coords, int] = {lam: 1}
-    for mu in dominants:
+    for mu in sorted(level, key=level.__getitem__):
         if mu == lam:
             continue
         total = 0
         for omega, ip_vec in root_data:
             nu = tuple(a + b for a, b in zip(mu, omega))
-            while nu in support:
-                m_nu = mult[rs.dominant_representative(nu)]
-                total += m_nu * sum(v * c for v, c in zip(ip_vec, nu))
+            while (dom := rs.dominant_representative(nu)) in level:
+                total += mult[dom] * sum(v * c for v, c in zip(ip_vec, nu))
                 nu = tuple(a + b for a, b in zip(nu, omega))
         denom = top_norm - scaled_norm(mu)
         value = Q(2 * det * total, denom)
@@ -220,28 +207,31 @@ def _character_cached(family: str, rank: int, lam: Coords, cap: int) -> WeightMu
         raise ResourceLimitError(
             f"character of {lam} has dimension {dim}, above the cap {cap}"
         )
-    support = _support(rs, lam)
-    mult = _freudenthal_multiplicities(rs, lam, support)
+    mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam))
     table: dict[Coords, int] = {}
-    covered = 0
+    covered = orbit_sizes = 0
     for mu, m in mult.items():
         orbit = _orbit(rs, mu)
         covered += m * len(orbit)
+        orbit_sizes += len(orbit)
         for coords in orbit:
             table[coords] = m
-    if covered != dim or len(table) != len(support):
+    if covered != dim or orbit_sizes != len(table):
         raise OracleError(
-            f"character of {lam}: built dimension {covered}, "
+            f"character of {lam}: built dimension {covered} over "
+            f"{orbit_sizes} orbit entries and {len(table)} distinct weights, "
             f"Weyl formula says {dim}"
         )
-    return WeightMultiset.from_dict(table)
+    return WeightMultiset(
+        tuple(sorted(table.items())), dominant=tuple(sorted(mult.items()))
+    )
 
 
 def weyl_character(
     rs: RootSystem, lam: WeightLike, cap: int = DEFAULT_ENTRY_CAP
 ) -> WeightMultiset:
     """Weight multiset of the highest-weight module with highest weight lam."""
-    coords = _as_coords(rs, lam)
+    coords = rs.coords_of(lam)
     if any(c < 0 for c in coords):
         raise InputError("weyl_character needs a dominant weight")
     return _character_cached(rs.family, rs.rank, coords, cap)

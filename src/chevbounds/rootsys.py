@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 from .errors import InputError
 
@@ -53,6 +53,9 @@ class Weight:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
+
+
+WeightLike = Union[Weight, Iterable[int]]
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,15 @@ class RootSystem:
                 f"expected {self.rank} coordinates, got {len(w.coords)}"
             )
         return w
+
+    def coords_of(self, w: WeightLike) -> Coords:
+        """Coordinates of a Weight or an integer sequence, checked against the rank."""
+        coords = w.coords if isinstance(w, Weight) else tuple(w)
+        if len(coords) != self.rank:
+            raise InputError(
+                f"weight has {len(coords)} coordinates, {self.name} needs {self.rank}"
+            )
+        return coords
 
     def root_basis_coords(self, w: Weight) -> tuple[Q, ...]:
         """Exact coordinates of w in the simple-root basis."""

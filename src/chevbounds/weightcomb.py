@@ -9,23 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
 from math import gcd
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import InputError, OracleError
-from .rootsys import Coords, Root, RootSystem, Weight
-
-WeightLike = Union[Weight, Sequence[int]]
-
-
-def _coords(rs: RootSystem, w: WeightLike) -> Coords:
-    coords = w.coords if isinstance(w, Weight) else tuple(w)
-    if len(coords) != rs.rank:
-        raise InputError(
-            f"weight has {len(coords)} coordinates, {rs.name} needs {rs.rank}"
-        )
-    return coords
+from .rootsys import Coords, RootSystem, Weight, WeightLike
 
 
 def ceil_log(p: int, x: Union[int, Q]) -> int:
@@ -78,8 +66,8 @@ def p_adic_digits(n: int, p: int) -> tuple[int, ...]:
 
 def pair_with_coroot(rs: RootSystem, w: WeightLike, alpha: WeightLike) -> int:
     """<w, alpha-vee> for any root alpha, given in omega coordinates."""
-    coords = _coords(rs, w)
-    target = _coords(rs, alpha)
+    coords = rs.coords_of(w)
+    target = rs.coords_of(alpha)
     for root in rs.positive_roots:
         if root.omega_coords == target:
             return sum(v * c for v, c in zip(root.coroot_pairing, coords))
@@ -117,28 +105,22 @@ def _entry_items(weights) -> list[tuple[Coords, int]]:
     return out
 
 
-def _is_reflection_stable(rs: RootSystem, table: dict[Coords, int]) -> bool:
-    for coords, mult in table.items():
-        for i in range(rs.rank):
-            if table.get(rs.reflect(coords, i)) != mult:
-                return False
-    return True
-
-
 def b_invariant(rs: RootSystem, weights) -> BInvariant:
     """Both variants of the largest long-root coroot pairing over a multiset.
 
     The long roots form a single Weyl orbit, so for one weight sigma the
     maximum over all long roots equals <dom(sigma), highest-root-vee>; that
-    identity gives the exact value without enumerating the orbit.
+    identity gives the exact value without enumerating the orbit.  A W-stable
+    multiset (one with `dominant` entries set, such as a Weyl character)
+    attains both maxima at a dominant weight, so only those are scanned.
     """
-    items = _entry_items(weights)
+    dominant = getattr(weights, "dominant", None)
+    items = dominant or _entry_items(weights)
     if not items:
         raise InputError("b_invariant needs a non-empty weight multiset")
     vec = rs.highest_root_pairing
     plain = max(sum(v * c for v, c in zip(vec, coords)) for coords, _ in items)
-    table = dict(items)
-    if len(table) == len(items) and _is_reflection_stable(rs, table):
+    if dominant:
         return BInvariant(value=plain, via_highest_root=plain, agree=True)
     full = max(
         sum(v * c for v, c in zip(vec, rs.dominant_representative(coords)))
@@ -178,7 +160,7 @@ def structural_constants(rs: RootSystem) -> tuple[int, int]:
 
 def order_in_fundamental_group(rs: RootSystem, w: WeightLike) -> int:
     """Order of the image of w in X(T) modulo the root lattice."""
-    coords = _coords(rs, w)
+    coords = rs.coords_of(w)
     scaled = rs.root_basis_scaled(coords)
     det = rs.cartan_det
     g = det
@@ -222,7 +204,7 @@ def _d_from_root_coords(rs: RootSystem, rc: tuple[Q, ...]) -> Q:
 
 def lambda_stats(rs: RootSystem, w: WeightLike, p: int) -> LambdaStats:
     """c, d, t_p and fundamental-group order for a dominant weight."""
-    coords = _coords(rs, w)
+    coords = rs.coords_of(w)
     if any(c < 0 for c in coords):
         raise InputError("lambda_stats needs a dominant weight")
     if p < 2:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -46,6 +47,22 @@ def test_vanish_range_statement(capsys) -> None:
     out = lines_of(capsys)
     assert "theorem=T711" in out
     assert "H^m(G(F_q),k)=0 for 0<m<10" in out
+
+
+def test_vanish_range_huge_p_is_bad_input(capsys) -> None:
+    assert run(["vanish-range", "--p", str(10**399 + 1), "--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "p must be below" in captured.err
+    assert captured.out == ""
+
+
+def test_vanish_range_large_prime_answers_quickly(capsys) -> None:
+    start = perf_counter()
+    assert run(["vanish-range", "--p", "1000000000000000003", "--r", "2"]) == 0
+    assert perf_counter() - start < 1.0
+    out = lines_of(capsys)
+    assert "theorem=T711" in out
+    assert f"H^m(G(F_q),k)=0 for 0<m<{2 * (10**18 + 1)}" in out
 
 
 def test_generic_text_has_tag(capsys) -> None:

@@ -1,0 +1,157 @@
+"""Dominant-first Weyl characters against a full-support brute force.
+
+The library builds a character from its dominant weights only.  The oracle
+here searches the whole weight support, runs Freudenthal's recursion with
+plain support membership, and fills in every weight; the two must agree
+entry for entry.  The orbit invariants read from the dominant entries must
+also match the ones read from the same multiset without its W-stable flag.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction as Q
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chevbounds.bounds import _module_stats, compare_thresholds
+from chevbounds.modchar import WeightMultiset, weyl_character, weyl_dimension
+from chevbounds.rootsys import Coords, RootSystem, build_root_system
+from chevbounds.weightcomb import b_invariant
+
+SYSTEMS = (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("F", 4), ("G", 2),
+)
+MAX_COORD = {1: 6, 2: 4, 3: 3, 4: 2}
+MAX_DIM = 2000
+
+
+def _support(rs: RootSystem, lam: Coords) -> set[Coords]:
+    """All weights of the highest-weight module with highest weight lam.
+
+    Level-by-level search downward from lam.  A candidate that is dominant is
+    always a weight; a non-dominant candidate is a weight exactly when its
+    reflection through any strictly negative coordinate (which lands on an
+    earlier level) is one.
+    """
+    alpha_rows = [w.coords for w in rs.simple_roots]
+    support = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for row in alpha_rows:
+                cand = tuple(a - b for a, b in zip(w, row))
+                if cand in support:
+                    continue
+                for i, c in enumerate(cand):
+                    if c < 0:
+                        mirrored = tuple(
+                            x - c * r for x, r in zip(cand, alpha_rows[i])
+                        )
+                        accept = mirrored in support
+                        break
+                else:
+                    accept = True
+                if accept:
+                    support.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return support
+
+
+def full_support_character(rs: RootSystem, lam: Coords) -> dict[Coords, int]:
+    """Every weight of L(lam) with its multiplicity, from the full support."""
+    n, det, d = rs.rank, rs.cartan_det, rs.d_symmetrizer
+    support = _support(rs, lam)
+
+    def scaled_norm(coords: Coords) -> int:
+        v = tuple(c + 1 for c in coords)
+        scaled = rs.root_basis_scaled(v)
+        return sum(scaled[j] * d[j] * v[j] for j in range(n))
+
+    def level(coords: Coords) -> int:
+        diff = tuple(a - b for a, b in zip(lam, coords))
+        return sum(rs.root_basis_scaled(diff)) // det
+
+    root_data = [
+        (root.omega_coords, tuple(root.root_coords[j] * d[j] for j in range(n)))
+        for root in rs.positive_roots
+    ]
+    dominants = sorted((c for c in support if min(c) >= 0), key=level)
+    top_norm = scaled_norm(lam)
+    mult = {lam: 1}
+    for mu in dominants[1:]:
+        total = 0
+        for omega, ip_vec in root_data:
+            nu = tuple(a + b for a, b in zip(mu, omega))
+            while nu in support:
+                m_nu = mult[rs.dominant_representative(nu)]
+                total += m_nu * sum(v * c for v, c in zip(ip_vec, nu))
+                nu = tuple(a + b for a, b in zip(nu, omega))
+        value = Q(2 * det * total, top_norm - scaled_norm(mu))
+        assert value.denominator == 1 and value > 0
+        mult[mu] = int(value)
+    return {w: mult[rs.dominant_representative(w)] for w in support}
+
+
+def _cases() -> list[tuple[str, int, Coords]]:
+    out = []
+    for family, rank in SYSTEMS:
+        rs = build_root_system(family, rank)
+        for lam in itertools.product(range(MAX_COORD[rank] + 1), repeat=rank):
+            if weyl_dimension(rs, lam) <= MAX_DIM:
+                out.append((family, rank, lam))
+    return out
+
+
+CASES = _cases()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CASES))
+def test_dominant_first_character_matches_full_support(case) -> None:
+    family, rank, lam = case
+    rs = build_root_system(family, rank)
+    ch = weyl_character(rs, lam)
+    oracle = full_support_character(rs, lam)
+    assert ch.items == tuple(sorted(oracle.items()))
+    assert ch.dominant == tuple(
+        sorted((w, m) for w, m in oracle.items() if min(w) >= 0)
+    )
+
+    plain = WeightMultiset.from_dict(ch.as_dict())
+    assert plain.dominant is None
+    assert plain == ch and hash(plain) == hash(ch) and repr(plain) == repr(ch)
+    assert b_invariant(rs, plain) == b_invariant(rs, ch)
+    assert b_invariant(rs, ch.as_dict()) == b_invariant(rs, ch)
+    for p in (2, 3, 5, 7):
+        assert _module_stats(rs, plain, p) == _module_stats(rs, ch, p)
+        assert compare_thresholds(rs, p, 2, plain) == compare_thresholds(rs, p, 2, ch)
+
+
+def test_case_pool_covers_every_family() -> None:
+    assert {family for family, _, _ in CASES} == set("ABCDFG")
+    assert len(CASES) > 200
+
+
+def test_trivial_module_carries_its_dominant_entry() -> None:
+    for family, rank in SYSTEMS:
+        rs = build_root_system(family, rank)
+        triv = WeightMultiset.trivial(rs)
+        zero = (0,) * rank
+        assert triv.dominant == ((zero, 1),)
+        assert triv == WeightMultiset.from_dict({zero: 1})
+        assert b_invariant(rs, triv).value == 0
+        assert _module_stats(rs, triv, 3) == (Q(0), 1)
+
+
+def test_dominant_entries_of_exceptional_characters() -> None:
+    e8 = build_root_system("E", 8)
+    adjoint = weyl_character(e8, e8.fundamental_weight(8))
+    assert adjoint.dominant == (((0,) * 8, 8), (e8.fundamental_weight(8).coords, 1))
+    assert adjoint.support_size == 241 and adjoint.total_dimension == 248

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import isqrt
 
 import pytest
 
 from chevbounds.errors import InputError
+from chevbounds.primes import PRIME_CERTIFIED_BELOW, require_prime
 from chevbounds.rootsys import build_root_system
 from chevbounds.weightcomb import (
     b_invariant,
@@ -18,6 +20,18 @@ from chevbounds.weightcomb import (
     structural_constants,
     t_invariant,
 )
+
+
+def _trial_division_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def _passes(p: int) -> bool:
+    try:
+        require_prime(p)
+    except InputError:
+        return False
+    return True
 
 
 def test_ceil_and_floor_log() -> None:
@@ -182,3 +196,25 @@ def test_order_divides_group_exponent() -> None:
         for i in range(1, rank + 1):
             order = order_in_fundamental_group(rs, rs.fundamental_weight(i))
             assert exponent % order == 0
+
+
+def test_require_prime_matches_trial_division() -> None:
+    # Both sides of the switch from trial division to Miller-Rabin.
+    for n in list(range(-3, 2000)) + list(range((1 << 20) - 500, (1 << 20) + 2500)):
+        assert _passes(n) == _trial_division_prime(n), n
+
+
+def test_require_prime_rejects_strong_pseudoprimes() -> None:
+    assert not _passes(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not _passes(3825123056546413051)  # ... to every prime base up to 23
+    assert not _passes(318665857834031151167461)  # ... to every prime base up to 37
+    assert _passes(1000000000000000003)
+    assert _passes(2**61 - 1)
+
+
+def test_require_prime_refuses_what_it_cannot_decide() -> None:
+    with pytest.raises(InputError, match="must be prime"):
+        require_prime(PRIME_CERTIFIED_BELOW - 1)  # even, but below the bound
+    for p in (PRIME_CERTIFIED_BELOW, 10**399 + 1, 2**127 - 1):
+        with pytest.raises(InputError, match="must be below"):
+            require_prime(p)
