@@ -17,20 +17,26 @@ import sys
 from fractions import Fraction as Q
 from typing import Any, Optional, Sequence
 
-from .bounds import (
+from ..bounds import (
     compare_thresholds,
     finite_group_vanishing_range,
     generic_thresholds,
     lemma61_scan,
     stability_constants,
 )
-from .e1oracle import check_bs_vanishing, check_weight_bounds, invariant_page
-from .errors import InputError, OracleError, ResourceLimitError
-from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset, weyl_character
-from .rootsys import RootSystem, Weight, parse_type
-from .weightcomb import b_invariant, structural_constants, t_invariant
+from ..e1oracle import (
+    check_bs_vanishing,
+    check_weight_bounds,
+    exact_bound_failure,
+    invariant_page,
+)
+from ..errors import InputError, OracleError, ResourceLimitError
+from ..modchar import DEFAULT_ENTRY_CAP, WeightMultiset, weyl_character
+from ..rootsys import RootSystem, Weight, parse_type
+from ..weightcomb import b_invariant, structural_constants
 
 SCHEMA = "chevbounds/1"
+MAX_Q_DIGITS = 4300  # Python's default limit on printing an int
 
 STRUCTURAL_HEADER = ("family", "c", "t", "ct")
 STRUCTURAL_ROWS = (
@@ -158,11 +164,13 @@ def _parse_coords(rs: RootSystem, text: str) -> tuple[int, ...]:
     return coords
 
 
-def _resolve_module(args: argparse.Namespace, rs: RootSystem, cap: int) -> WeightMultiset:
+def _resolve_module(
+    rs: RootSystem, module_weight: Optional[list[str]], weight: Optional[str], cap: int
+) -> WeightMultiset:
     """Module selection: explicit weight entries win over a character weight."""
-    if args.module_weight:
+    if module_weight:
         table: dict[tuple[int, ...], int] = {}
-        for entry in args.module_weight:
+        for entry in module_weight:
             body, _, mult_text = entry.partition(":")
             mult = 1
             if mult_text:
@@ -175,8 +183,8 @@ def _resolve_module(args: argparse.Namespace, rs: RootSystem, cap: int) -> Weigh
             coords = _parse_coords(rs, body)
             table[coords] = table.get(coords, 0) + mult
         return WeightMultiset.from_dict(table)
-    if args.weight is not None:
-        lam = rs.weight(_parse_coords(rs, args.weight))
+    if weight is not None:
+        lam = rs.weight(_parse_coords(rs, weight))
         if not lam.is_dominant():
             raise InputError("--weight must be dominant to induce a character")
         return weyl_character(rs, lam, cap)
@@ -239,6 +247,10 @@ def _cmd_vanish_range(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[s
     if args.r < 1:
         raise InputError("--r must be positive")
     upper = finite_group_vanishing_range(args.p, args.r)
+    # q >= 2**(r * (bit_length(p) - 1)): a long r is refused before q is built.
+    limit = 10**MAX_Q_DIGITS
+    if args.r * (args.p.bit_length() - 1) >= limit.bit_length() or args.p**args.r >= limit:
+        raise InputError(f"q = p^r has more than {MAX_Q_DIGITS} digits; use a smaller --r")
     doc = {
         "schema": SCHEMA,
         "command": "vanish-range",
@@ -256,7 +268,7 @@ def _cmd_generic(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, .
     rs = _root_system(args.type)
     if args.p is None or args.m is None:
         raise InputError("generic needs --p and --m")
-    module = _resolve_module(args, rs, _cap(args))
+    module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
     b_m = b_invariant(rs, module).value
     report = generic_thresholds(rs, args.p, args.m, b_m)
     doc = {"schema": SCHEMA, "command": "generic"}
@@ -271,7 +283,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, .
         raise InputError("compare needs --p and --m")
     if args.m < 1:
         raise InputError("compare needs --m at least 1")
-    module = _resolve_module(args, rs, _cap(args))
+    module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
     report = compare_thresholds(rs, args.p, args.m, module)
     doc = {
         "schema": SCHEMA,
@@ -315,11 +327,7 @@ def _cmd_verify_e1(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str,
         raise InputError("verify-e1 needs --m")
     cap = _cap(args)
     lam = rs.zero if args.weight is None else rs.weight(_parse_coords(rs, args.weight))
-    if args.module_weight:
-        mu_args = argparse.Namespace(module_weight=args.module_weight, weight=None)
-        mu_set = _resolve_module(mu_args, rs, cap)
-    else:
-        mu_set = WeightMultiset.trivial(rs)
+    mu_set = _resolve_module(rs, args.module_weight, None, cap)
     page = invariant_page(rs, args.p, args.s, args.f, lam, mu_set, args.m, cap=cap)
     doc: dict[str, Any] = {
         "schema": SCHEMA,
@@ -336,20 +344,12 @@ def _cmd_verify_e1(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str,
             f"{','.join(map(str, c))}:{n}" for c, n in page.gammas.items
         ),
     }
-    failed = False
-
     rough = check_weight_bounds(page, "rough")
     doc["rough_bound"] = _jsonable(rough.bound)
     doc["rough_pass"] = rough.passed
-    failed = failed or not rough.passed
+    failed = not rough.passed
 
-    d = sum(v * c for v, c in zip(rs.highest_root_pairing, lam.coords))
-    exact_ok = (
-        lam.is_dominant()
-        and not lam.is_zero()
-        and args.s >= t_invariant(d, args.p)
-        and args.f >= t_invariant(b_invariant(rs, mu_set).value, args.p)
-    )
+    exact_ok = exact_bound_failure(page) is None
     doc["exact_applicable"] = exact_ok
     if exact_ok:
         exact = check_weight_bounds(page, "exact")
@@ -359,25 +359,17 @@ def _cmd_verify_e1(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str,
         doc["equality_consistent"] = exact.equality_consistent
         failed = failed or not exact.passed
 
-    if args.f == 0 and args.s >= 1 and d >= 1:
-        vanish = check_bs_vanishing(rs, args.p, lam, args.s, args.m, cap=cap)
-        tags = {"a": "P241a", "b": "P241b", "c": "P241c"}
-        selected = vanish.thresholds
-        if args.variant is not None:
-            selected = tuple(
-                (v, thr) for v, thr in vanish.thresholds if v == args.variant
-            )
-            if not selected:
-                raise InputError(
-                    f"variant {args.variant!r} does not apply at p={args.p}"
-                )
-        met = any(args.s >= thr for _, thr in selected)
-        doc["vanish_theorems"] = [tags[v] for v, _ in selected]
-        doc["vanish_thresholds"] = [_jsonable(thr) for _, thr in selected]
-        doc["vanish_met"] = met
+    # The page above needs s + f >= 1, so f = 0 already means s >= 1.
+    if args.f == 0 and rs.pairing(lam) >= 1:
+        vanish = check_bs_vanishing(
+            rs, args.p, lam, args.s, args.m, cap=cap, variant=args.variant
+        )
+        doc["vanish_theorems"] = list(vanish.theorems)
+        doc["vanish_thresholds"] = [_jsonable(thr) for _, thr in vanish.thresholds]
+        doc["vanish_met"] = vanish.met
         doc["vanish_page_empty"] = vanish.page_empty
-        doc["vanish_consistent"] = (not met) or vanish.page_empty
-        failed = failed or not ((not met) or vanish.page_empty)
+        doc["vanish_consistent"] = vanish.consistent
+        failed = failed or not vanish.consistent
 
     doc["verdict"] = "fail" if failed else "ok"
     return doc, (), failed
@@ -522,7 +514,3 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -20,6 +20,7 @@ from .errors import InputError, ResourceLimitError
 from .modchar import (
     DEFAULT_ENTRY_CAP,
     WeightMultiset,
+    _twisted_product,
     graded_power,
     nilradical_dual_weights,
 )
@@ -156,17 +157,7 @@ def _degree_weights(
             continue
         prod: dict[Coords, int] = {zero: 1}
         for items, twist in factors:
-            scale = p**twist
-            nxt: dict[Coords, int] = {}
-            for w1, m1 in prod.items():
-                for w2, m2 in items:
-                    key = tuple(x + scale * y for x, y in zip(w1, w2))
-                    nxt[key] = nxt.get(key, 0) + m1 * m2
-            prod = nxt
-            if len(prod) > cap:
-                raise ResourceLimitError(
-                    f"page working set exceeded cap {cap}; raise the cap to allow"
-                )
+            prod = _twisted_product(prod.items(), items, p**twist, cap, "page product")
         for w, mult in prod.items():
             total[w] = total.get(w, 0) + mult
     return tuple(sorted(total.items()))
@@ -218,7 +209,7 @@ class InvariantPage:
 
 def exact_bound_value(rs: RootSystem, p: int, s: int, m: int, lam: Weight) -> int:
     """The sharp upper bound on b(gamma) for a dominant nonzero lam."""
-    d = sum(v * c for v, c in zip(rs.highest_root_pairing, lam.coords))
+    d = rs.pairing(lam)
     if d < 1 or not lam.is_dominant():
         raise InputError("exact bound needs lambda dominant and nonzero")
     t = t_invariant(d, p)
@@ -297,74 +288,63 @@ class BoundCheckReport:
     t_mu: int
 
 
+def exact_bound_failure(page: InvariantPage) -> Optional[str]:
+    """Why the exact bound does not apply to the page, or None when it does.
+
+    It needs lambda dominant and nonzero, s >= t(lambda) and f >= t(mu_set).
+    """
+    lam = page.lam
+    if not lam.is_dominant() or lam.is_zero():
+        return "exact bound needs lambda dominant and nonzero"
+    t_lam = t_invariant(page.system.pairing(lam), page.p)
+    if page.s < t_lam:
+        return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}"
+    t_mu = t_invariant(b_invariant(page.system, page.mu_set).value, page.p)
+    if page.f < t_mu:
+        return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}"
+    return None
+
+
 def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     """Check page weights against the exact or the rough bound.
 
-    The exact bound needs lambda dominant and nonzero with s >= t(lambda) and
-    f >= t(mu_set); violations raise InputError naming the hypothesis.  The
-    rough bound applies unconditionally.
+    The exact bound raises InputError with the reason from
+    `exact_bound_failure` when its hypotheses fail.  The rough bound applies
+    unconditionally.
     """
     rs = page.system
     p = page.p
-    t_mu = t_invariant(b_invariant(rs, page.mu_set).value, p) if not page.mu_set.is_empty() else 0
+    b_mu = b_invariant(rs, page.mu_set).value
+    t_mu = t_invariant(b_mu, p)
     if which == "exact":
-        if not page.lam.is_dominant() or page.lam.is_zero():
-            raise InputError("exact bound needs lambda dominant and nonzero")
-        d = sum(v * c for v, c in zip(rs.highest_root_pairing, page.lam.coords))
-        t_lam = t_invariant(d, p)
-        if page.s < t_lam:
-            raise InputError(
-                f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}"
-            )
-        if page.f < t_mu:
-            raise InputError(
-                f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}"
-            )
+        reason = exact_bound_failure(page)
+        if reason is not None:
+            raise InputError(reason)
         bound = exact_bound_value(rs, p, page.s, page.m, page.lam)
-        details = []
-        hits = []
-        ok = True
-        for coords, _ in page.gammas.coords_items():
-            bg = b_of_weight(rs, coords)
-            within = bg <= bound
-            ok = ok and within
-            if bg == bound:
-                hits.append(coords)
-            details.append((coords, bg, within))
-        equality_consistent = not hits or page.f == t_mu
-        return BoundCheckReport(
-            which="exact",
-            passed=ok and equality_consistent,
-            bound=bound,
-            details=tuple(details),
-            equality_hits=tuple(hits),
-            equality_consistent=equality_consistent,
-            t_lambda=t_lam,
-            t_mu=t_mu,
-        )
-    if which == "rough":
+        hits = tuple(w.coords for w in page.equality_hits)
+        t_lam = t_invariant(rs.pairing(page.lam), p)
+    elif which == "rough":
         q = p ** (page.s + page.f)
-        b_mu = b_invariant(rs, page.mu_set).value
-        b_lam = b_of_weight(rs, page.lam.coords)
-        limit = Q(p**page.s * b_mu + b_lam + page.m * q, q)
-        details = []
-        ok = True
-        for coords, _ in page.gammas.coords_items():
-            bg = b_of_weight(rs, coords)
-            within = bg <= limit
-            ok = ok and within
-            details.append((coords, bg, within))
-        return BoundCheckReport(
-            which="rough",
-            passed=ok,
-            bound=limit,
-            details=tuple(details),
-            equality_hits=(),
-            equality_consistent=True,
-            t_lambda=None,
-            t_mu=t_mu,
-        )
-    raise InputError(f"unknown check {which!r}; expected 'exact' or 'rough'")
+        bound = Q(p**page.s * b_mu + b_of_weight(rs, page.lam.coords) + page.m * q, q)
+        hits = ()
+        t_lam = None
+    else:
+        raise InputError(f"unknown check {which!r}; expected 'exact' or 'rough'")
+    details = []
+    for coords, _ in page.gammas.coords_items():
+        bg = b_of_weight(rs, coords)
+        details.append((coords, bg, bg <= bound))
+    equality_consistent = not hits or page.f == t_mu
+    return BoundCheckReport(
+        which=which,
+        passed=all(within for _, _, within in details) and equality_consistent,
+        bound=bound,
+        details=tuple(details),
+        equality_hits=hits,
+        equality_consistent=equality_consistent,
+        t_lambda=t_lam,
+        t_mu=t_mu,
+    )
 
 
 @dataclass(frozen=True)
@@ -381,6 +361,11 @@ class VanishReport:
     page_empty: bool
     consistent: bool
 
+    @property
+    def theorems(self) -> tuple[str, ...]:
+        """The P241 tag of each threshold, in the same order."""
+        return tuple(f"P241{v}" for v, _ in self.thresholds)
+
 
 def check_bs_vanishing(
     rs: RootSystem,
@@ -391,16 +376,26 @@ def check_bs_vanishing(
     levels_cap: int = DEFAULT_LEVELS_CAP,
     degree_cap: int = DEFAULT_DEGREE_CAP,
     cap: int = DEFAULT_ENTRY_CAP,
+    variant: Optional[str] = None,
 ) -> VanishReport:
-    """One-directional consistency: threshold met implies an empty page."""
+    """One-directional consistency: threshold met implies an empty page.
+
+    The thresholds are variant 'a' at p = 2 and 'b', 'c' at odd p, or only
+    `variant` when it is given; a variant that does not apply at p is an
+    InputError.
+    """
     if s < 1:
         raise InputError(f"kernel height s must be at least 1, got {s}")
-    d = sum(v * c for v, c in zip(rs.highest_root_pairing, lam.coords))
+    d = rs.pairing(lam)
     if d < 1:
         raise InputError(
             "vanishing thresholds need a positive highest-coroot pairing"
         )
     variants = ("a",) if p == 2 else ("b", "c")
+    if variant is not None:
+        if variant not in variants:
+            raise InputError(f"variant {variant!r} does not apply at p={p}")
+        variants = (variant,)
     thresholds = tuple(
         (v, bs_vanish_threshold(d, p, m, v)) for v in variants
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import InputError, OracleError, ResourceLimitError
 from .rootsys import Coords, RootSystem, Weight, WeightLike, build_root_system
@@ -104,9 +104,8 @@ def weyl_dimension(rs: RootSystem, lam: WeightLike) -> int:
     num = 1
     den = 1
     for root in rs.positive_roots:
-        vec = root.coroot_pairing
-        num *= sum(v * c for v, c in zip(vec, shifted))
-        den *= sum(vec)
+        num *= rs.pairing(shifted, root.coroot_pairing)
+        den *= sum(root.coroot_pairing)
     if num % den:
         raise OracleError("Weyl dimension formula did not give an integer")
     return num // den
@@ -305,14 +304,27 @@ def combine(
         raise InputError(f"p must be at least 2, got {p}")
     if twist2 < 0:
         raise InputError(f"twist must be non-negative, got {twist2}")
-    scale = p**twist2
+    return WeightMultiset.from_dict(
+        _twisted_product(ws1.items, ws2.items, p**twist2, cap, "combine")
+    )
+
+
+def _twisted_product(
+    rows: Iterable[tuple[Coords, int]], cols: Entries, scale: int, cap: int, stage: str
+) -> dict[Coords, int]:
+    """{sigma + scale * tau: m1 * m2} over rows sigma and columns tau.
+
+    The table only grows, so checking `cap` after each row raises on exactly
+    the products whose final size exceeds it, before the rest is built.
+    """
     out: dict[Coords, int] = {}
-    for w1, m1 in ws1.items:
-        for w2, m2 in ws2.items:
+    for w1, m1 in rows:
+        for w2, m2 in cols:
             key = tuple(a + scale * b for a, b in zip(w1, w2))
             out[key] = out.get(key, 0) + m1 * m2
-            if len(out) > cap:
-                raise ResourceLimitError(
-                    f"combine result exceeded {cap} distinct weights"
-                )
-    return WeightMultiset.from_dict(out)
+        if len(out) > cap:
+            raise ResourceLimitError(
+                f"{stage} working set reached {len(out)} distinct weights, "
+                f"above the cap {cap}; raise the cap to allow"
+            )
+    return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError
 
@@ -142,8 +142,11 @@ class RootSystem:
             sum(coords[i] * adj[i][j] for i in range(n)) for j in range(n)
         )
 
-    def pairing(self, w: Weight, pairing_vec: Coords) -> int:
-        return sum(v * c for v, c in zip(pairing_vec, w.coords))
+    def pairing(self, w: WeightLike, coroot: Optional[Coords] = None) -> int:
+        """<w, alpha-vee> from a `coroot_pairing` vector; the highest coroot by default."""
+        coords = w.coords if isinstance(w, Weight) else w
+        vec = self.highest_root_pairing if coroot is None else coroot
+        return sum(v * c for v, c in zip(vec, coords))
 
     def reflect(self, coords: Coords, i: int) -> Coords:
         """Apply the i-th simple reflection (0-indexed) in omega coordinates."""

@@ -70,9 +70,9 @@ def pair_with_coroot(rs: RootSystem, w: WeightLike, alpha: WeightLike) -> int:
     target = rs.coords_of(alpha)
     for root in rs.positive_roots:
         if root.omega_coords == target:
-            return sum(v * c for v, c in zip(root.coroot_pairing, coords))
+            return rs.pairing(coords, root.coroot_pairing)
         if tuple(-x for x in root.omega_coords) == target:
-            return -sum(v * c for v, c in zip(root.coroot_pairing, coords))
+            return -rs.pairing(coords, root.coroot_pairing)
     raise InputError(f"{target} is not a root of {rs.name}")
 
 
@@ -118,21 +118,16 @@ def b_invariant(rs: RootSystem, weights) -> BInvariant:
     items = dominant or _entry_items(weights)
     if not items:
         raise InputError("b_invariant needs a non-empty weight multiset")
-    vec = rs.highest_root_pairing
-    plain = max(sum(v * c for v, c in zip(vec, coords)) for coords, _ in items)
+    plain = max(rs.pairing(coords) for coords, _ in items)
     if dominant:
         return BInvariant(value=plain, via_highest_root=plain, agree=True)
-    full = max(
-        sum(v * c for v, c in zip(vec, rs.dominant_representative(coords)))
-        for coords, _ in items
-    )
+    full = max(rs.pairing(rs.dominant_representative(coords)) for coords, _ in items)
     return BInvariant(value=full, via_highest_root=plain, agree=full == plain)
 
 
 def b_of_weight(rs: RootSystem, coords: Coords) -> int:
     """Largest long-root coroot pairing of a single weight."""
-    dom = rs.dominant_representative(coords)
-    return sum(v * c for v, c in zip(rs.highest_root_pairing, dom))
+    return rs.pairing(rs.dominant_representative(coords))
 
 
 # Family-level constants (c, t): largest simple-root coefficient of the
@@ -211,7 +206,7 @@ def lambda_stats(rs: RootSystem, w: WeightLike, p: int) -> LambdaStats:
         raise InputError(f"p must be at least 2, got {p}")
     rc = rs.root_basis_coords(Weight(coords))
     c_lambda = max(rc) if rc else Q(0)
-    d_pairing = sum(v * c for v, c in zip(rs.highest_root_pairing, coords))
+    d_pairing = rs.pairing(coords)
     d_case = _d_from_root_coords(rs, rc)
     if d_case != d_pairing:
         raise OracleError(

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import chevbounds
+from chevbounds.bounds import bs_vanish_threshold
 from chevbounds.cli import emit_table, run
 from chevbounds.errors import InputError
+from chevbounds.rootsys import build_root_system
+from chevbounds.weightcomb import b_of_weight, t_invariant
 
 STRUCTURAL_CSV = [
     "family,c,t,ct",
@@ -63,6 +72,41 @@ def test_vanish_range_large_prime_answers_quickly(capsys) -> None:
     out = lines_of(capsys)
     assert "theorem=T711" in out
     assert f"H^m(G(F_q),k)=0 for 0<m<{2 * (10**18 + 1)}" in out
+
+
+def test_vanish_range_q_too_long_to_print(capsys) -> None:
+    # 2**r stays below 10**4300, so q prints in at most 4300 digits.
+    r_max = (10**4300).bit_length() - 1
+    assert 2**r_max < 10**4300 <= 2 ** (r_max + 1)
+    assert run(["vanish-range", "--p", "2", "--r", str(r_max)]) == 0
+    assert f"q={2**r_max}" in lines_of(capsys)
+
+    for r in (r_max + 1, 20000):
+        assert run(["vanish-range", "--p", "2", "--r", str(r)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than 4300 digits" in captured.err
+
+    start = perf_counter()
+    assert run(["vanish-range", "--p", "3", "--r", str(10**30)]) == 2
+    assert perf_counter() - start < 1.0
+    capsys.readouterr()
+
+
+def test_module_entry_point_prints_no_warning() -> None:
+    src = str(Path(chevbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "chevbounds.cli", "generic", "--type", "A1", "--p", "3", "--m", "1"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stderr == b""
+    assert b"theorem=T821" in done.stdout.splitlines()
 
 
 def test_generic_text_has_tag(capsys) -> None:
@@ -324,3 +368,66 @@ def test_module_weight_multiplicity_syntax(capsys) -> None:
     )
     assert bad == 2
     capsys.readouterr()
+
+
+GRID_WEIGHTS = {"A1": "1", "A2": "1,1", "B2": "0,2"}
+GRID_MODULES = {"A1": ["2", "-2"], "A2": ["1,1", "-1,-1"], "B2": ["1,0:3"]}
+
+
+def test_verify_e1_decisions_match_the_paper(capsys) -> None:
+    # The test derives exact_applicable and the P241 fields from t_invariant
+    # and bs_vanish_threshold itself, pairing with the highest coroot inline.
+    seen = set()
+    for name, p, s, f in itertools.product(("A1", "A2", "B2"), (2, 3, 5), range(3), range(3)):
+        if s + f < 1:
+            continue
+        rs = build_root_system(name[0], int(name[1]))
+        for weight, module, variant in itertools.product(
+            (None, GRID_WEIGHTS[name]), (None, GRID_MODULES[name]), (None, "a", "b", "c")
+        ):
+            argv = ["verify-e1", "--type", name, "--p", str(p), "--s", str(s),
+                    "--f", str(f), "--m", "2", "--format", "json"]
+            if weight:
+                argv.append(f"--weight={weight}")
+            for entry in module or ():
+                argv.append(f"--module-weight={entry}")
+            if variant:
+                argv += ["--variant", variant]
+            lam = tuple(int(c) for c in weight.split(",")) if weight else (0,) * rs.rank
+            d = sum(v * c for v, c in zip(rs.highest_root_pairing, lam))
+            b_mu = max(
+                (b_of_weight(rs, tuple(int(c) for c in e.split(":")[0].split(",")))
+                 for e in module or ()),
+                default=0,
+            )
+            applies = ("a",) if p == 2 else ("b", "c")
+            vanish = f == 0 and d >= 1
+            code = run(argv)
+            captured = capsys.readouterr()
+            if vanish and variant is not None and variant not in applies:
+                assert code == 2
+                assert f"does not apply at p={p}" in captured.err
+                seen.add(("variant refused", True))
+                continue
+            doc = json.loads(captured.out)
+            exact = (
+                min(lam) >= 0 and d >= 1 and s >= t_invariant(d, p) and f >= t_invariant(b_mu, p)
+            )
+            assert doc["exact_applicable"] == exact, argv
+            seen.add(("exact", exact))
+            assert ("vanish_met" in doc) == vanish, argv
+            if not vanish:
+                continue
+            chosen = applies if variant is None else (variant,)
+            thresholds = [bs_vanish_threshold(d, p, 2, v) for v in chosen]
+            met = any(s >= thr for thr in thresholds)
+            assert doc["vanish_theorems"] == [f"P241{v}" for v in chosen], argv
+            assert doc["vanish_thresholds"] == [str(thr) for thr in thresholds], argv
+            assert doc["vanish_met"] == met, argv
+            assert doc["vanish_consistent"] == (not met or doc["vanish_page_empty"]), argv
+            assert code == (0 if doc["verdict"] == "ok" else 1)
+            seen.add(("met", met))
+    # The grid reaches both outcomes of every decision.
+    assert seen == {
+        ("variant refused", True), ("exact", True), ("exact", False), ("met", True), ("met", False)
+    }

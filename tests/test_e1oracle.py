@@ -4,16 +4,23 @@ from fractions import Fraction as Q
 
 import pytest
 
+from chevbounds.bounds import bs_vanish_threshold
 from chevbounds.e1oracle import (
     check_bs_vanishing,
     check_weight_bounds,
     dyadic_sharpness,
     enumerate_tuples,
+    exact_bound_failure,
     exact_bound_value,
     invariant_page,
 )
 from chevbounds.errors import InputError, ResourceLimitError
-from chevbounds.modchar import WeightMultiset, weyl_character
+from chevbounds.modchar import (
+    WeightMultiset,
+    graded_power,
+    nilradical_dual_weights,
+    weyl_character,
+)
 from chevbounds.rootsys import Weight, build_root_system
 from chevbounds.weightcomb import b_of_weight, t_invariant
 
@@ -234,6 +241,81 @@ def test_bs_vanishing_variant_labels() -> None:
         "b",
         "c",
     ]
+
+
+def test_bs_vanishing_selected_variant() -> None:
+    omega = A1.fundamental_weight(1)
+    for p, s, m in ((3, 1, 1), (3, 2, 1), (5, 1, 3), (5, 3, 2), (2, 1, 0), (2, 1, 2)):
+        full = check_bs_vanishing(A1, p, omega, s, m)
+        chosen = ("a",) if p == 2 else ("b", "c")
+        assert full.theorems == tuple(f"P241{v}" for v in chosen)
+        for v in chosen:
+            one = check_bs_vanishing(A1, p, omega, s, m, variant=v)
+            threshold = bs_vanish_threshold(1, p, m, v)
+            assert one.thresholds == ((v, threshold),)
+            assert one.theorems == (f"P241{v}",)
+            assert one.met == (s >= threshold)
+            assert one.page_empty == full.page_empty
+            assert one.consistent == (not one.met or one.page_empty)
+        assert full.met == any(
+            check_bs_vanishing(A1, p, omega, s, m, variant=v).met for v in chosen
+        )
+        for v in sorted({"a", "b", "c"} - set(chosen)):
+            with pytest.raises(InputError, match=f"variant '{v}' does not apply at p={p}"):
+                check_bs_vanishing(A1, p, omega, s, m, variant=v)
+
+
+def test_exact_bound_failure_reasons() -> None:
+    trivial = WeightMultiset.trivial(A1)
+    omega = A1.fundamental_weight(1)
+    mu = WeightMultiset.from_dict({(4,): 1})  # b = 4, so t(mu) = 2 at p = 3
+    cases = (
+        (A1.weight((-1,)), 1, 0, trivial, "exact bound needs lambda dominant and nonzero"),
+        (A1.zero, 1, 0, trivial, "exact bound needs lambda dominant and nonzero"),
+        (A1.weight((3,)), 1, 0, trivial, "hypothesis s >= t(lambda) fails: s = 1, t = 2"),
+        (omega, 1, 1, mu, "hypothesis f >= t(mu_set) fails: f = 1, t = 2"),
+        (omega, 1, 2, mu, None),
+    )
+    for lam, s, f, mu_set, reason in cases:
+        page = invariant_page(A1, 3, s, f, lam, mu_set, 2)
+        assert exact_bound_failure(page) == reason
+        if reason is None:
+            report = check_weight_bounds(page, "exact")
+            assert report.equality_hits == tuple(w.coords for w in page.equality_hits)
+        else:
+            with pytest.raises(InputError) as info:
+                check_weight_bounds(page, "exact")
+            assert str(info.value) == reason
+
+
+def test_page_cap_is_checked_while_the_product_grows() -> None:
+    # A2 at p = 2 with three levels: the tuple (0, 1, 1, 1) multiplies three
+    # twisted copies of the nilradical, a product larger than any graded power.
+    p, levels, m = 2, 3, 3
+    nil = nilradical_dual_weights(A2)
+    largest_power = largest_product = 0
+    for et in enumerate_tuples(p, levels, m):
+        prod = {(0, 0): 1}
+        for n in range(1, levels + 1):
+            if not et.a[n]:
+                continue
+            power = graded_power("sym", nil, et.a[n])
+            largest_power = max(largest_power, sum(
+                graded_power("sym", nil, k).support_size for k in range(et.a[n] + 1)
+            ))
+            nxt: dict = {}
+            for w1, m1 in prod.items():
+                for w2, m2 in power.items:
+                    key = tuple(a + 2 ** (n - 1) * b for a, b in zip(w1, w2))
+                    nxt[key] = nxt.get(key, 0) + m1 * m2
+            prod = nxt
+            largest_product = max(largest_product, len(prod))
+    assert largest_power < largest_product - 1
+    lam, trivial = A2.weight((2, 2)), WeightMultiset.trivial(A2)
+    page = invariant_page(A2, p, 2, 1, lam, trivial, m, cap=largest_product)
+    assert page == invariant_page(A2, p, 2, 1, lam, trivial, m)
+    with pytest.raises(ResourceLimitError, match="page product"):
+        invariant_page(A2, p, 2, 1, lam, trivial, m, cap=largest_product - 1)
 
 
 def test_dyadic_sharpness_examples() -> None:

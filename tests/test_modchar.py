@@ -121,6 +121,12 @@ def test_resource_caps() -> None:
         weyl_character(A2, A2.weight((9, 9)), cap=10)
     with pytest.raises(ResourceLimitError):
         graded_power("sym", nilradical_dual_weights(B2), 9, cap=5)
+    # combine's cap is its number of distinct weights.
+    nil = nilradical_dual_weights(B2)
+    full = combine(nil, nil, 1, 3)
+    assert combine(nil, nil, 1, 3, cap=full.support_size) == full
+    with pytest.raises(ResourceLimitError, match="combine"):
+        combine(nil, nil, 1, 3, cap=full.support_size - 1)
 
 
 def test_character_cache_returns_consistent_objects() -> None:
