@@ -77,6 +77,20 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     raise InputError(f"unknown variant {variant!r}; expected 'a', 'b' or 'c'")
 
 
+def bs_vanish_variants(p: int, variant: Optional[str] = None) -> tuple[str, ...]:
+    """The threshold variants that apply at p: 'a' at p = 2, 'b' and 'c' at odd p.
+
+    With `variant` given, only that one; a variant that does not apply at p
+    is an InputError.
+    """
+    variants = ("a",) if p == 2 else ("b", "c")
+    if variant is None:
+        return variants
+    if variant not in variants:
+        raise InputError(f"variant {variant!r} does not apply at p={p}")
+    return (variant,)
+
+
 def g_ext_vanishing_holds(d: int, p: int, s: int, m: int) -> bool:
     """Whether s clears the transfer threshold for twisted Ext vanishing.
 
@@ -87,8 +101,7 @@ def g_ext_vanishing_holds(d: int, p: int, s: int, m: int) -> bool:
         raise InputError(f"vanishing condition needs d >= 1, got {d}")
     if s < 0 or m < 0:
         raise InputError("s and m must be non-negative")
-    variant = "a" if p == 2 else "b"
-    return s >= bs_vanish_threshold(d, p, m, variant)
+    return s >= bs_vanish_threshold(d, p, m, bs_vanish_variants(p)[0])
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from fractions import Fraction as Q
 from typing import Any, Optional, Sequence
 
 from ..bounds import (
+    bs_vanish_variants,
     compare_thresholds,
     finite_group_vanishing_range,
     generic_thresholds,
@@ -36,7 +37,7 @@ from ..rootsys import RootSystem, Weight, parse_type
 from ..weightcomb import b_invariant, structural_constants
 
 SCHEMA = "chevbounds/1"
-MAX_Q_DIGITS = 4300  # Python's default limit on printing an int
+DEFAULT_INT_DIGITS = 4300  # Python's default limit on printing an int
 
 STRUCTURAL_HEADER = ("family", "c", "t", "ct")
 STRUCTURAL_ROWS = (
@@ -247,17 +248,22 @@ def _cmd_vanish_range(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[s
     if args.r < 1:
         raise InputError("--r must be positive")
     upper = finite_group_vanishing_range(args.p, args.r)
-    # q >= 2**(r * (bit_length(p) - 1)): a long r is refused before q is built.
-    limit = 10**MAX_Q_DIGITS
-    if args.r * (args.p.bit_length() - 1) >= limit.bit_length() or args.p**args.r >= limit:
-        raise InputError(f"q = p^r has more than {MAX_Q_DIGITS} digits; use a smaller --r")
+    # Python before 3.10.7 has no limit and no getter.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_INT_DIGITS
+    # 8**digits < 10**digits < 16**digits and q >= 2**(r * (bit_length(p) - 1)):
+    # a long r is refused before q is built, and 10**digits is built only
+    # when q is about as long.
+    too_long = args.r * (args.p.bit_length() - 1) >= 4 * digits
+    q = 0 if too_long else args.p**args.r
+    if too_long or (q.bit_length() > 3 * digits and q >= 10**digits):
+        raise InputError(f"q = p^r has more than {digits} digits; use a smaller --r")
     doc = {
         "schema": SCHEMA,
         "command": "vanish-range",
         "theorem": "T711",
         "p": args.p,
         "r": args.r,
-        "q": args.p**args.r,
+        "q": q,
         "upper": upper,
         "statement": f"H^m(G(F_q),k)=0 for 0<m<{upper}",
     }
@@ -329,6 +335,7 @@ def _cmd_verify_e1(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str,
     lam = rs.zero if args.weight is None else rs.weight(_parse_coords(rs, args.weight))
     mu_set = _resolve_module(rs, args.module_weight, None, cap)
     page = invariant_page(rs, args.p, args.s, args.f, lam, mu_set, args.m, cap=cap)
+    bs_vanish_variants(args.p, args.variant)  # refuse the variant even if unused
     doc: dict[str, Any] = {
         "schema": SCHEMA,
         "command": "verify-e1",
@@ -395,6 +402,10 @@ def _cmd_verify_lemma61(args: argparse.Namespace) -> tuple[dict[str, Any], tuple
 
 def emit_table(kind: str, fmt: str = "text") -> str:
     """Render one static reference table in the requested format."""
+    return _render(_table_doc(kind), fmt)
+
+
+def _table_doc(kind: str) -> dict[str, Any]:
     if kind not in TABLE_KINDS:
         raise InputError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
     if kind == "structural":
@@ -408,12 +419,11 @@ def emit_table(kind: str, fmt: str = "text") -> str:
         doc["note"] = note
     doc["header"] = list(header)
     doc["rows"] = [dict(zip(header, row)) for row in rows]
-    return _render(doc, fmt)
+    return doc
 
 
-def _cmd_table(args: argparse.Namespace) -> tuple[Optional[dict[str, Any]], tuple[str, ...], bool]:
-    print(emit_table(args.kind, args.format))
-    return None, (), False
+def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
+    return _table_doc(args.kind), (), False
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -507,8 +517,13 @@ def run(argv: Sequence[str]) -> int:
     except OracleError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    if doc is not None:
+    try:
         print(_render(doc, args.format, raw_keys))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # shutdown is silent too, as the signal module documentation advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if failed else 0
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Iterator, Optional, Union
 
-from .bounds import bs_vanish_threshold
+from .bounds import bs_vanish_threshold, bs_vanish_variants
 from .errors import InputError, ResourceLimitError
 from .modchar import (
     DEFAULT_ENTRY_CAP,
@@ -125,8 +125,12 @@ def _degree_weights(
     levels_cap: int,
     degree_cap: int,
     cap: int,
-) -> tuple[tuple[Coords, int], ...]:
-    """Summand weights of the full degree-m page, before any coefficient shift."""
+) -> dict[Coords, tuple[tuple[Coords, int], ...]]:
+    """Summand weights of the full degree-m page, grouped by residue mod p^levels.
+
+    lambda, mu and the split of levels into s + f only shift these weights
+    and pick one residue class, so every such page shares this table.
+    """
     rs = build_root_system(family, rank)
     n_pos = len(rs.positive_roots)
     zero = (0,) * rank
@@ -160,36 +164,11 @@ def _degree_weights(
             prod = _twisted_product(prod.items(), items, p**twist, cap, "page product")
         for w, mult in prod.items():
             total[w] = total.get(w, 0) + mult
-    return tuple(sorted(total.items()))
-
-
-@lru_cache(maxsize=None)
-def _residue_buckets(
-    family: str,
-    rank: int,
-    p: int,
-    s: int,
-    f: int,
-    m: int,
-    mu_items: tuple[tuple[Coords, int], ...],
-    levels_cap: int,
-    degree_cap: int,
-    cap: int,
-) -> dict[Coords, tuple[tuple[Coords, int], ...]]:
-    """Shifted summand weights grouped by residue class mod p^(s+f)."""
-    levels = s + f
     q = p**levels
-    shift = p**s
-    weights = _degree_weights(
-        family, rank, p, levels, m, levels_cap, degree_cap, cap
-    )
-    grouped: dict[Coords, dict[Coords, int]] = {}
-    for w, mw in weights:
-        for mu, mm in mu_items:
-            v = tuple(a + shift * b for a, b in zip(w, mu))
-            key = tuple(c % q for c in v)
-            grouped.setdefault(key, {})[v] = grouped.get(key, {}).get(v, 0) + mw * mm
-    return {key: tuple(sorted(tab.items())) for key, tab in grouped.items()}
+    buckets: dict[Coords, list[tuple[Coords, int]]] = {}
+    for w, mult in total.items():
+        buckets.setdefault(tuple(c % q for c in w), []).append((w, mult))
+    return {key: tuple(entries) for key, entries in buckets.items()}
 
 
 @dataclass(frozen=True)
@@ -204,7 +183,6 @@ class InvariantPage:
     lam: Weight
     mu_set: WeightMultiset
     gammas: WeightMultiset
-    equality_hits: tuple[Weight, ...]
 
 
 def exact_bound_value(rs: RootSystem, p: int, s: int, m: int, lam: Weight) -> int:
@@ -212,7 +190,11 @@ def exact_bound_value(rs: RootSystem, p: int, s: int, m: int, lam: Weight) -> in
     d = rs.pairing(lam)
     if d < 1 or not lam.is_dominant():
         raise InputError("exact bound needs lambda dominant and nonzero")
-    t = t_invariant(d, p)
+    return _exact_bound(p, s, m, d, t_invariant(d, p))
+
+
+def _exact_bound(p: int, s: int, m: int, d: int, t: int) -> int:
+    """The exact bound for <lambda, theta-vee> = d >= 1 with t = t(d)."""
     if p == 2:
         return m - (s - t)
     top = p_adic_digits(d, p)[-1]
@@ -243,24 +225,15 @@ def invariant_page(
         raise InputError("mu_set must be non-empty; use the trivial multiset")
     levels = s + f
     q = p**levels
-    buckets = _residue_buckets(
-        rs.family, rs.rank, p, s, f, m, mu_set.items, levels_cap, degree_cap, cap
+    buckets = _degree_weights(
+        rs.family, rs.rank, p, levels, m, levels_cap, degree_cap, cap
     )
-    key = tuple((-c) % q for c in lam.coords)
     gathered: dict[Coords, int] = {}
-    for v, mult in buckets.get(key, ()):
-        gamma = tuple((a + b) // q for a, b in zip(lam.coords, v))
-        gathered[gamma] = gathered.get(gamma, 0) + mult
-    gammas = WeightMultiset.from_dict(gathered)
-
-    hits: tuple[Weight, ...] = ()
-    if lam.is_dominant() and not lam.is_zero():
-        bound = exact_bound_value(rs, p, s, m, lam)
-        hits = tuple(
-            Weight(coords)
-            for coords, _ in gammas.coords_items()
-            if b_of_weight(rs, coords) == bound
-        )
+    for u, mult_u in mu_set.items:
+        v = tuple(a + p**s * b for a, b in zip(lam.coords, u))
+        for w, mult in buckets.get(tuple((-c) % q for c in v), ()):
+            gamma = tuple((a + b) // q for a, b in zip(v, w))
+            gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
     return InvariantPage(
         system=rs,
         p=p,
@@ -269,8 +242,7 @@ def invariant_page(
         m=m,
         lam=lam,
         mu_set=mu_set,
-        gammas=gammas,
-        equality_hits=hits,
+        gammas=WeightMultiset.from_dict(gathered),
     )
 
 
@@ -293,40 +265,43 @@ def exact_bound_failure(page: InvariantPage) -> Optional[str]:
 
     It needs lambda dominant and nonzero, s >= t(lambda) and f >= t(mu_set).
     """
+    t_mu = t_invariant(b_invariant(page.system, page.mu_set).value, page.p)
+    return _exact_failure(page, t_mu)[0]
+
+
+def _exact_failure(page: InvariantPage, t_mu: int) -> tuple[Optional[str], Optional[int]]:
+    """The exact bound's failed hypothesis or None, and t(lambda) if it is defined."""
     lam = page.lam
     if not lam.is_dominant() or lam.is_zero():
-        return "exact bound needs lambda dominant and nonzero"
+        return "exact bound needs lambda dominant and nonzero", None
     t_lam = t_invariant(page.system.pairing(lam), page.p)
     if page.s < t_lam:
-        return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}"
-    t_mu = t_invariant(b_invariant(page.system, page.mu_set).value, page.p)
+        return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}", t_lam
     if page.f < t_mu:
-        return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}"
-    return None
+        return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}", t_lam
+    return None, t_lam
 
 
 def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     """Check page weights against the exact or the rough bound.
 
     The exact bound raises InputError with the reason from
-    `exact_bound_failure` when its hypotheses fail.  The rough bound applies
-    unconditionally.
+    `exact_bound_failure` when its hypotheses fail, and reports as equality
+    hits the page weights gamma with b(gamma) equal to the bound.  The rough
+    bound applies unconditionally.
     """
     rs = page.system
     p = page.p
     b_mu = b_invariant(rs, page.mu_set).value
     t_mu = t_invariant(b_mu, p)
     if which == "exact":
-        reason = exact_bound_failure(page)
+        reason, t_lam = _exact_failure(page, t_mu)
         if reason is not None:
             raise InputError(reason)
-        bound = exact_bound_value(rs, p, page.s, page.m, page.lam)
-        hits = tuple(w.coords for w in page.equality_hits)
-        t_lam = t_invariant(rs.pairing(page.lam), p)
+        bound = _exact_bound(p, page.s, page.m, rs.pairing(page.lam), t_lam)
     elif which == "rough":
         q = p ** (page.s + page.f)
         bound = Q(p**page.s * b_mu + b_of_weight(rs, page.lam.coords) + page.m * q, q)
-        hits = ()
         t_lam = None
     else:
         raise InputError(f"unknown check {which!r}; expected 'exact' or 'rough'")
@@ -334,6 +309,7 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     for coords, _ in page.gammas.coords_items():
         bg = b_of_weight(rs, coords)
         details.append((coords, bg, bg <= bound))
+    hits = tuple(c for c, bg, _ in details if which == "exact" and bg == bound)
     equality_consistent = not hits or page.f == t_mu
     return BoundCheckReport(
         which=which,
@@ -380,9 +356,7 @@ def check_bs_vanishing(
 ) -> VanishReport:
     """One-directional consistency: threshold met implies an empty page.
 
-    The thresholds are variant 'a' at p = 2 and 'b', 'c' at odd p, or only
-    `variant` when it is given; a variant that does not apply at p is an
-    InputError.
+    The thresholds are those of `bs_vanish_variants(p, variant)`.
     """
     if s < 1:
         raise InputError(f"kernel height s must be at least 1, got {s}")
@@ -391,13 +365,8 @@ def check_bs_vanishing(
         raise InputError(
             "vanishing thresholds need a positive highest-coroot pairing"
         )
-    variants = ("a",) if p == 2 else ("b", "c")
-    if variant is not None:
-        if variant not in variants:
-            raise InputError(f"variant {variant!r} does not apply at p={p}")
-        variants = (variant,)
     thresholds = tuple(
-        (v, bs_vanish_threshold(d, p, m, v)) for v in variants
+        (v, bs_vanish_threshold(d, p, m, v)) for v in bs_vanish_variants(p, variant)
     )
     met = any(s >= value for _, value in thresholds)
     page = invariant_page(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+from typing import Optional
 
 import pytest
 
@@ -93,20 +94,77 @@ def test_vanish_range_q_too_long_to_print(capsys) -> None:
     capsys.readouterr()
 
 
-def test_module_entry_point_prints_no_warning() -> None:
+def run_module(
+    argv: list[str], env: Optional[dict[str, str]] = None, **kwargs
+) -> subprocess.CompletedProcess:
+    """Run `python -m chevbounds.cli` on argv with this checkout's sources."""
     src = str(Path(chevbounds.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    full_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))
-    ))
-    done = subprocess.run(
-        [sys.executable, "-m", "chevbounds.cli", "generic", "--type", "A1", "--p", "3", "--m", "1"],
-        capture_output=True,
-        env=env,
+    ), **(env or {}))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-m", "chevbounds.cli", *argv],
+        stderr=subprocess.PIPE,
+        env=full_env,
         timeout=60,
+        **kwargs,
     )
+
+
+def test_module_entry_point_prints_no_warning() -> None:
+    done = run_module(["generic", "--type", "A1", "--p", "3", "--m", "1"])
     assert done.returncode == 0
     assert done.stderr == b""
     assert b"theorem=T821" in done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("limit, digits", [("640", 640), ("0", 4300)])
+def test_vanish_range_follows_the_int_digit_limit(limit: str, digits: int) -> None:
+    # A limit of 0 lifts the interpreter's check; q is still kept printable.
+    r_max = (10**digits).bit_length() - 1
+    for r in (r_max, r_max + 1, 3000, 20000):
+        done = run_module(
+            ["vanish-range", "--p", "2", "--r", str(r)], {"PYTHONINTMAXSTRDIGITS": limit}
+        )
+        assert b"Traceback" not in done.stderr
+        if r <= r_max:
+            assert done.returncode == 0
+            (q_line,) = [line for line in done.stdout.splitlines() if line.startswith(b"q=")]
+            assert len(q_line) - len(b"q=") <= digits
+            continue
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.decode() == (
+            f"error: q = p^r has more than {digits} digits; use a smaller --r\n"
+        )
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--type", "E8", "--format", "json"],
+    ["table", "comparison-odd"],
+])
+def test_closed_stdout_is_not_a_traceback(argv: list[str]) -> None:
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_module(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert b"Traceback" not in done.stderr
+    assert b"BrokenPipeError" not in done.stderr
+
+
+def test_verify_e1_refuses_a_variant_the_vanishing_check_would_not_run(capsys) -> None:
+    base = ["verify-e1", "--type", "A1", "--p", "2", "--s", "1", "--m", "1", "--weight", "1"]
+    for f in ("1", "0"):
+        assert run(base + ["--f", f, "--variant", "b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: variant 'b' does not apply at p=2\n"
+        assert run(base + ["--f", f, "--variant", "a"]) == 0
+        capsys.readouterr()
 
 
 def test_generic_text_has_tag(capsys) -> None:
@@ -404,7 +462,7 @@ def test_verify_e1_decisions_match_the_paper(capsys) -> None:
             vanish = f == 0 and d >= 1
             code = run(argv)
             captured = capsys.readouterr()
-            if vanish and variant is not None and variant not in applies:
+            if variant is not None and variant not in applies:
                 assert code == 2
                 assert f"does not apply at p={p}" in captured.err
                 seen.add(("variant refused", True))

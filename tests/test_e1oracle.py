@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevbounds.bounds import bs_vanish_threshold
 from chevbounds.e1oracle import (
@@ -21,7 +24,7 @@ from chevbounds.modchar import (
     nilradical_dual_weights,
     weyl_character,
 )
-from chevbounds.rootsys import Weight, build_root_system
+from chevbounds.rootsys import Coords, Weight, build_root_system
 from chevbounds.weightcomb import b_of_weight, t_invariant
 
 A1 = build_root_system("A", 1)
@@ -94,7 +97,7 @@ def test_page_odd_lambda_is_odd() -> None:
         A1, 2, 1, 0, A1.fundamental_weight(1), WeightMultiset.trivial(A1), 3
     )
     assert page.gammas.is_empty()
-    assert page.equality_hits == ()
+    assert check_weight_bounds(page, "exact").equality_hits == ()
 
 
 def test_page_symmetric_survivor() -> None:
@@ -107,7 +110,7 @@ def test_page_equality_hit() -> None:
         A1, 3, 1, 0, A1.fundamental_weight(1), WeightMultiset.trivial(A1), 1
     )
     assert page.gammas.as_dict() == {(1,): 1}
-    assert page.equality_hits == (Weight((1,)),)
+    assert check_weight_bounds(page, "exact").equality_hits == ((1,),)
 
 
 def test_page_nontrivial_mu() -> None:
@@ -280,8 +283,11 @@ def test_exact_bound_failure_reasons() -> None:
         page = invariant_page(A1, 3, s, f, lam, mu_set, 2)
         assert exact_bound_failure(page) == reason
         if reason is None:
+            bound = exact_bound_value(A1, 3, s, 2, lam)
             report = check_weight_bounds(page, "exact")
-            assert report.equality_hits == tuple(w.coords for w in page.equality_hits)
+            assert report.equality_hits == tuple(
+                c for c, _ in page.gammas.coords_items() if b_of_weight(A1, c) == bound
+            )
         else:
             with pytest.raises(InputError) as info:
                 check_weight_bounds(page, "exact")
@@ -340,7 +346,7 @@ def test_equality_needs_matching_f() -> None:
             page = invariant_page(
                 A1, 3, s, f, omega, WeightMultiset.trivial(A1), m
             )
-            if page.equality_hits:
+            if check_weight_bounds(page, "exact").equality_hits:
                 assert page.f == t_invariant(1, 3) - 1 or page.f == 0
 
 
@@ -353,3 +359,92 @@ def test_page_weights_divisible_before_untwisting() -> None:
         assert mult > 0
         scaled = tuple(q * c for c in coords)
         assert all(isinstance(c, int) for c in scaled)
+
+
+PROPERTY_SYSTEMS = {
+    "A1": A1, "A2": A2, "B2": B2, "G2": build_root_system("G", 2),
+}
+
+
+@lru_cache(maxsize=None)
+def brute_force_summands(name: str, p: int, levels: int, m: int) -> dict[Coords, int]:
+    """Every weight of the degree-m page with its multiplicity, multiplied out.
+
+    The n-th factor of a summand is twisted by p^n (p^(n-1) for the
+    symmetric factors at p = 2), and the products are summed in full.
+    """
+    rs = PROPERTY_SYSTEMS[name]
+    nil = nilradical_dual_weights(rs)
+    total: dict[Coords, int] = {}
+    for et in enumerate_tuples(p, levels, m):
+        if p == 2:
+            factors = [("sym", a, 2 ** (n - 1)) for n, a in enumerate(et.a) if n]
+        else:
+            factors = [("sym", a, p**n) for n, a in enumerate(et.a)]
+            factors += [("ext", b, p**n) for n, b in enumerate(et.b)]
+        prod = {(0,) * rs.rank: 1}
+        for kind, k, twist in factors:
+            nxt: dict[Coords, int] = {}
+            for w1, m1 in prod.items():
+                for w2, m2 in graded_power(kind, nil, k).items:
+                    key = tuple(a + twist * b for a, b in zip(w1, w2))
+                    nxt[key] = nxt.get(key, 0) + m1 * m2
+            prod = nxt
+        for w, mult in prod.items():
+            total[w] = total.get(w, 0) + mult
+    return total
+
+
+def brute_force_page(
+    summands: dict[Coords, int], p: int, s: int, f: int, lam: Coords, mu: dict[Coords, int]
+) -> dict[Coords, int]:
+    """Shift every summand by lam + p^s u, keep what p^(s+f) divides, divide."""
+    q = p ** (s + f)
+    page: dict[Coords, int] = {}
+    for w, mult in summands.items():
+        for u, mult_u in mu.items():
+            v = tuple(a + p**s * b + c for a, b, c in zip(lam, u, w))
+            if all(c % q == 0 for c in v):
+                gamma = tuple(c // q for c in v)
+                page[gamma] = page.get(gamma, 0) + mult * mult_u
+    return page
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_page_lookup_matches_brute_force(data) -> None:
+    name = data.draw(st.sampled_from(sorted(PROPERTY_SYSTEMS)), label="system")
+    rs = PROPERTY_SYSTEMS[name]
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    levels = data.draw(st.integers(1, 3), label="s + f")
+    m = data.draw(st.integers(0, 4), label="m")
+
+    def coords(lo: int, hi: int):
+        return st.tuples(*[st.integers(lo, hi)] * rs.rank)
+
+    weights = st.one_of(st.just((0,) * rs.rank), coords(-2, 2))
+    mu = data.draw(
+        st.dictionaries(weights, st.integers(1, 3), min_size=1, max_size=3), label="mu"
+    )
+    summands = brute_force_summands(name, p, levels, m)
+    how = data.draw(st.sampled_from(("aimed", "dominant", "any")), label="lambda")
+    if how == "aimed":
+        # Make one shifted summand divisible by q at the split s = s0.
+        s0 = data.draw(st.integers(0, levels), label="s0")
+        w = data.draw(st.sampled_from(sorted(summands)), label="w")
+        u = data.draw(st.sampled_from(sorted(mu)), label="u")
+        gamma = data.draw(coords(0, 2), label="gamma")
+        lam = tuple(p**levels * g - p**s0 * b - c for g, b, c in zip(gamma, u, w))
+    else:
+        lam = data.draw(coords(0, 3) if how == "dominant" else coords(-4, 6), label="lambda")
+    mu_set = WeightMultiset.from_dict(mu)
+    # Every split of s + f in one process shares the page cache.
+    for s in range(levels + 1):
+        f = levels - s
+        expected = brute_force_page(summands, p, s, f, lam, mu)
+        page = invariant_page(rs, p, s, f, rs.weight(lam), mu_set, m)
+        assert page.gammas.as_dict() == expected
+        if exact_bound_failure(page) is None:
+            bound = exact_bound_value(rs, p, s, m, page.lam)
+            hits = tuple(g for g in sorted(expected) if b_of_weight(rs, g) == bound)
+            assert check_weight_bounds(page, "exact").equality_hits == hits
