@@ -5,7 +5,9 @@ the first page in total degree m is a direct sum of twisted symmetric and
 exterior powers of the dual nilradical, indexed by exponent tuples.  The
 invariant part keeps exactly the summand weights that are divisible by
 p^(s+f) in every fundamental-weight coordinate; the quotients gamma are what
-the closed-form bounds constrain.  This module enumerates all of it exactly.
+the closed-form bounds constrain.  Divisibility is decided one p-adic digit
+at a time, by carries through the twist levels, so only the residue class
+that lam + p^s * mu selects is ever built.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import InputError, ResourceLimitError
 from .modchar import (
     DEFAULT_ENTRY_CAP,
     WeightMultiset,
+    _check_cap,
     _twisted_product,
     graded_power,
     nilradical_dual_weights,
@@ -63,6 +66,23 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
+def _check_page_shape(levels: int, m: int, levels_cap: int, degree_cap: int) -> None:
+    """Refuse a page of s + f = levels and degree m that the caps do not allow."""
+    if levels < 1:
+        raise InputError(f"levels must be at least 1, got {levels}")
+    if m < 0:
+        raise InputError(f"total degree must be non-negative, got {m}")
+    if levels > levels_cap:
+        raise ResourceLimitError(
+            f"page levels {levels} above the cap {levels_cap}; "
+            "raise levels_cap to allow"
+        )
+    if m > degree_cap:
+        raise ResourceLimitError(
+            f"page degree {m} above the cap {degree_cap}; raise degree_cap to allow"
+        )
+
+
 def enumerate_tuples(
     p: int,
     levels: int,
@@ -72,18 +92,7 @@ def enumerate_tuples(
 ) -> tuple[ExponentTuple, ...]:
     """All exponent tuples of total degree m, in lexicographic order."""
     require_prime(p)
-    if levels < 1:
-        raise InputError(f"levels must be at least 1, got {levels}")
-    if m < 0:
-        raise InputError(f"total degree must be non-negative, got {m}")
-    if levels > levels_cap:
-        raise ResourceLimitError(
-            f"levels {levels} above cap {levels_cap}; raise levels_cap to allow"
-        )
-    if m > degree_cap:
-        raise ResourceLimitError(
-            f"degree {m} above cap {degree_cap}; raise degree_cap to allow"
-        )
+    _check_page_shape(levels, m, levels_cap, degree_cap)
     found = []
     if p == 2:
         for comp in _compositions(m, levels):
@@ -115,60 +124,105 @@ def _nilradical_power(
     return power.items
 
 
+# One page level grouped by residue: {residue: (entries of degree 0, ..., m)}.
+Level = dict[Coords, tuple[tuple[tuple[Coords, int], ...], ...]]
+
+# The (a, b) with S^a (x) Lambda^b of the dual nilradical in each level of
+# degree d.  For odd p a level has degree 2a + b, the bottom level has no
+# symmetric part and the top level no exterior part; for p = 2 every level
+# is S^a in degree a.
+_LEVEL_SHAPES = {
+    "bottom": lambda d: ((0, d),),
+    "middle": lambda d: tuple((a, d - 2 * a) for a in range(d // 2 + 1)),
+    "top": lambda d: ((d // 2, 0),) if d % 2 == 0 else (),
+    "sym": lambda d: ((d, 0),),
+}
+
+
 @lru_cache(maxsize=None)
-def _degree_weights(
-    family: str,
-    rank: int,
-    p: int,
-    levels: int,
-    m: int,
-    levels_cap: int,
-    degree_cap: int,
-    cap: int,
+def _page_level(
+    family: str, rank: int, p: int, m: int, cap: int, kind: str
+) -> tuple[int, Level]:
+    """One untwisted page level in degrees 0..m and the modulus it is grouped by.
+
+    The carry pass divides by that modulus: p for a filtered level, and 1
+    for the top level, which it does not filter.
+    """
+    modulus = 1 if kind == "top" else p
+    grouped: dict[Coords, list[list[tuple[Coords, int]]]] = {}
+    for d in range(m + 1):
+        table: dict[Coords, int] = {}
+        for a, b in _LEVEL_SHAPES[kind](d):
+            prod = _twisted_product(
+                _nilradical_power(family, rank, "sym", a, cap),
+                _nilradical_power(family, rank, "ext", b, cap),
+                1,
+                cap,
+                "page level",
+            )
+            for w, mult in prod.items():
+                table[w] = table.get(w, 0) + mult
+            _check_cap("page level", len(table), cap)
+        for w, mult in table.items():
+            rows = grouped.setdefault(
+                tuple(c % modulus for c in w), [[] for _ in range(m + 1)]
+            )
+            rows[d].append((w, mult))
+    return modulus, {key: tuple(map(tuple, rows)) for key, rows in grouped.items()}
+
+
+def _carry_class(
+    family: str, rank: int, p: int, levels: int, m: int, cap: int, r: Coords
+) -> tuple[tuple[Coords, int], ...]:
+    """The summand weights w = r (mod p^levels) of the degree-m page.
+
+    A summand weight is sum_n p^n w_n over its levels.  Starting from the
+    carry -r, a filtered level keeps only the w_n with carry + w_n = 0 (mod p)
+    and carries (carry + w_n) / p; after the filtered levels the carry is
+    (w - r) / p^levels.  For odd p the top level, twisted p^levels, adds its
+    weights unfiltered; for p = 2 the levels are twisted 0 .. levels - 1 and
+    all of them are filtered.  The last level takes the degree still missing.
+    A level is built only when some carry state reaches it.
+    """
+    if p == 2:
+        kinds = ["sym"] * levels
+    else:
+        kinds = ["bottom"] + ["middle"] * (levels - 1) + ["top"]
+    states: dict[tuple[Coords, int], int] = {(tuple([-c for c in r]), 0): 1}
+    for i, kind in enumerate(kinds):
+        div, level = _page_level(family, rank, p, m, cap, kind)
+        last = i == len(kinds) - 1
+        nxt: dict[tuple[Coords, int], int] = {}
+        for (carry, used), mult in states.items():
+            rows = level.get(tuple([-c % div for c in carry]))
+            if rows is None:
+                continue
+            for d in (m - used,) if last else range(m - used + 1):
+                for w, mult_w in rows[d]:
+                    key = (tuple([(c + x) // div for c, x in zip(carry, w)]), used + d)
+                    nxt[key] = nxt.get(key, 0) + mult * mult_w
+            _check_cap("page carry", len(nxt), cap, "carry states")
+        if not nxt:
+            return ()
+        states = nxt
+    q = p**levels
+    return tuple(
+        (tuple([q * g + c for g, c in zip(gamma, r)]), mult)
+        for (gamma, _), mult in states.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _page_table(
+    family: str, rank: int, p: int, levels: int, m: int, cap: int
 ) -> dict[Coords, tuple[tuple[Coords, int], ...]]:
-    """Summand weights of the full degree-m page, grouped by residue mod p^levels.
+    """Summand weights of the degree-m page by residue mod p^levels, filled lazily.
 
     lambda, mu and the split of levels into s + f only shift these weights
     and pick one residue class, so every such page shares this table.
+    `invariant_page` stores each class it asks for, empty ones included.
     """
-    rs = build_root_system(family, rank)
-    n_pos = len(rs.positive_roots)
-    zero = (0,) * rank
-    total: dict[Coords, int] = {}
-    for et in enumerate_tuples(p, levels, m, levels_cap, degree_cap):
-        factors: list[tuple[tuple[tuple[Coords, int], ...], int]] = []
-        empty = False
-        if p == 2:
-            for n in range(1, levels + 1):
-                if et.a[n]:
-                    factors.append(
-                        (_nilradical_power(family, rank, "sym", et.a[n], cap), n - 1)
-                    )
-        else:
-            for n in range(levels + 1):
-                if et.a[n]:
-                    factors.append(
-                        (_nilradical_power(family, rank, "sym", et.a[n], cap), n)
-                    )
-                if et.b[n]:
-                    if et.b[n] > n_pos:
-                        empty = True
-                        break
-                    factors.append(
-                        (_nilradical_power(family, rank, "ext", et.b[n], cap), n)
-                    )
-        if empty:
-            continue
-        prod: dict[Coords, int] = {zero: 1}
-        for items, twist in factors:
-            prod = _twisted_product(prod.items(), items, p**twist, cap, "page product")
-        for w, mult in prod.items():
-            total[w] = total.get(w, 0) + mult
-    q = p**levels
-    buckets: dict[Coords, list[tuple[Coords, int]]] = {}
-    for w, mult in total.items():
-        buckets.setdefault(tuple(c % q for c in w), []).append((w, mult))
-    return {key: tuple(entries) for key, entries in buckets.items()}
+    return {}
 
 
 @dataclass(frozen=True)
@@ -224,14 +278,18 @@ def invariant_page(
     if mu_set.is_empty():
         raise InputError("mu_set must be non-empty; use the trivial multiset")
     levels = s + f
+    _check_page_shape(levels, m, levels_cap, degree_cap)
     q = p**levels
-    buckets = _degree_weights(
-        rs.family, rs.rank, p, levels, m, levels_cap, degree_cap, cap
-    )
+    table = _page_table(rs.family, rs.rank, p, levels, m, cap)
     gathered: dict[Coords, int] = {}
     for u, mult_u in mu_set.items:
         v = tuple(a + p**s * b for a, b in zip(lam.coords, u))
-        for w, mult in buckets.get(tuple((-c) % q for c in v), ()):
+        r = tuple((-c) % q for c in v)
+        entries = table.get(r)
+        if entries is None:
+            entries = _carry_class(rs.family, rs.rank, p, levels, m, cap, r)
+            table[r] = entries
+        for w, mult in entries:
             gamma = tuple((a + b) // q for a, b in zip(v, w))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
     return InvariantPage(

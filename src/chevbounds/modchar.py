@@ -204,7 +204,8 @@ def _character_cached(family: str, rank: int, lam: Coords, cap: int) -> WeightMu
     dim = weyl_dimension(rs, lam)
     if dim > cap:
         raise ResourceLimitError(
-            f"character of {lam} has dimension {dim}, above the cap {cap}"
+            f"character of {lam} has dimension {dim}, above the cap {cap}; "
+            "raise the cap to allow"
         )
     mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam))
     table: dict[Coords, int] = {}
@@ -260,10 +261,13 @@ def graded_power(
         return WeightMultiset(())
 
     # One dict per degree 0..n; fold in one weight (with multiplicity) at a time.
+    # Every fold keeps each old entry (k = 0), so the table only grows, and
+    # checking `cap` after each row raises on exactly the powers whose final
+    # table exceeds it.
     rank = len(ws.items[0][0])
     zero = (0,) * rank
     levels: list[dict[Coords, int]] = [{zero: 1}] + [dict() for _ in range(n)]
-    touched = 1
+    stage = f"graded power {kind}^{n}"
     for coords, mult in ws.items:
         top = mult if kind == "ext" else n
         factor = []
@@ -272,6 +276,7 @@ def graded_power(
             if count:
                 factor.append((k, _scale_coords(coords, k), count))
         new_levels: list[dict[Coords, int]] = [dict() for _ in range(n + 1)]
+        size = 0
         for deg in range(n + 1):
             src = levels[deg]
             if not src:
@@ -280,15 +285,13 @@ def graded_power(
                 if deg + k > n:
                     break
                 dst = new_levels[deg + k]
+                size -= len(dst)
                 for w, m in src.items():
                     key = tuple(a + b for a, b in zip(w, shift))
                     dst[key] = dst.get(key, 0) + m * count
+                size += len(dst)
+                _check_cap(stage, size, cap)
         levels = new_levels
-        touched = sum(len(d) for d in levels)
-        if touched > cap:
-            raise ResourceLimitError(
-                f"graded_power working set hit {touched} entries, cap {cap}"
-            )
     return WeightMultiset.from_dict(levels[n])
 
 
@@ -322,9 +325,14 @@ def _twisted_product(
         for w2, m2 in cols:
             key = tuple(a + scale * b for a, b in zip(w1, w2))
             out[key] = out.get(key, 0) + m1 * m2
-        if len(out) > cap:
-            raise ResourceLimitError(
-                f"{stage} working set reached {len(out)} distinct weights, "
-                f"above the cap {cap}; raise the cap to allow"
-            )
+        _check_cap(stage, len(out), cap)
     return out
+
+
+def _check_cap(stage: str, size: int, cap: int, what: str = "distinct weights") -> None:
+    """Raise ResourceLimitError naming the stage when its working set passes cap."""
+    if size > cap:
+        raise ResourceLimitError(
+            f"{stage} working set reached {size} {what}, above the cap {cap}; "
+            "raise the cap to allow"
+        )

@@ -85,11 +85,20 @@ def test_enumerate_tuples_degree_invariant() -> None:
 
 
 def test_enumerate_tuples_caps() -> None:
-    with pytest.raises(ResourceLimitError):
-        enumerate_tuples(3, 5, 1)
-    with pytest.raises(ResourceLimitError):
-        enumerate_tuples(3, 1, 9)
+    levels = "page levels 5 above the cap 4; raise levels_cap to allow"
+    degree = "page degree 9 above the cap 8; raise degree_cap to allow"
+    triv = WeightMultiset.trivial(A1)
+    for build, message in (
+        (lambda: enumerate_tuples(3, 5, 1), levels),
+        (lambda: enumerate_tuples(3, 1, 9), degree),
+        (lambda: invariant_page(A1, 3, 2, 3, A1.zero, triv, 1), levels),
+        (lambda: invariant_page(A1, 3, 1, 0, A1.zero, triv, 9), degree),
+    ):
+        with pytest.raises(ResourceLimitError) as info:
+            build()
+        assert str(info.value) == message
     assert enumerate_tuples(3, 5, 1, levels_cap=5)
+    assert invariant_page(A1, 3, 2, 3, A1.zero, triv, 1, levels_cap=5)
 
 
 def test_page_odd_lambda_is_odd() -> None:
@@ -294,34 +303,59 @@ def test_exact_bound_failure_reasons() -> None:
             assert str(info.value) == reason
 
 
-def test_page_cap_is_checked_while_the_product_grows() -> None:
-    # A2 at p = 2 with three levels: the tuple (0, 1, 1, 1) multiplies three
-    # twisted copies of the nilradical, a product larger than any graded power.
-    p, levels, m = 2, 3, 3
+def test_page_cap_is_checked_on_the_carry_states() -> None:
+    # A2 at p = 3 with two levels in degree 5: the carry states of the class
+    # r = (6, 6) outnumber every graded power, level product and level table
+    # that the page builds.
+    p, levels, m, r = 3, 2, 5, (6, 6)
     nil = nilradical_dual_weights(A2)
-    largest_power = largest_product = 0
-    for et in enumerate_tuples(p, levels, m):
-        prod = {(0, 0): 1}
-        for n in range(1, levels + 1):
-            if not et.a[n]:
-                continue
-            power = graded_power("sym", nil, et.a[n])
-            largest_power = max(largest_power, sum(
-                graded_power("sym", nil, k).support_size for k in range(et.a[n] + 1)
-            ))
-            nxt: dict = {}
-            for w1, m1 in prod.items():
-                for w2, m2 in power.items:
-                    key = tuple(a + 2 ** (n - 1) * b for a, b in zip(w1, w2))
-                    nxt[key] = nxt.get(key, 0) + m1 * m2
-            prod = nxt
-            largest_product = max(largest_product, len(prod))
-    assert largest_power < largest_product - 1
-    lam, trivial = A2.weight((2, 2)), WeightMultiset.trivial(A2)
-    page = invariant_page(A2, p, 2, 1, lam, trivial, m, cap=largest_product)
-    assert page == invariant_page(A2, p, 2, 1, lam, trivial, m)
-    with pytest.raises(ResourceLimitError, match="page product"):
-        invariant_page(A2, p, 2, 1, lam, trivial, m, cap=largest_product - 1)
+    sym = [graded_power("sym", nil, k).items for k in range(m + 1)]
+    ext = [graded_power("ext", nil, k).items for k in range(m + 1)]
+    # A graded power holds every degree up to its own while it folds.
+    largest_other = max(sum(map(len, sym[: m // 2 + 1])), sum(map(len, ext)))
+
+    def level(n: int, d: int) -> set:
+        """Distinct untwisted weights of level n in degree d."""
+        if n == 0:
+            shapes = [(0, d)]
+        elif n == levels:
+            shapes = [(d // 2, 0)] if d % 2 == 0 else []
+        else:
+            shapes = [(a, d - 2 * a) for a in range(d // 2 + 1)]
+        return {
+            tuple(x + y for x, y in zip(w1, w2))
+            for a, b in shapes for w1, _ in sym[a] for w2, _ in ext[b]
+        }
+
+    for n in range(levels + 1):
+        for d in range(m + 1):
+            largest_other = max(largest_other, len(level(n, d)))
+    # After filtered level n the carry states are the prefix sums
+    # sum_{j <= n} p^j w_j, with the degree they use, that are r mod p^(n+1).
+    # The top level is not filtered and takes the missing degree.
+    prefixes = {((0, 0), 0)}
+    largest_carry = 0
+    for n in range(levels + 1):
+        top = n == levels
+        prefixes = {
+            (tuple(x + p**n * y for x, y in zip(prefix, w)), used + d)
+            for prefix, used in prefixes
+            for d in range(m - used + 1) if d == m - used or not top
+            for w in level(n, d)
+        }
+        modulus = p ** min(n + 1, levels)
+        prefixes = {
+            (prefix, used) for prefix, used in prefixes
+            if all((x - c) % modulus == 0 for x, c in zip(prefix, r))
+        }
+        largest_carry = max(largest_carry, len(prefixes))
+    assert largest_other < largest_carry - 1
+    lam, trivial = A2.weight((3, 3)), WeightMultiset.trivial(A2)
+    assert tuple((-c) % p**levels for c in lam.coords) == r
+    page = invariant_page(A2, p, 1, 1, lam, trivial, m, cap=largest_carry)
+    assert page == invariant_page(A2, p, 1, 1, lam, trivial, m)
+    with pytest.raises(ResourceLimitError, match="page carry"):
+        invariant_page(A2, p, 1, 1, lam, trivial, m, cap=largest_carry - 1)
 
 
 def test_dyadic_sharpness_examples() -> None:
@@ -415,9 +449,10 @@ def brute_force_page(
 def test_page_lookup_matches_brute_force(data) -> None:
     name = data.draw(st.sampled_from(sorted(PROPERTY_SYSTEMS)), label="system")
     rs = PROPERTY_SYSTEMS[name]
-    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
-    levels = data.draw(st.integers(1, 3), label="s + f")
-    m = data.draw(st.integers(0, 4), label="m")
+    p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+    # Rank 1 reaches four carry levels and degree 6.
+    levels = data.draw(st.integers(1, 4 if rs.rank == 1 else 3), label="s + f")
+    m = data.draw(st.integers(0, 6 if rs.rank == 1 else 4), label="m")
 
     def coords(lo: int, hi: int):
         return st.tuples(*[st.integers(lo, hi)] * rs.rank)
@@ -426,6 +461,12 @@ def test_page_lookup_matches_brute_force(data) -> None:
     mu = data.draw(
         st.dictionaries(weights, st.integers(1, 3), min_size=1, max_size=3), label="mu"
     )
+    if data.draw(st.booleans(), label="collide"):
+        # u and u + p^(s+f) * delta select the same residue class at every split.
+        u = data.draw(st.sampled_from(sorted(mu)), label="u")
+        delta = data.draw(coords(-1, 1).filter(any), label="delta")
+        twin = tuple(a + p**levels * b for a, b in zip(u, delta))
+        mu[twin] = mu.get(twin, 0) + data.draw(st.integers(1, 3), label="twin mult")
     summands = brute_force_summands(name, p, levels, m)
     how = data.draw(st.sampled_from(("aimed", "dominant", "any")), label="lambda")
     if how == "aimed":

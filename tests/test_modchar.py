@@ -117,16 +117,42 @@ def test_combine() -> None:
 
 
 def test_resource_caps() -> None:
-    with pytest.raises(ResourceLimitError):
+    # Each message names the stage, the size it reached, the cap and the knob.
+    knob = "above the cap {}; raise the cap to allow$"
+    with pytest.raises(
+        ResourceLimitError, match=r"^character of \(9, 9\) has dimension 1000, " + knob.format(10)
+    ):
         weyl_character(A2, A2.weight((9, 9)), cap=10)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^graded power sym\^9 working set reached \d+ distinct weights, " + knob.format(5),
+    ):
         graded_power("sym", nilradical_dual_weights(B2), 9, cap=5)
     # combine's cap is its number of distinct weights.
     nil = nilradical_dual_weights(B2)
     full = combine(nil, nil, 1, 3)
     assert combine(nil, nil, 1, 3, cap=full.support_size) == full
-    with pytest.raises(ResourceLimitError, match="combine"):
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^combine working set reached \d+ distinct weights, "
+        + knob.format(full.support_size - 1),
+    ):
         combine(nil, nil, 1, 3, cap=full.support_size - 1)
+
+
+def test_graded_power_cap_is_checked_inside_the_fold() -> None:
+    # While it folds, graded_power holds every degree up to its own.
+    nil = nilradical_dual_weights(B2)
+    for kind, n in (("sym", 4), ("ext", 3)):
+        largest = sum(graded_power(kind, nil, k).support_size for k in range(n + 1))
+        full = graded_power(kind, nil, n)
+        assert graded_power(kind, nil, n, cap=largest) == full
+        with pytest.raises(ResourceLimitError, match=f"graded power {kind}\\^{n}"):
+            graded_power(kind, nil, n, cap=largest - 1)
+    # One weight folds into degrees 0..5 one row at a time, so the cap fires
+    # at the third row, not after the whole fold.
+    with pytest.raises(ResourceLimitError, match="reached 3 distinct weights"):
+        graded_power("sym", WeightMultiset.from_dict({(1,): 1}), 5, cap=2)
 
 
 def test_character_cache_returns_consistent_objects() -> None:
