@@ -13,8 +13,8 @@ from fractions import Fraction as Q
 from math import ceil, floor, gcd
 from typing import Optional, Union
 
-from .errors import InputError, OracleError
-from .modchar import WeightMultiset
+from .errors import InputError, OracleError, ResourceLimitError
+from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset
 from .primes import require_prime
 from .rootsys import RootSystem
 from .weightcomb import (
@@ -168,19 +168,36 @@ def lemma61(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:
 
 
 def lemma61_scan(
-    max_value: int = 12, primes: tuple[int, ...] = (2, 3, 5, 7)
+    max_value: int = 12,
+    primes: tuple[int, ...] = (2, 3, 5, 7),
+    cap: int = DEFAULT_ENTRY_CAP,
 ) -> list[tuple[int, int, int, int, str]]:
-    """All (p, s, f, t, part) in the grid where the hypothesis holds but s < t."""
+    """All (p, s, f, t, part) in the grid where the hypothesis holds but s < t.
+
+    The grid has len(primes) * max_value**3 cells; above `cap` cells it is
+    refused before the scan starts.  Only t > s can fail the conclusion, and
+    the hypothesis p^(t-1) <= rhs only gets harder as t grows, since rhs does
+    not depend on t.  So for each (p, s, f) the scan starts at t = s + 1 and
+    stops at the first t where no part's hypothesis holds.
+    """
+    cells = len(primes) * max_value**3
+    if cells > cap:
+        raise ResourceLimitError(
+            f"lemma61 scan grid has {cells} cells, above the cap {cap}; "
+            "raise the cap to allow"
+        )
     bad = []
     for p in primes:
         parts = ("a",) if p == 2 else ("b", "c")
         for s in range(1, max_value + 1):
             for f in range(1, max_value + 1):
-                for t in range(1, max_value + 1):
-                    for part in parts:
-                        hyp, concl = lemma61(p, s, f, t, part)
-                        if hyp and not concl:
-                            bad.append((p, s, f, t, part))
+                for t in range(s + 1, max_value + 1):
+                    held = [
+                        (p, s, f, t, part) for part in parts if lemma61(p, s, f, t, part)[0]
+                    ]
+                    if not held:
+                        break
+                    bad.extend(held)
     return bad
 
 

@@ -26,6 +26,7 @@ from ..bounds import (
     stability_constants,
 )
 from ..e1oracle import (
+    bs_vanishing_failure,
     check_bs_vanishing,
     check_weight_bounds,
     exact_bound_failure,
@@ -366,8 +367,7 @@ def _cmd_verify_e1(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str,
         doc["equality_consistent"] = exact.equality_consistent
         failed = failed or not exact.passed
 
-    # The page above needs s + f >= 1, so f = 0 already means s >= 1.
-    if args.f == 0 and rs.pairing(lam) >= 1:
+    if bs_vanishing_failure(rs, lam, args.s, args.f) is None:
         vanish = check_bs_vanishing(
             rs, args.p, lam, args.s, args.m, cap=cap, variant=args.variant
         )
@@ -387,7 +387,7 @@ def _cmd_verify_lemma61(args: argparse.Namespace) -> tuple[dict[str, Any], tuple
     if limit < 1:
         raise InputError("--max must be positive")
     primes = (2, 3, 5, 7)
-    counterexamples = lemma61_scan(limit, primes)
+    counterexamples = lemma61_scan(limit, primes, _cap(args))
     doc = {
         "schema": SCHEMA,
         "command": "verify-lemma61",
@@ -459,7 +459,9 @@ def _parser() -> argparse.ArgumentParser:
         if "max" in names:
             p.add_argument("--max", type=int, help="scan bound (default 12)")
         if "cap" in names:
-            p.add_argument("--cap", type=int, help="multiset entry cap override")
+            p.add_argument(
+                "--cap", type=int, help="size cap: multiset entries, or lemma61 grid cells"
+            )
         p.add_argument(
             "--format",
             choices=("text", "json", "csv"),
@@ -482,7 +484,9 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_parser("verify-e1", help="brute-force page verification"),
         "type", "p", "s", "f", "m", "weight", "module-weight", "variant", "cap",
     )
-    common(sub.add_parser("verify-lemma61", help="exhaustive inequality scan"), "max")
+    common(
+        sub.add_parser("verify-lemma61", help="exhaustive inequality scan"), "max", "cap"
+    )
     table = sub.add_parser("table", help="static reference tables")
     table.add_argument("kind", nargs="?", default="structural", choices=TABLE_KINDS)
     table.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -512,7 +516,11 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+        if exc.knob == "cap":
+            where = "on the command line: --cap or CHEVBOUNDS_CAP"
+        else:
+            where = f"{exc.knob} is fixed on the command line"
+        print(f"resource limit: {exc} ({where})", file=sys.stderr)
         return 3
     except OracleError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -75,11 +75,13 @@ def _check_page_shape(levels: int, m: int, levels_cap: int, degree_cap: int) -> 
     if levels > levels_cap:
         raise ResourceLimitError(
             f"page levels {levels} above the cap {levels_cap}; "
-            "raise levels_cap to allow"
+            "raise levels_cap to allow",
+            "levels_cap",
         )
     if m > degree_cap:
         raise ResourceLimitError(
-            f"page degree {m} above the cap {degree_cap}; raise degree_cap to allow"
+            f"page degree {m} above the cap {degree_cap}; raise degree_cap to allow",
+            "degree_cap",
         )
 
 
@@ -381,6 +383,20 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     )
 
 
+def bs_vanishing_failure(rs: RootSystem, lam: Weight, s: int, f: int) -> Optional[str]:
+    """Why the P241 vanishing check does not apply, or None when it does.
+
+    It needs f = 0, s >= 1 and a positive highest-coroot pairing of lambda.
+    """
+    if f != 0:
+        return f"vanishing check needs f = 0, got f = {f}"
+    if s < 1:
+        return f"kernel height s must be at least 1, got {s}"
+    if rs.pairing(lam) < 1:
+        return "vanishing thresholds need a positive highest-coroot pairing"
+    return None
+
+
 @dataclass(frozen=True)
 class VanishReport:
     """Threshold evaluation next to the page it predicts empty."""
@@ -414,15 +430,14 @@ def check_bs_vanishing(
 ) -> VanishReport:
     """One-directional consistency: threshold met implies an empty page.
 
-    The thresholds are those of `bs_vanish_variants(p, variant)`.
+    The thresholds are those of `bs_vanish_variants(p, variant)`.  Raises
+    InputError with the reason from `bs_vanishing_failure` when the check
+    does not apply.
     """
-    if s < 1:
-        raise InputError(f"kernel height s must be at least 1, got {s}")
+    reason = bs_vanishing_failure(rs, lam, s, 0)
+    if reason is not None:
+        raise InputError(reason)
     d = rs.pairing(lam)
-    if d < 1:
-        raise InputError(
-            "vanishing thresholds need a positive highest-coroot pairing"
-        )
     thresholds = tuple(
         (v, bs_vanish_threshold(d, p, m, v)) for v in bs_vanish_variants(p, variant)
     )

@@ -2,16 +2,18 @@
 
 Multiplicities are plain Python integers, so they never overflow.  A Weyl
 character is built from its dominant weights: the dominant weights below the
-highest weight come from a downward search over positive roots, the Freudenthal
-recursion gives their multiplicities, and only then are the multiplicities
-spread along Weyl orbits.  The result is checked against the Weyl dimension
-formula before it is returned.
+highest weight come from a downward search over positive roots, and the
+Freudenthal recursion gives their multiplicities.  Orbit sizes, not orbits,
+check the result against the Weyl dimension formula: the orbit of a dominant
+mu has |W| / |W_J| weights, J = {i : mu_i = 0}.
 
 A multiset known to be W-stable (a Weyl character, or the trivial module)
 also carries its dominant entries in `dominant`.  Every orbit invariant of
 the module (the highest-coroot pairing b, the largest root-basis coefficient,
 the class modulo the root lattice) is attained at a dominant weight, so
-readers of those invariants scan `dominant` instead of the full `items`.
+readers of those invariants scan `dominant` instead of the full `items`.  A
+character stores only its dominant entries; the first read of `items`
+spreads them along their Weyl orbits and keeps the result.
 """
 
 from __future__ import annotations
@@ -30,17 +32,59 @@ DEFAULT_ENTRY_CAP = 10**7
 Entries = tuple[tuple[Coords, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class WeightMultiset:
     """A finite multiset of weights with positive integer multiplicities.
 
     `dominant` holds the sorted dominant entries of a W-stable multiset and
     is None when stability is not known.  It takes no part in equality,
-    hashing or repr: two multisets with the same items are the same.
+    hashing or repr: two multisets with the same items are the same.  A Weyl
+    character is made from `dominant` alone and fills `items` on first read.
     """
 
-    items: Entries
-    dominant: Optional[Entries] = field(default=None, compare=False, repr=False)
+    _items: Optional[Entries]
+    dominant: Optional[Entries] = None
+    # Set only on a Weyl character: its root system and the orbit size of
+    # each dominant entry, from which `items` is built on first read.
+    _system: Optional[RootSystem] = field(default=None, init=False)
+    _sizes: Optional[tuple[int, ...]] = field(default=None, init=False)
+
+    @staticmethod
+    def _from_orbits(
+        rs: RootSystem, dominant: Entries, sizes: tuple[int, ...]
+    ) -> "WeightMultiset":
+        """The W-stable multiset with these dominant entries and orbit sizes."""
+        ws = WeightMultiset(None, dominant)
+        object.__setattr__(ws, "_system", rs)
+        object.__setattr__(ws, "_sizes", sizes)
+        return ws
+
+    @property
+    def items(self) -> Entries:
+        """Every weight with its multiplicity, sorted; a character builds them here."""
+        if self._items is None:
+            table = {}
+            for mu, m in self.dominant:
+                for coords in _orbit(self._system, mu):
+                    table[coords] = m
+            if len(table) != self.support_size:
+                raise OracleError(
+                    f"orbits of {self.dominant} cover {len(table)} distinct weights, "
+                    f"their orbit sizes add up to {self.support_size}"
+                )
+            object.__setattr__(self, "_items", tuple(sorted(table.items())))
+        return self._items
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
+
+    def __repr__(self) -> str:
+        return f"WeightMultiset(items={self.items!r})"
 
     @staticmethod
     def from_dict(table: Mapping[Coords, int]) -> "WeightMultiset":
@@ -74,14 +118,19 @@ class WeightMultiset:
 
     @property
     def total_dimension(self) -> int:
+        if self._sizes is not None:
+            return sum(m * n for (_, m), n in zip(self.dominant, self._sizes))
         return sum(m for _, m in self.items)
 
     @property
     def support_size(self) -> int:
+        if self._sizes is not None:
+            return sum(self._sizes)
         return len(self.items)
 
     def is_empty(self) -> bool:
-        return not self.items
+        # A W-stable multiset is empty exactly when it has no dominant entry.
+        return not (self.items if self.dominant is None else self.dominant)
 
     def weights(self) -> Iterator[Weight]:
         for coords, _ in self.items:
@@ -198,6 +247,24 @@ def _orbit(rs: RootSystem, start: Coords) -> set[Coords]:
     return seen
 
 
+def _orbit_size(rs: RootSystem, mu: Coords) -> int:
+    """|W mu| for a dominant mu, without the orbit.
+
+    |W mu| = |W| / |W_J| with J = {i : mu_i = 0}.  The order of a Weyl group
+    is the product of (ht a + 1) / ht a over its positive roots a (Kostant
+    1959; Humphreys, Reflection Groups and Coxeter Groups, 3.20).  The
+    positive roots of W_J are those with <mu, a-vee> = 0, so the quotient is
+    that product over the other positive roots.
+    """
+    num = den = 1
+    for root in rs.positive_roots:
+        if rs.pairing(mu, root.coroot_pairing):
+            height = sum(root.root_coords)
+            num *= height + 1
+            den *= height
+    return num // den
+
+
 @lru_cache(maxsize=None)
 def _character_cached(family: str, rank: int, lam: Coords, cap: int) -> WeightMultiset:
     rs = build_root_system(family, rank)
@@ -208,23 +275,16 @@ def _character_cached(family: str, rank: int, lam: Coords, cap: int) -> WeightMu
             "raise the cap to allow"
         )
     mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam))
-    table: dict[Coords, int] = {}
-    covered = orbit_sizes = 0
-    for mu, m in mult.items():
-        orbit = _orbit(rs, mu)
-        covered += m * len(orbit)
-        orbit_sizes += len(orbit)
-        for coords in orbit:
-            table[coords] = m
-    if covered != dim or orbit_sizes != len(table):
+    dominant = tuple(sorted(mult.items()))
+    character = WeightMultiset._from_orbits(
+        rs, dominant, tuple(_orbit_size(rs, mu) for mu, _ in dominant)
+    )
+    if character.total_dimension != dim:
         raise OracleError(
-            f"character of {lam}: built dimension {covered} over "
-            f"{orbit_sizes} orbit entries and {len(table)} distinct weights, "
+            f"character of {lam}: built dimension {character.total_dimension}, "
             f"Weyl formula says {dim}"
         )
-    return WeightMultiset(
-        tuple(sorted(table.items())), dominant=tuple(sorted(mult.items()))
-    )
+    return character
 
 
 def weyl_character(

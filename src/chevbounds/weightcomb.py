@@ -81,13 +81,9 @@ class BInvariant:
     """Largest coroot pairing against any long root.
 
     value: max over weights sigma and long roots beta of <sigma, beta-vee>.
-    via_highest_root: max over weights of <sigma, highest-root-vee> only.
-    agree: whether the two maxima coincide (always true for Weyl-stable sets).
     """
 
     value: int
-    via_highest_root: int
-    agree: bool
 
 
 def _entry_items(weights) -> list[tuple[Coords, int]]:
@@ -106,23 +102,23 @@ def _entry_items(weights) -> list[tuple[Coords, int]]:
 
 
 def b_invariant(rs: RootSystem, weights) -> BInvariant:
-    """Both variants of the largest long-root coroot pairing over a multiset.
+    """The largest long-root coroot pairing over a multiset.
 
     The long roots form a single Weyl orbit, so for one weight sigma the
     maximum over all long roots equals <dom(sigma), highest-root-vee>; that
     identity gives the exact value without enumerating the orbit.  A W-stable
     multiset (one with `dominant` entries set, such as a Weyl character)
-    attains both maxima at a dominant weight, so only those are scanned.
+    attains the maximum at a dominant weight, so only those are scanned.
     """
     dominant = getattr(weights, "dominant", None)
-    items = dominant or _entry_items(weights)
+    if dominant:
+        return BInvariant(value=max(rs.pairing(coords) for coords, _ in dominant))
+    items = _entry_items(weights)
     if not items:
         raise InputError("b_invariant needs a non-empty weight multiset")
-    plain = max(rs.pairing(coords) for coords, _ in items)
-    if dominant:
-        return BInvariant(value=plain, via_highest_root=plain, agree=True)
-    full = max(rs.pairing(rs.dominant_representative(coords)) for coords, _ in items)
-    return BInvariant(value=full, via_highest_root=plain, agree=full == plain)
+    return BInvariant(
+        value=max(rs.pairing(rs.dominant_representative(coords)) for coords, _ in items)
+    )
 
 
 def b_of_weight(rs: RootSystem, coords: Coords) -> int:

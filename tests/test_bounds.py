@@ -5,6 +5,7 @@ from math import floor
 
 import pytest
 
+from chevbounds import bounds
 from chevbounds.bounds import (
     ComparisonReport,
     ThresholdReport,
@@ -19,7 +20,7 @@ from chevbounds.bounds import (
     prop62_vanishing_holds,
     stability_constants,
 )
-from chevbounds.errors import InputError, OracleError
+from chevbounds.errors import InputError, OracleError, ResourceLimitError
 from chevbounds.modchar import WeightMultiset, weyl_character
 from chevbounds.rootsys import build_root_system
 
@@ -79,6 +80,48 @@ def test_lemma61_examples() -> None:
 
 def test_lemma61_scan_is_clean() -> None:
     assert lemma61_scan(6) == []
+
+
+def _lemma61_grid(max_value: int, primes=(2, 3, 5, 7)) -> list:
+    """The scan as one pass over every cell of the grid: the oracle."""
+    bad = []
+    for p in primes:
+        parts = ("a",) if p == 2 else ("b", "c")
+        for s in range(1, max_value + 1):
+            for f in range(1, max_value + 1):
+                for t in range(1, max_value + 1):
+                    for part in parts:
+                        hyp, concl = bounds.lemma61(p, s, f, t, part)
+                        if hyp and not concl:
+                            bad.append((p, s, f, t, part))
+    return bad
+
+
+@pytest.mark.parametrize("max_value", (12, 24, 48))
+def test_lemma61_scan_matches_the_full_grid(max_value) -> None:
+    assert lemma61_scan(max_value) == _lemma61_grid(max_value)
+
+
+def test_lemma61_scan_stops_where_the_full_grid_does(monkeypatch) -> None:
+    # A weaker hypothesis, still monotone in t, that holds for one to three
+    # t > s depending on the part and on f: the grid has counterexamples, and
+    # the scan must find them in the grid's order.
+    def weaker(p, s, f, t, part):
+        return p ** (t - 1) <= p ** (s + (1 if part == "c" else 2)) - f % 2, s >= t
+
+    monkeypatch.setattr(bounds, "lemma61", weaker)
+    for max_value in (5, 9):
+        expected = _lemma61_grid(max_value)
+        assert expected and lemma61_scan(max_value) == expected
+
+
+def test_lemma61_scan_is_capped_before_it_starts() -> None:
+    assert lemma61_scan(5, cap=4 * 5**3) == []
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^lemma61 scan grid has 500 cells, above the cap 499; raise the cap",
+    ):
+        lemma61_scan(5, cap=499)
 
 
 def test_prop62_vanishing() -> None:

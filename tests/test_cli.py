@@ -390,6 +390,46 @@ def test_exit_code_resource_limit(capsys) -> None:
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_exit_3_names_the_knob_of_its_cap(capsys) -> None:
+    # The entry cap is set with --cap or CHEVBOUNDS_CAP.
+    argv = ["verify-e1", "--type", "B2", "--p", "2", "--s", "2", "--f", "1", "--m", "4"]
+    assert run(argv + ["--cap", "10"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ")
+    assert err.endswith(
+        "above the cap 10; raise the cap to allow "
+        "(on the command line: --cap or CHEVBOUNDS_CAP)\n"
+    )
+    # The page-shape caps have no setting on the command line.
+    argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "3", "--f", "2", "--m", "1"]
+    assert run(argv + ["--weight", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: page levels 5 above the cap 4; raise levels_cap to allow "
+        "(levels_cap is fixed on the command line)\n"
+    )
+    argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "9"]
+    assert run(argv) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: page degree 9 above the cap 8; raise degree_cap to allow "
+        "(degree_cap is fixed on the command line)\n"
+    )
+
+
+def test_verify_lemma61_cap(capsys, monkeypatch) -> None:
+    start = perf_counter()
+    assert run(["verify-lemma61", "--max", "10000", "--cap", "1000"]) == 3
+    assert perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "resource limit: lemma61 scan grid has 4000000000000 cells, above the cap 1000; "
+        "raise the cap to allow (on the command line: --cap or CHEVBOUNDS_CAP)\n"
+    )
+    monkeypatch.setenv("CHEVBOUNDS_CAP", str(4 * 6**3 - 1))
+    assert run(["verify-lemma61", "--max", "6"]) == 3
+    capsys.readouterr()
+    assert run(["verify-lemma61", "--max", "6", "--cap", str(4 * 6**3)]) == 0
+    assert "0 counterexamples over 4×6³ grid" in lines_of(capsys)
+
+
 def test_cap_env_and_flag(capsys, monkeypatch) -> None:
     monkeypatch.setenv("CHEVBOUNDS_CAP", "10")
     argv = ["verify-e1", "--type", "B2", "--p", "2", "--s", "2", "--f", "1", "--m", "4"]

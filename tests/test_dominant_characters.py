@@ -5,6 +5,8 @@ here searches the whole weight support, runs Freudenthal's recursion with
 plain support membership, and fills in every weight; the two must agree
 entry for entry.  The orbit invariants read from the dominant entries must
 also match the ones read from the same multiset without its W-stable flag.
+A character spreads its dominant entries along their orbits only when
+`items` is read; the sizes it reports before that come from orbit sizes.
 """
 
 from __future__ import annotations
@@ -12,11 +14,22 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevbounds.bounds import _module_stats, compare_thresholds
-from chevbounds.modchar import WeightMultiset, weyl_character, weyl_dimension
+from chevbounds import modchar
+from chevbounds.bounds import _module_stats, compare_thresholds, generic_thresholds
+from chevbounds.cli import run
+from chevbounds.modchar import (
+    DEFAULT_ENTRY_CAP,
+    WeightMultiset,
+    _character_cached,
+    _orbit,
+    _orbit_size,
+    weyl_character,
+    weyl_dimension,
+)
 from chevbounds.rootsys import Coords, RootSystem, build_root_system
 from chevbounds.weightcomb import b_invariant
 
@@ -155,3 +168,62 @@ def test_dominant_entries_of_exceptional_characters() -> None:
     adjoint = weyl_character(e8, e8.fundamental_weight(8))
     assert adjoint.dominant == (((0,) * 8, 8), (e8.fundamental_weight(8).coords, 1))
     assert adjoint.support_size == 241 and adjoint.total_dimension == 248
+
+
+LAZY_SYSTEMS = {
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("D", 4), ("F", 4), ("G", 2),
+}
+LAZY_CASES = [case for case in CASES if case[:2] in LAZY_SYSTEMS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(LAZY_CASES))
+def test_lazy_character_is_the_eager_orbit_expansion(case) -> None:
+    family, rank, lam = case
+    rs = build_root_system(family, rank)
+    # A fresh character, not the cached one an earlier test may have expanded.
+    fresh = _character_cached.__wrapped__(family, rank, lam, DEFAULT_ENTRY_CAP)
+    dim = weyl_dimension(rs, lam)
+    assert fresh.total_dimension == dim
+    support = fresh.support_size
+
+    eager: dict[Coords, int] = {}
+    for mu, m in fresh.dominant:
+        orbit = _orbit(rs, mu)
+        assert _orbit_size(rs, mu) == len(orbit)
+        eager.update(dict.fromkeys(orbit, m))
+    assert fresh.items == tuple(sorted(eager.items()))
+    assert support == len(fresh.items) == fresh.support_size
+    assert sum(m for _, m in fresh.items) == dim == fresh.total_dimension
+
+    # W-invariance: every simple reflection permutes the weights and keeps
+    # their multiplicities.
+    table = fresh.as_dict()
+    for i in range(rank):
+        assert {rs.reflect(w, i): m for w, m in table.items()} == table
+
+
+def test_threshold_readers_never_expand_a_character(monkeypatch, capsys) -> None:
+    def refuse(rs, start):
+        raise AssertionError("orbit expanded")
+
+    monkeypatch.setattr(modchar, "_orbit", refuse)
+    _character_cached.cache_clear()
+    for family, rank in (("A", 3), ("B", 3), ("G", 2), ("F", 4), ("E", 6)):
+        rs = build_root_system(family, rank)
+        for i in range(1, min(rank, 4) + 1):
+            ch = weyl_character(rs, rs.fundamental_weight(i))
+            assert not ch.is_empty()
+            assert ch.total_dimension == weyl_dimension(rs, rs.fundamental_weight(i))
+            assert ch.support_size >= len(ch.dominant)
+            for p, m in ((2, 1), (3, 2), (5, 3)):
+                generic_thresholds(rs, p, m, b_invariant(rs, ch).value)
+                compare_thresholds(rs, p, m, ch)
+    for command in ("generic", "compare"):
+        argv = [command, "--type", "D4", "--p", "3", "--m", "2", "--weight", "0,1,0,0"]
+        assert run(argv) == 0
+    capsys.readouterr()
+    # Only a reader of every weight expands.
+    with pytest.raises(AssertionError, match="orbit expanded"):
+        ch.items

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chevbounds.bounds import bs_vanish_threshold
 from chevbounds.e1oracle import (
+    bs_vanishing_failure,
     check_bs_vanishing,
     check_weight_bounds,
     dyadic_sharpness,
@@ -244,6 +245,19 @@ def test_bs_vanishing_guards() -> None:
         check_bs_vanishing(A1, 3, omega, 0, 1)
     with pytest.raises(InputError):
         check_bs_vanishing(A1, 3, A1.zero, 1, 1)
+
+
+def test_bs_vanishing_failure_is_the_guard_of_the_check() -> None:
+    omega = A1.fundamental_weight(1)
+    assert bs_vanishing_failure(A1, omega, 1, 0) is None
+    failure = bs_vanishing_failure(A1, omega, 2, 1)
+    assert failure == "vanishing check needs f = 0, got f = 1"
+    for lam, s in ((omega, 0), (A1.zero, 1), (-omega, 2)):
+        reason = bs_vanishing_failure(A1, lam, s, 0)
+        assert reason is not None
+        with pytest.raises(InputError) as info:
+            check_bs_vanishing(A1, 3, lam, s, 1)
+        assert str(info.value) == reason
 
 
 def test_bs_vanishing_variant_labels() -> None:
