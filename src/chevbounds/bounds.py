@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import ceil, floor, gcd
+from math import ceil, floor
 from typing import Optional, Union
 
 from .errors import InputError, OracleError, ResourceLimitError
@@ -24,6 +24,7 @@ from .weightcomb import (
     p_adic_digits,
     structural_constants,
     t_invariant,
+    _class_order,
     _p_part,
 )
 
@@ -411,10 +412,7 @@ def _module_stats(rs: RootSystem, module: WeightMultiset, p: int) -> tuple[Q, in
         top = Q(max(scaled), det)
         if c_max is None or top > c_max:
             c_max = top
-        g = det
-        for x in scaled:
-            g = gcd(g, x % det)
-        tp_max = max(tp_max, _p_part(det // g, p))
+        tp_max = max(tp_max, _p_part(_class_order(scaled, det), p))
     return (c_max if c_max is not None else Q(0)), tp_max
 
 

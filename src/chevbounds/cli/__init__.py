@@ -516,11 +516,10 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
-        if exc.knob == "cap":
-            where = "on the command line: --cap or CHEVBOUNDS_CAP"
-        else:
-            where = f"{exc.knob} is fixed on the command line"
-        print(f"resource limit: {exc} ({where})", file=sys.stderr)
+        print(
+            f"resource limit: {exc} (on the command line: --cap or CHEVBOUNDS_CAP)",
+            file=sys.stderr,
+        )
         return 3
     except OracleError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Optional, Union
 
 from .bounds import bs_vanish_threshold, bs_vanish_variants
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .modchar import (
     DEFAULT_ENTRY_CAP,
     WeightMultiset,
@@ -31,8 +32,9 @@ from .primes import require_prime
 from .rootsys import Coords, RootSystem, Weight, build_root_system
 from .weightcomb import b_invariant, b_of_weight, p_adic_digits, t_invariant
 
-DEFAULT_LEVELS_CAP = 4
-DEFAULT_DEGREE_CAP = 8
+# The page shapes this oracle builds: s + f levels and total degree m.
+MAX_LEVELS = 4
+MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -66,53 +68,49 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _check_page_shape(levels: int, m: int, levels_cap: int, degree_cap: int) -> None:
-    """Refuse a page of s + f = levels and degree m that the caps do not allow."""
-    if levels < 1:
-        raise InputError(f"levels must be at least 1, got {levels}")
-    if m < 0:
-        raise InputError(f"total degree must be non-negative, got {m}")
-    if levels > levels_cap:
-        raise ResourceLimitError(
-            f"page levels {levels} above the cap {levels_cap}; "
-            "raise levels_cap to allow",
-            "levels_cap",
-        )
-    if m > degree_cap:
-        raise ResourceLimitError(
-            f"page degree {m} above the cap {degree_cap}; raise degree_cap to allow",
-            "degree_cap",
-        )
+def _check_page_shape(levels: int, m: int) -> None:
+    """Refuse a page outside 1 <= s + f <= MAX_LEVELS and 0 <= m <= MAX_DEGREE."""
+    if not 1 <= levels <= MAX_LEVELS:
+        raise InputError(f"page levels s + f = {levels} outside 1..{MAX_LEVELS}")
+    if not 0 <= m <= MAX_DEGREE:
+        raise InputError(f"page degree m = {m} outside 0..{MAX_DEGREE}")
 
 
-def enumerate_tuples(
-    p: int,
-    levels: int,
-    m: int,
-    levels_cap: int = DEFAULT_LEVELS_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> tuple[ExponentTuple, ...]:
+# The (a, b) with S^a (x) Lambda^b of the dual nilradical in each level of
+# degree d.  For odd p a level has degree 2a + b, the bottom level has no
+# symmetric part and the top level no exterior part; for p = 2 every level
+# is S^a in degree a.
+_LEVEL_SHAPES = {
+    "bottom": lambda d: ((0, d),),
+    "middle": lambda d: tuple((a, d - 2 * a) for a in range(d // 2 + 1)),
+    "top": lambda d: ((d // 2, 0),) if d % 2 == 0 else (),
+    "sym": lambda d: ((d, 0),),
+}
+
+
+def _level_kinds(p: int, levels: int) -> tuple[str, ...]:
+    """The kind of each page level, untwisted first; level n is twisted p^n."""
+    if p == 2:
+        return ("sym",) * levels
+    return ("bottom",) + ("middle",) * (levels - 1) + ("top",)
+
+
+def enumerate_tuples(p: int, levels: int, m: int) -> tuple[ExponentTuple, ...]:
     """All exponent tuples of total degree m, in lexicographic order."""
     require_prime(p)
-    _check_page_shape(levels, m, levels_cap, degree_cap)
+    _check_page_shape(levels, m)
+    kinds = _level_kinds(p, levels)
     found = []
-    if p == 2:
-        for comp in _compositions(m, levels):
-            a = (0,) + comp
-            i = sum(a[n] * 2 ** (n - 1) for n in range(1, levels + 1))
-            found.append(ExponentTuple(p=2, a=a, b=None, bidegree=(i, m - i)))
-    else:
-        for sym_total in range(m // 2 + 1):
-            for a_tail in _compositions(sym_total, levels):
-                a = (0,) + a_tail
-                for b_head in _compositions(m - 2 * sym_total, levels):
-                    b = b_head + (0,)
-                    i = sum(a[n] * p**n for n in range(1, levels + 1)) + sum(
-                        b[n] * p**n for n in range(levels)
-                    )
-                    found.append(
-                        ExponentTuple(p=p, a=a, b=b, bidegree=(i, m - i))
-                    )
+    for comp in _compositions(m, len(kinds)):
+        shapes = [_LEVEL_SHAPES[kind](d) for kind, d in zip(kinds, comp)]
+        for ab in product(*shapes):
+            i = sum((a + b) * p**n for n, (a, b) in enumerate(ab))
+            a = tuple(a for a, _ in ab)
+            if p == 2:
+                a, b = (0,) + a, None
+            else:
+                b = tuple(b for _, b in ab)
+            found.append(ExponentTuple(p=p, a=a, b=b, bidegree=(i, m - i)))
     found.sort(key=lambda et: (et.a, et.b if et.b is not None else ()))
     return tuple(found)
 
@@ -128,17 +126,6 @@ def _nilradical_power(
 
 # One page level grouped by residue: {residue: (entries of degree 0, ..., m)}.
 Level = dict[Coords, tuple[tuple[tuple[Coords, int], ...], ...]]
-
-# The (a, b) with S^a (x) Lambda^b of the dual nilradical in each level of
-# degree d.  For odd p a level has degree 2a + b, the bottom level has no
-# symmetric part and the top level no exterior part; for p = 2 every level
-# is S^a in degree a.
-_LEVEL_SHAPES = {
-    "bottom": lambda d: ((0, d),),
-    "middle": lambda d: tuple((a, d - 2 * a) for a in range(d // 2 + 1)),
-    "top": lambda d: ((d // 2, 0),) if d % 2 == 0 else (),
-    "sym": lambda d: ((d, 0),),
-}
 
 
 @lru_cache(maxsize=None)
@@ -186,10 +173,7 @@ def _carry_class(
     all of them are filtered.  The last level takes the degree still missing.
     A level is built only when some carry state reaches it.
     """
-    if p == 2:
-        kinds = ["sym"] * levels
-    else:
-        kinds = ["bottom"] + ["middle"] * (levels - 1) + ["top"]
+    kinds = _level_kinds(p, levels)
     states: dict[tuple[Coords, int], int] = {(tuple([-c for c in r]), 0): 1}
     for i, kind in enumerate(kinds):
         div, level = _page_level(family, rank, p, m, cap, kind)
@@ -265,22 +249,18 @@ def invariant_page(
     lam: Weight,
     mu_set: WeightMultiset,
     m: int,
-    levels_cap: int = DEFAULT_LEVELS_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
     cap: int = DEFAULT_ENTRY_CAP,
 ) -> InvariantPage:
     """Compute the invariant first page for coefficient lam + p^s * mu."""
     require_prime(p)
     if s < 0 or f < 0 or s + f < 1:
         raise InputError("need s, f >= 0 with s + f >= 1")
-    if m < 0:
-        raise InputError(f"total degree must be non-negative, got {m}")
+    levels = s + f
+    _check_page_shape(levels, m)
     if len(lam.coords) != rs.rank:
         raise InputError(f"lambda has wrong rank for {rs.name}")
     if mu_set.is_empty():
         raise InputError("mu_set must be non-empty; use the trivial multiset")
-    levels = s + f
-    _check_page_shape(levels, m, levels_cap, degree_cap)
     q = p**levels
     table = _page_table(rs.family, rs.rank, p, levels, m, cap)
     gathered: dict[Coords, int] = {}
@@ -366,7 +346,7 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     else:
         raise InputError(f"unknown check {which!r}; expected 'exact' or 'rough'")
     details = []
-    for coords, _ in page.gammas.coords_items():
+    for coords, _ in page.gammas.items:
         bg = b_of_weight(rs, coords)
         details.append((coords, bg, bg <= bound))
     hits = tuple(c for c, bg, _ in details if which == "exact" and bg == bound)
@@ -423,8 +403,6 @@ def check_bs_vanishing(
     lam: Weight,
     s: int,
     m: int,
-    levels_cap: int = DEFAULT_LEVELS_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
     cap: int = DEFAULT_ENTRY_CAP,
     variant: Optional[str] = None,
 ) -> VanishReport:
@@ -442,18 +420,7 @@ def check_bs_vanishing(
         (v, bs_vanish_threshold(d, p, m, v)) for v in bs_vanish_variants(p, variant)
     )
     met = any(s >= value for _, value in thresholds)
-    page = invariant_page(
-        rs,
-        p,
-        s,
-        0,
-        lam,
-        WeightMultiset.trivial(rs),
-        m,
-        levels_cap,
-        degree_cap,
-        cap,
-    )
+    page = invariant_page(rs, p, s, 0, lam, WeightMultiset.trivial(rs), m, cap)
     empty = page.gammas.is_empty()
     return VanishReport(
         p=p,

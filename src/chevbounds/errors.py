@@ -8,15 +8,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a computation would exceed a configured size cap.
-
-    `knob` names the parameter that sets the cap: "cap" for the entry cap,
-    or a page-shape cap such as "levels_cap".
-    """
-
-    def __init__(self, message: str, knob: str = "cap") -> None:
-        super().__init__(message)
-        self.knob = knob
+    """Raised when a computation would exceed a configured size cap."""
 
 
 class OracleError(RuntimeError):

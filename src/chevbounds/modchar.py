@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, OracleError, ResourceLimitError
 from .rootsys import Coords, RootSystem, Weight, WeightLike, build_root_system
@@ -106,9 +106,6 @@ class WeightMultiset:
         entries = (((0,) * rs.rank, 1),)
         return WeightMultiset(entries, dominant=entries)
 
-    def coords_items(self) -> Iterator[tuple[Coords, int]]:
-        return iter(self.items)
-
     def as_dict(self) -> dict[Coords, int]:
         return dict(self.items)
 
@@ -131,10 +128,6 @@ class WeightMultiset:
     def is_empty(self) -> bool:
         # A W-stable multiset is empty exactly when it has no dominant entry.
         return not (self.items if self.dominant is None else self.dominant)
-
-    def weights(self) -> Iterator[Weight]:
-        for coords, _ in self.items:
-            yield Weight(coords)
 
 
 def nilradical_dual_weights(rs: RootSystem) -> WeightMultiset:
@@ -184,12 +177,14 @@ def _dominant_levels(rs: RootSystem, lam: Coords) -> dict[Coords, int]:
 
 
 def _freudenthal_multiplicities(
-    rs: RootSystem, lam: Coords, level: dict[Coords, int]
+    rs: RootSystem, lam: Coords, level: dict[Coords, int], cap: int
 ) -> dict[Coords, int]:
     """Multiplicity of every dominant weight mu <= lam, keyed in `level`.
 
     A weight nu belongs to the module exactly when its dominant
-    representative is one of the dominant weights in `level`.
+    representative is one of the dominant weights in `level`.  The work is
+    the number of steps nu -> nu + alpha, which grows with the square of the
+    number of dominant weights; it is checked against `cap` after each mu.
     """
     n = rs.rank
     det = rs.cartan_det
@@ -212,6 +207,7 @@ def _freudenthal_multiplicities(
 
     top_norm = scaled_norm(lam)
     mult: dict[Coords, int] = {lam: 1}
+    steps = 0
     for mu in sorted(level, key=level.__getitem__):
         if mu == lam:
             continue
@@ -221,6 +217,8 @@ def _freudenthal_multiplicities(
             while (dom := rs.dominant_representative(nu)) in level:
                 total += mult[dom] * sum(v * c for v, c in zip(ip_vec, nu))
                 nu = tuple(a + b for a, b in zip(nu, omega))
+                steps += 1
+        _check_cap(f"character of {lam}", steps, cap, "Freudenthal steps")
         denom = top_norm - scaled_norm(mu)
         value = Q(2 * det * total, denom)
         if value.denominator != 1 or value <= 0:
@@ -274,7 +272,7 @@ def _character_cached(family: str, rank: int, lam: Coords, cap: int) -> WeightMu
             f"character of {lam} has dimension {dim}, above the cap {cap}; "
             "raise the cap to allow"
         )
-    mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam))
+    mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam), cap)
     dominant = tuple(sorted(mult.items()))
     character = WeightMultiset._from_orbits(
         rs, dominant, tuple(_orbit_size(rs, mu) for mu, _ in dominant)

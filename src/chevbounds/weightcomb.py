@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import InputError, OracleError
+from .modchar import WeightMultiset
 from .rootsys import Coords, RootSystem, Weight, WeightLike
 
 
@@ -86,22 +87,7 @@ class BInvariant:
     value: int
 
 
-def _entry_items(weights) -> list[tuple[Coords, int]]:
-    """Normalize multiset-ish input to a list of (coords, multiplicity)."""
-    if hasattr(weights, "coords_items"):
-        return list(weights.coords_items())
-    if isinstance(weights, Mapping):
-        out = []
-        for k, v in weights.items():
-            out.append((k.coords if isinstance(k, Weight) else tuple(k), int(v)))
-        return out
-    out = []
-    for w in weights:
-        out.append((w.coords if isinstance(w, Weight) else tuple(w), 1))
-    return out
-
-
-def b_invariant(rs: RootSystem, weights) -> BInvariant:
+def b_invariant(rs: RootSystem, weights: WeightMultiset) -> BInvariant:
     """The largest long-root coroot pairing over a multiset.
 
     The long roots form a single Weyl orbit, so for one weight sigma the
@@ -110,15 +96,11 @@ def b_invariant(rs: RootSystem, weights) -> BInvariant:
     multiset (one with `dominant` entries set, such as a Weyl character)
     attains the maximum at a dominant weight, so only those are scanned.
     """
-    dominant = getattr(weights, "dominant", None)
-    if dominant:
-        return BInvariant(value=max(rs.pairing(coords) for coords, _ in dominant))
-    items = _entry_items(weights)
-    if not items:
+    if weights.dominant:
+        return BInvariant(value=max(rs.pairing(coords) for coords, _ in weights.dominant))
+    if not weights.items:
         raise InputError("b_invariant needs a non-empty weight multiset")
-    return BInvariant(
-        value=max(rs.pairing(rs.dominant_representative(coords)) for coords, _ in items)
-    )
+    return BInvariant(value=max(b_of_weight(rs, coords) for coords, _ in weights.items))
 
 
 def b_of_weight(rs: RootSystem, coords: Coords) -> int:
@@ -151,9 +133,11 @@ def structural_constants(rs: RootSystem) -> tuple[int, int]:
 
 def order_in_fundamental_group(rs: RootSystem, w: WeightLike) -> int:
     """Order of the image of w in X(T) modulo the root lattice."""
-    coords = rs.coords_of(w)
-    scaled = rs.root_basis_scaled(coords)
-    det = rs.cartan_det
+    return _class_order(rs.root_basis_scaled(rs.coords_of(w)), rs.cartan_det)
+
+
+def _class_order(scaled: Coords, det: int) -> int:
+    """Order modulo the root lattice of a weight with root coordinates scaled / det."""
     g = det
     for x in scaled:
         g = gcd(g, x % det)

@@ -78,7 +78,7 @@ def _dominant_range(rs: RootSystem, lo: int, hi: int) -> list[Weight]:
 
 
 def _max_b(rs: RootSystem, mu: WeightMultiset) -> int:
-    return max(b_of_weight(rs, coords) for coords, _ in mu.coords_items())
+    return max(b_of_weight(rs, coords) for coords, _ in mu.items)
 
 
 def test_criterion_01_structural_table() -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -10,6 +12,8 @@ from time import perf_counter
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chevbounds
 from chevbounds.bounds import bs_vanish_threshold
@@ -400,19 +404,13 @@ def test_exit_3_names_the_knob_of_its_cap(capsys) -> None:
         "above the cap 10; raise the cap to allow "
         "(on the command line: --cap or CHEVBOUNDS_CAP)\n"
     )
-    # The page-shape caps have no setting on the command line.
+    # The page shape is a fixed input range: outside it the input is refused.
     argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "3", "--f", "2", "--m", "1"]
-    assert run(argv + ["--weight", "1"]) == 3
-    assert capsys.readouterr().err == (
-        "resource limit: page levels 5 above the cap 4; raise levels_cap to allow "
-        "(levels_cap is fixed on the command line)\n"
-    )
+    assert run(argv + ["--weight", "1"]) == 2
+    assert capsys.readouterr().err == "error: page levels s + f = 5 outside 1..4\n"
     argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "9"]
-    assert run(argv) == 3
-    assert capsys.readouterr().err == (
-        "resource limit: page degree 9 above the cap 8; raise degree_cap to allow "
-        "(degree_cap is fixed on the command line)\n"
-    )
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: page degree m = 9 outside 0..8\n"
 
 
 def test_verify_lemma61_cap(capsys, monkeypatch) -> None:
@@ -531,3 +529,103 @@ def test_verify_e1_decisions_match_the_paper(capsys) -> None:
     assert seen == {
         ("variant refused", True), ("exact", True), ("exact", False), ("met", True), ("met", False)
     }
+
+
+# Every subcommand with the options it takes, for the argv fuzzer.
+_FUZZ_OPTIONS = {
+    "info": ("type",),
+    "vanish-range": ("p", "r"),
+    "generic": ("type", "p", "m", "weight", "module-weight", "cap"),
+    "compare": ("type", "p", "m", "weight", "module-weight", "cap"),
+    "stability": ("type", "p", "m"),
+    "verify-e1": ("type", "p", "s", "f", "m", "weight", "module-weight", "variant", "cap"),
+    "verify-lemma61": ("max", "cap"),
+    "table": ("kind",),
+}
+_FUZZ_RANKS = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A3": 3}
+_FUZZ_VALID = {
+    "type": st.sampled_from(list(_FUZZ_RANKS)),
+    "p": st.sampled_from((2, 3, 5, 7)),
+    "r": st.integers(1, 40),
+    "s": st.integers(1, 3),
+    "f": st.integers(0, 1),
+    "m": st.integers(0, 8),
+    "variant": st.sampled_from(("a", "b", "c")),
+    "max": st.integers(1, 60),
+    "cap": st.integers(1, 5000),
+    "kind": st.sampled_from(("structural", "comparison-p2", "comparison-odd")),
+    "format": st.sampled_from(("text", "json", "csv")),
+}
+# Values a wild draw adds: bad types, non-primes, negatives and shapes past the limits.
+_FUZZ_WILD = {
+    "type": st.sampled_from(("A0", "X2", "")),
+    "p": st.integers(-2, 12),
+    "r": st.integers(-2, 0),
+    "s": st.integers(-1, 5),
+    "f": st.integers(-1, 5),
+    "m": st.integers(-2, 10),
+    "variant": st.just("d"),
+    "max": st.integers(-2, 0),
+    "cap": st.integers(-1, 0),
+    "kind": st.just("none"),
+    "format": st.just("xml"),
+}
+
+
+@st.composite
+def _fuzz_argv(draw) -> list[str]:
+    sub = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    # One draw in three is wild: it may leave out options and go out of range.
+    # The cap is always given, so that no draw runs at the default cap.
+    wild = draw(st.integers(0, 2)) == 2
+    argv = [sub]
+    rank = 1
+    for name in _FUZZ_OPTIONS[sub] + ("format",):
+        if wild and name != "cap" and draw(st.booleans()):
+            continue
+        if name in ("weight", "module-weight"):
+            size = draw(st.integers(0, 3)) if wild else rank
+            low = -1 if wild else 0
+            coords = draw(st.lists(st.integers(low, 3), min_size=size, max_size=size))
+            value = ",".join(map(str, coords))
+            if name == "module-weight":
+                value += draw(st.sampled_from(("", ":2", ":0", ":x")[: 4 if wild else 2]))
+        else:
+            pool = _FUZZ_VALID[name]
+            if wild:
+                pool = st.one_of(pool, _FUZZ_WILD[name])
+            value = str(draw(pool))
+        if name == "type":
+            rank = _FUZZ_RANKS.get(value, 1)
+        argv += [value] if name == "kind" else [f"--{name}", value]
+    return argv
+
+
+def _timed_run(argv: list[str]) -> tuple[int, float]:
+    """cli.run on argv in this process, with its output discarded."""
+    start = perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, perf_counter() - start
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_fuzz_argv())
+def test_every_argv_exits_with_a_documented_code(argv: list[str]) -> None:
+    code, seconds = _timed_run(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert seconds < 2.0, argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify-e1", "--type", "A1", "--p", "3", "--s", "3", "--f", "1", "--m", "1"], 0),
+    (["verify-e1", "--type", "A1", "--p", "3", "--s", "3", "--f", "2", "--m", "1"], 2),
+    (["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "8"], 0),
+    (["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "9"], 2),
+    # About 1.25e7 Freudenthal steps: the step cap refuses it at once.
+    (["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "9998", "--cap", "10000"], 3),
+])
+def test_page_shape_and_step_cap_boundaries(argv: list[str], code: int) -> None:
+    got, seconds = _timed_run(argv)
+    assert got == code
+    assert seconds < 1.0

@@ -141,7 +141,6 @@ def test_dominant_first_character_matches_full_support(case) -> None:
     assert plain.dominant is None
     assert plain == ch and hash(plain) == hash(ch) and repr(plain) == repr(ch)
     assert b_invariant(rs, plain) == b_invariant(rs, ch)
-    assert b_invariant(rs, ch.as_dict()) == b_invariant(rs, ch)
     for p in (2, 3, 5, 7):
         assert _module_stats(rs, plain, p) == _module_stats(rs, ch, p)
         assert compare_thresholds(rs, p, 2, plain) == compare_thresholds(rs, p, 2, ch)

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from chevbounds.bounds import bs_vanish_threshold
 from chevbounds.e1oracle import (
+    MAX_DEGREE,
+    MAX_LEVELS,
+    _compositions,
     bs_vanishing_failure,
     check_bs_vanishing,
     check_weight_bounds,
@@ -85,9 +88,45 @@ def test_enumerate_tuples_degree_invariant() -> None:
                         ) + sum(b * p**n for n, b in enumerate(t.b[:-1]))
 
 
+def _two_branch_tuples(p: int, levels: int, m: int) -> list[tuple]:
+    """The exponent tuples as a p = 2 and an odd-p enumeration wrote them out."""
+    found = []
+    if p == 2:
+        for comp in _compositions(m, levels):
+            a = (0,) + comp
+            i = sum(a[n] * 2 ** (n - 1) for n in range(1, levels + 1))
+            found.append((a, None, (i, m - i)))
+    else:
+        for sym_total in range(m // 2 + 1):
+            for a_tail in _compositions(sym_total, levels):
+                a = (0,) + a_tail
+                for b_head in _compositions(m - 2 * sym_total, levels):
+                    b = b_head + (0,)
+                    i = sum(a[n] * p**n for n in range(1, levels + 1)) + sum(
+                        b[n] * p**n for n in range(levels)
+                    )
+                    found.append((a, b, (i, m - i)))
+    found.sort(key=lambda t: (t[0], t[1] if t[1] is not None else ()))
+    return found
+
+
+def test_enumerate_tuples_match_the_two_branch_enumeration() -> None:
+    count = 0
+    for p in (2, 3, 5, 7):
+        for levels in range(1, MAX_LEVELS + 1):
+            for m in range(MAX_DEGREE + 1):
+                tuples = enumerate_tuples(p, levels, m)
+                assert [(t.a, t.b, t.bidegree) for t in tuples] == _two_branch_tuples(
+                    p, levels, m
+                )
+                assert all(t.p == p for t in tuples)
+                count += len(tuples)
+    assert count == 10650
+
+
 def test_enumerate_tuples_caps() -> None:
-    levels = "page levels 5 above the cap 4; raise levels_cap to allow"
-    degree = "page degree 9 above the cap 8; raise degree_cap to allow"
+    levels = "page levels s + f = 5 outside 1..4"
+    degree = "page degree m = 9 outside 0..8"
     triv = WeightMultiset.trivial(A1)
     for build, message in (
         (lambda: enumerate_tuples(3, 5, 1), levels),
@@ -95,11 +134,11 @@ def test_enumerate_tuples_caps() -> None:
         (lambda: invariant_page(A1, 3, 2, 3, A1.zero, triv, 1), levels),
         (lambda: invariant_page(A1, 3, 1, 0, A1.zero, triv, 9), degree),
     ):
-        with pytest.raises(ResourceLimitError) as info:
+        with pytest.raises(InputError) as info:
             build()
         assert str(info.value) == message
-    assert enumerate_tuples(3, 5, 1, levels_cap=5)
-    assert invariant_page(A1, 3, 2, 3, A1.zero, triv, 1, levels_cap=5)
+    assert enumerate_tuples(3, 4, 8)
+    assert invariant_page(A1, 3, 2, 2, A1.zero, triv, 8)
 
 
 def test_page_odd_lambda_is_odd() -> None:
@@ -216,7 +255,7 @@ def test_check_rough_bound_unconditional() -> None:
 
 def test_rough_bound_value_matches_formula() -> None:
     mu = weyl_character(B2, B2.fundamental_weight(1))
-    b_mu = max(b_of_weight(B2, c) for c, _ in mu.coords_items())
+    b_mu = max(b_of_weight(B2, c) for c, _ in mu.items)
     lam = B2.fundamental_weight(2)
     page = invariant_page(B2, 3, 1, 1, lam, mu, 2)
     report = check_weight_bounds(page, "rough")
@@ -309,7 +348,7 @@ def test_exact_bound_failure_reasons() -> None:
             bound = exact_bound_value(A1, 3, s, 2, lam)
             report = check_weight_bounds(page, "exact")
             assert report.equality_hits == tuple(
-                c for c, _ in page.gammas.coords_items() if b_of_weight(A1, c) == bound
+                c for c, _ in page.gammas.items if b_of_weight(A1, c) == bound
             )
         else:
             with pytest.raises(InputError) as info:
@@ -403,7 +442,7 @@ def test_page_weights_divisible_before_untwisting() -> None:
     lam = B2.fundamental_weight(2)
     page = invariant_page(B2, 2, 1, 1, lam, mu, 3)
     q = 2 ** (page.s + page.f)
-    for coords, mult in page.gammas.coords_items():
+    for coords, mult in page.gammas.items:
         assert mult > 0
         scaled = tuple(q * c for c in coords)
         assert all(isinstance(c, int) for c in scaled)

@@ -51,7 +51,7 @@ def test_small_characters() -> None:
 def test_characters_are_weyl_symmetric() -> None:
     for rs, coords in ((A2, (1, 1)), (B2, (1, 1))):
         ch = weyl_character(rs, rs.weight(coords))
-        for w, mult in ch.coords_items():
+        for w, mult in ch.items:
             for i in range(rs.rank):
                 assert ch.multiplicity(rs.reflect(w, i)) == mult
 
@@ -153,6 +153,21 @@ def test_graded_power_cap_is_checked_inside_the_fold() -> None:
     # at the third row, not after the whole fold.
     with pytest.raises(ResourceLimitError, match="reached 3 distinct weights"):
         graded_power("sym", WeightMultiset.from_dict({(1,): 1}), 5, cap=2)
+
+
+def test_freudenthal_steps_are_capped() -> None:
+    # For A1 and weight w the dominant weights are w, w - 2, ..., w - 2K with
+    # K = floor(w / 2), and the recursion at w - 2j walks j steps back to w.
+    for w, steps in ((100, 1275), (101, 1275), (1000, 125250)):
+        k = w // 2
+        assert steps == k * (k + 1) // 2
+        assert weyl_character(A1, A1.weight((w,)), cap=steps).total_dimension == w + 1
+        with pytest.raises(
+            ResourceLimitError,
+            match=rf"^character of \({w},\) working set reached {steps} Freudenthal "
+            rf"steps, above the cap {steps - 1};",
+        ):
+            weyl_character(A1, A1.weight((w,)), cap=steps - 1)
 
 
 def test_character_cache_returns_consistent_objects() -> None:

@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 
 from chevbounds.errors import InputError
+from chevbounds.modchar import WeightMultiset
 from chevbounds.primes import PRIME_CERTIFIED_BELOW, require_prime
 from chevbounds.rootsys import build_root_system
 from chevbounds.weightcomb import (
@@ -102,11 +103,11 @@ def test_pair_with_coroot() -> None:
 
 def test_b_invariant_single_weights() -> None:
     a1 = build_root_system("A", 1)
-    rep = b_invariant(a1, {(-1,): 1})
+    rep = b_invariant(a1, WeightMultiset.from_dict({(-1,): 1}))
     assert rep.value == 1
 
     a2 = build_root_system("A", 2)
-    rep2 = b_invariant(a2, {(1, 1): 1, (-1, 2): 1})
+    rep2 = b_invariant(a2, WeightMultiset.from_dict({(1, 1): 1, (-1, 2): 1}))
     assert rep2.value == 2
 
 
