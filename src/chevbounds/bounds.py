@@ -142,7 +142,8 @@ def lemma61(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:
     """Evaluate one arithmetic implication tying s, f and the digit length t.
 
     Returns (hypothesis_holds, conclusion_holds) where the conclusion is
-    s >= t.  All three parts are exact rational comparisons.
+    s >= t.  The hypothesis p^(t-1) <= N / D, with D = p^(s+f) - 1 > 0, is
+    decided exactly as p^(t-1) * D <= N.
     """
     if min(s, f, t) < 1:
         raise InputError("lemma61 needs s, f, t >= 1")
@@ -150,22 +151,16 @@ def lemma61(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:
     if part == "a":
         if p != 2:
             raise InputError("part 'a' applies only to p = 2")
-        lhs = 2 ** (t - 1)
-        denom = 2**total - 1
-        rhs = Q(2 ** (total - 1) - 2**s, denom) + Q(2**total, denom) * s
+        num = 2 ** (total - 1) - 2**s + 2**total * s
     elif part == "b":
         _check_odd_prime(p)
-        lhs = p ** (t - 1)
-        denom = p**total - 1
-        rhs = Q(p ** (total - 1) - p**s, denom) + Q(p**total, denom) * s * (p - 2)
+        num = p ** (total - 1) - p**s + p**total * s * (p - 2)
     elif part == "c":
         _check_odd_prime(p)
-        lhs = p ** (t - 1)
-        denom = p**total - 1
-        rhs = Q(p**total - p**s, denom) + Q(p**total, denom) * (s * (p - 2) - 1)
+        num = p**total - p**s + p**total * (s * (p - 2) - 1)
     else:
         raise InputError(f"unknown part {part!r}; expected 'a', 'b' or 'c'")
-    return (lhs <= rhs, s >= t)
+    return (p ** (t - 1) * (p**total - 1) <= num, s >= t)
 
 
 def lemma61_scan(

@@ -182,9 +182,14 @@ def _freudenthal_multiplicities(
     """Multiplicity of every dominant weight mu <= lam, keyed in `level`.
 
     A weight nu belongs to the module exactly when its dominant
-    representative is one of the dominant weights in `level`.  The work is
-    the number of steps nu -> nu + alpha, which grows with the square of the
-    number of dominant weights; it is checked against `cap` after each mu.
+    representative is one of the dominant weights in `level`.  The term
+    T(alpha) = sum_k m(mu + k alpha) (mu + k alpha, alpha) of Freudenthal's
+    sum is constant on the orbits of the stabilizer W_J of mu, so the sum
+    over the positive roots is the sum over W_J-orbits of the number of
+    positive roots in the orbit times T at one of them (Moody and Patera,
+    "Fast recursion formula for weight multiplicities", 1982).  The work is
+    the number of steps nu -> nu + alpha over these representatives; it is
+    checked against `cap` after each mu.
     """
     n = rs.rank
     det = rs.cartan_det
@@ -212,12 +217,15 @@ def _freudenthal_multiplicities(
         if mu == lam:
             continue
         total = 0
-        for omega, ip_vec in root_data:
+        for k, count in _stabilizer_orbits(rs.family, n, _zero_set(mu))[0]:
+            omega, ip_vec = root_data[k]
+            term = 0
             nu = tuple(a + b for a, b in zip(mu, omega))
             while (dom := rs.dominant_representative(nu)) in level:
-                total += mult[dom] * sum(v * c for v, c in zip(ip_vec, nu))
+                term += mult[dom] * sum(v * c for v, c in zip(ip_vec, nu))
                 nu = tuple(a + b for a, b in zip(nu, omega))
                 steps += 1
+            total += count * term
         _check_cap(f"character of {lam}", steps, cap, "Freudenthal steps")
         denom = top_norm - scaled_norm(mu)
         value = Q(2 * det * total, denom)
@@ -225,6 +233,57 @@ def _freudenthal_multiplicities(
             raise OracleError(f"bad multiplicity {value} at {mu}")
         mult[mu] = int(value)
     return mult
+
+
+@lru_cache(maxsize=None)
+def _root_permutations(family: str, rank: int) -> tuple[Coords, ...]:
+    """Each simple reflection as a permutation of root indices.
+
+    Index k < N is the k-th positive root and N + k its negative, N the
+    number of positive roots.
+    """
+    rs = build_root_system(family, rank)
+    positive = [root.omega_coords for root in rs.positive_roots]
+    roots = positive + [tuple(-c for c in w) for w in positive]
+    index = {w: k for k, w in enumerate(roots)}
+    return tuple(tuple(index[rs.reflect(w, i)] for w in roots) for i in range(rank))
+
+
+@lru_cache(maxsize=None)
+def _stabilizer_orbits(
+    family: str, rank: int, zeros: Coords
+) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The W_J-orbits on the roots, J = zeros, and the index |W| / |W_J|.
+
+    Each orbit holding a positive root is given as (index of its first
+    positive root, number of positive roots in it); the counts add up to the
+    number of positive roots.  The orbits come from union-find over the
+    simple reflections in J.  The index is the product of (ht a + 1) / ht a
+    over the positive roots a whose support is not inside J (Kostant 1959;
+    Humphreys, Reflection Groups and Coxeter Groups, 3.20).
+    """
+    perms = _root_permutations(family, rank)
+    parent = list(range(len(perms[0])))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for j in zeros:
+        for k, img in enumerate(perms[j]):
+            parent[find(img)] = find(k)
+    orbits: dict[int, list[int]] = {}
+    num = den = 1
+    for k, root in enumerate(build_root_system(family, rank).positive_roots):
+        orbit = orbits.setdefault(find(k), [k, 0])
+        orbit[1] += 1
+        if any(c and i not in zeros for i, c in enumerate(root.root_coords)):
+            height = sum(root.root_coords)
+            num *= height + 1
+            den *= height
+    return tuple(map(tuple, orbits.values())), num // den
 
 
 def _orbit(rs: RootSystem, start: Coords) -> set[Coords]:
@@ -246,21 +305,13 @@ def _orbit(rs: RootSystem, start: Coords) -> set[Coords]:
 
 
 def _orbit_size(rs: RootSystem, mu: Coords) -> int:
-    """|W mu| for a dominant mu, without the orbit.
+    """|W mu| = |W| / |W_J| for a dominant mu, without the orbit."""
+    return _stabilizer_orbits(rs.family, rs.rank, _zero_set(mu))[1]
 
-    |W mu| = |W| / |W_J| with J = {i : mu_i = 0}.  The order of a Weyl group
-    is the product of (ht a + 1) / ht a over its positive roots a (Kostant
-    1959; Humphreys, Reflection Groups and Coxeter Groups, 3.20).  The
-    positive roots of W_J are those with <mu, a-vee> = 0, so the quotient is
-    that product over the other positive roots.
-    """
-    num = den = 1
-    for root in rs.positive_roots:
-        if rs.pairing(mu, root.coroot_pairing):
-            height = sum(root.root_coords)
-            num *= height + 1
-            den *= height
-    return num // den
+
+def _zero_set(mu: Coords) -> Coords:
+    """J = {i : mu_i = 0}: the simple reflections that fix a dominant mu."""
+    return tuple(i for i, c in enumerate(mu) if c == 0)
 
 
 @lru_cache(maxsize=None)

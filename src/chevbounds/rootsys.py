@@ -157,15 +157,24 @@ class RootSystem:
         return tuple(x - c * r for x, r in zip(coords, row))
 
     def dominant_representative(self, coords: Coords) -> Coords:
-        """The dominant weight in the Weyl orbit of coords."""
-        cur = coords
-        while True:
-            for i, c in enumerate(cur):
-                if c < 0:
-                    cur = self.reflect(cur, i)
-                    break
+        """The dominant weight in the Weyl orbit of coords.
+
+        Reflects a list in place through the first negative coordinate and
+        starts over; a dominant input is returned as it came.
+        """
+        if min(coords) >= 0:
+            return coords
+        cur = list(coords)
+        i = 0
+        while i < len(cur):
+            c = cur[i]
+            if c < 0:
+                for j, r in enumerate(self.cartan_matrix[i]):
+                    cur[j] -= c * r
+                i = 0
             else:
-                return cur
+                i += 1
+        return tuple(cur)
 
 
 def _cartan_and_lengths(family: str, rank: int) -> tuple[list[list[int]], list[int]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as Q
 from math import floor
 
@@ -76,6 +77,30 @@ def test_lemma61_examples() -> None:
         lemma61(2, 1, 1, 1, "b")
     with pytest.raises(InputError):
         lemma61(2, 0, 1, 1, "a")
+
+
+def _lemma61_fractions(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:
+    """The hypothesis p^(t-1) <= rhs with rhs built as a Fraction: the oracle."""
+    total = s + f
+    denom = p**total - 1
+    if part == "a":
+        rhs = Q(2 ** (total - 1) - 2**s, denom) + Q(2**total, denom) * s
+    elif part == "b":
+        rhs = Q(p ** (total - 1) - p**s, denom) + Q(p**total, denom) * s * (p - 2)
+    else:
+        rhs = Q(p**total - p**s, denom) + Q(p**total, denom) * (s * (p - 2) - 1)
+    return (p ** (t - 1) <= rhs, s >= t)
+
+
+def test_lemma61_cross_multiplication_matches_the_fractions() -> None:
+    seen = set()
+    for p, part in ((2, "a"), (3, "b"), (3, "c"), (5, "b"), (5, "c"), (7, "b"), (7, "c")):
+        for s, f, t in itertools.product(range(1, 17), repeat=3):
+            got = lemma61(p, s, f, t, part)
+            assert got == _lemma61_fractions(p, s, f, t, part), (p, s, f, t, part)
+            seen.add((part, got[0]))
+    # Every part's hypothesis both holds and fails somewhere on the grid.
+    assert seen == {(part, hyp) for part in "abc" for hyp in (True, False)}
 
 
 def test_lemma61_scan_is_clean() -> None:

@@ -327,6 +327,23 @@ def test_table_json_round_trip(capsys) -> None:
     assert len(doc["rows"]) == 9
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["vanish-range", "--p", "7", "--r", "2"],
+        ["generic", "--type", "D4", "--p", "3", "--m", "2", "--weight", "0,1,0,0"],
+        ["stability", "--type", "B2", "--p", "5", "--m", "3"],
+        ["verify-lemma61", "--max", "6"],
+    ),
+)
+def test_json_round_trip(argv, capsys) -> None:
+    assert run(argv + ["--format", "json"]) == 0
+    raw = capsys.readouterr().out
+    doc = json.loads(raw)
+    assert doc["schema"] == "chevbounds/1"
+    assert json.dumps(doc, indent=2) == raw.removesuffix("\n")
+
+
 def test_emit_table_unknown_kind() -> None:
     with pytest.raises(InputError):
         emit_table("frieze")

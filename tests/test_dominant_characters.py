@@ -226,3 +226,101 @@ def test_threshold_readers_never_expand_a_character(monkeypatch, capsys) -> None
     # Only a reader of every weight expands.
     with pytest.raises(AssertionError, match="orbit expanded"):
         ch.items
+
+
+def _dominant_by_reflection(rs: RootSystem, coords: Coords) -> Coords:
+    """Reflect through the first negative coordinate until none is left."""
+    while True:
+        for i, c in enumerate(coords):
+            if c < 0:
+                coords = rs.reflect(coords, i)
+                break
+        else:
+            return coords
+
+
+def all_roots_freudenthal(
+    rs: RootSystem, lam: Coords, level: dict[Coords, int]
+) -> tuple[dict[Coords, int], int]:
+    """Freudenthal's recursion summed over every positive root, and its steps."""
+    n, det, d = rs.rank, rs.cartan_det, rs.d_symmetrizer
+
+    def scaled_norm(coords: Coords) -> int:
+        v = tuple(c + 1 for c in coords)
+        scaled = rs.root_basis_scaled(v)
+        return sum(scaled[j] * d[j] * v[j] for j in range(n))
+
+    root_data = [
+        (root.omega_coords, tuple(root.root_coords[j] * d[j] for j in range(n)))
+        for root in rs.positive_roots
+    ]
+    top_norm = scaled_norm(lam)
+    mult = {lam: 1}
+    steps = 0
+    for mu in sorted(level, key=level.__getitem__):
+        if mu == lam:
+            continue
+        total = 0
+        for omega, ip_vec in root_data:
+            nu = tuple(a + b for a, b in zip(mu, omega))
+            while (dom := _dominant_by_reflection(rs, nu)) in level:
+                total += mult[dom] * sum(v * c for v, c in zip(ip_vec, nu))
+                nu = tuple(a + b for a, b in zip(nu, omega))
+                steps += 1
+        value = Q(2 * det * total, top_norm - scaled_norm(mu))
+        assert value.denominator == 1 and value > 0
+        mult[mu] = int(value)
+    return mult, steps
+
+
+def _orbit_sum_freudenthal(monkeypatch, rs: RootSystem, lam: Coords, level) -> tuple:
+    """The library's recursion and the last step count it checked against the cap."""
+    checked = [0]
+    real_check = modchar._check_cap
+
+    def record(stage, size, cap, what="distinct weights"):
+        checked.append(size)
+        real_check(stage, size, cap, what)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modchar, "_check_cap", record)
+        mult = modchar._freudenthal_multiplicities(rs, lam, level, DEFAULT_ENTRY_CAP)
+    return mult, checked[-1]
+
+
+# The 155 fundamental characters of ACCEPTANCE 8 (dimension at most 10**5).
+ACCEPTANCE_8_RANKS = {
+    "A": range(1, 9), "B": range(2, 9), "C": range(3, 9), "D": range(4, 9),
+    "E": range(6, 9), "F": (4,), "G": (2,),
+}
+
+
+def test_orbit_sum_matches_every_root_on_the_fundamental_characters(monkeypatch) -> None:
+    modules = 0
+    for family, ranks in ACCEPTANCE_8_RANKS.items():
+        for rank in ranks:
+            rs = build_root_system(family, rank)
+            for i in range(1, rank + 1):
+                lam = rs.fundamental_weight(i).coords
+                if weyl_dimension(rs, lam) > 10**5:
+                    continue
+                modules += 1
+                level = modchar._dominant_levels(rs, lam)
+                expected, old_steps = all_roots_freudenthal(rs, lam, level)
+                got, steps = _orbit_sum_freudenthal(monkeypatch, rs, lam, level)
+                assert got == expected, (rs.name, i)
+                assert steps <= old_steps
+    assert modules == 155
+
+
+def test_orbit_sum_matches_every_root_on_the_case_pool(monkeypatch) -> None:
+    fewer = 0
+    for family, rank, lam in CASES:
+        rs = build_root_system(family, rank)
+        level = modchar._dominant_levels(rs, lam)
+        expected, old_steps = all_roots_freudenthal(rs, lam, level)
+        got, steps = _orbit_sum_freudenthal(monkeypatch, rs, lam, level)
+        assert got == expected, (family, rank, lam)
+        assert steps <= old_steps
+        fewer += steps < old_steps
+    assert fewer > len(CASES) // 2

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from chevbounds.errors import InputError, ResourceLimitError
 from chevbounds.modchar import (
     WeightMultiset,
+    _orbit,
+    _orbit_size,
+    _root_permutations,
+    _stabilizer_orbits,
     combine,
     graded_power,
     nilradical_dual_weights,
@@ -168,6 +174,71 @@ def test_freudenthal_steps_are_capped() -> None:
             rf"steps, above the cap {steps - 1};",
         ):
             weyl_character(A1, A1.weight((w,)), cap=steps - 1)
+
+
+def test_freudenthal_step_cap_fires_before_the_dimension_cap() -> None:
+    # A2 at (60, 0) has dimension 1891; one root per stabilizer orbit takes
+    # 9455 steps (9775 over every positive root), so the step count decides.
+    assert weyl_dimension(A2, (60, 0)) == 1891
+    assert weyl_character(A2, A2.weight((60, 0)), cap=9455).total_dimension == 1891
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^character of \(60, 0\) working set reached 9455 Freudenthal "
+        r"steps, above the cap 9454;",
+    ):
+        weyl_character(A2, A2.weight((60, 0)), cap=9454)
+
+
+def _root_orbit(rs, roots, position, start: int, zeros) -> set:
+    """Indices of the W_J-orbit of one root, by closing under the reflections in J."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for k in frontier:
+            for j in zeros:
+                img = position[rs.reflect(roots[k], j)]
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize(
+    "family, rank, lengths, weyl_order",
+    (
+        ("A", 3, 1, 24), ("B", 3, 2, 48), ("D", 4, 1, 192), ("G", 2, 2, 12),
+        ("E", 6, 1, 51840),
+    ),
+)
+def test_stabilizer_orbits_of_the_roots(family, rank, lengths, weyl_order) -> None:
+    rs = build_root_system(family, rank)
+    positive = [root.omega_coords for root in rs.positive_roots]
+    roots = positive + [tuple(-c for c in w) for w in positive]
+    position = {w: k for k, w in enumerate(roots)}
+    npos = len(positive)
+    for i, perm in enumerate(_root_permutations(family, rank)):
+        assert [roots[k] for k in perm] == [rs.reflect(w, i) for w in roots]
+    for size in range(rank + 1):
+        for zeros in itertools.combinations(range(rank), size):
+            orbits, index = _stabilizer_orbits(family, rank, zeros)
+            assert sum(count for _, count in orbits) == npos
+            covered = set()
+            for first, count in orbits:
+                orbit = _root_orbit(rs, roots, position, first, zeros)
+                members = sorted(k for k in orbit if k < npos)
+                assert members[0] == first and len(members) == count
+                covered.update(members)
+            assert covered == set(range(npos))
+            mu = tuple(0 if i in zeros else 1 for i in range(rank))
+            assert _orbit_size(rs, mu) == index
+            if index <= 2000:
+                assert index == len(_orbit(rs, mu))
+    singletons = tuple((k, 1) for k in range(npos))
+    assert _stabilizer_orbits(family, rank, ()) == (singletons, weyl_order)
+    whole, index = _stabilizer_orbits(family, rank, tuple(range(rank)))
+    assert len(whole) == lengths and index == 1
 
 
 def test_character_cache_returns_consistent_objects() -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from chevbounds.errors import InputError
@@ -129,6 +131,20 @@ def test_dominant_representative() -> None:
             assert rs.dominant_representative(dom) == dom
             for i in range(rs.rank):
                 assert rs.dominant_representative(rs.reflect((c1, c2), i)) == dom
+
+
+@pytest.mark.parametrize(
+    "family, rank, span", (("A", 4, 2), ("B", 3, 3), ("C", 4, 2), ("F", 4, 2), ("E", 6, 1))
+)
+def test_dominant_representative_matches_one_reflection_at_a_time(family, rank, span) -> None:
+    rs = build_root_system(family, rank)
+    for coords in itertools.product(range(-span, span + 1), repeat=rank):
+        expected = coords
+        while min(expected) < 0:
+            i = next(k for k, c in enumerate(expected) if c < 0)
+            expected = rs.reflect(expected, i)
+        got = rs.dominant_representative(coords)
+        assert got == expected and type(got) is tuple
 
 
 def test_longest_element_and_duality() -> None:
