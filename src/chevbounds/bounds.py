@@ -56,7 +56,9 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
 
     d is the pairing of the coefficient weight against the highest coroot and
     must be positive.  Variant 'a' is the p=2 clause; 'b' and 'c' are the two
-    odd-prime clauses ('c' sharpens 'b' using the leading base-p digit of d).
+    odd-prime clauses.  'c' differs from 'b' by top/(p-2) - 1, top the leading
+    base-p digit of d: it is at most 'b' unless top = p - 1, where it is
+    1/(p-2) larger (d = 2, p = 3 gives 'b' m + 1 and 'c' m + 2).
     """
     if d < 1:
         raise InputError(f"threshold needs d >= 1, got {d}")
@@ -400,15 +402,11 @@ def _module_stats(rs: RootSystem, module: WeightMultiset, p: int) -> tuple[Q, in
     the root lattice; such a module scans its dominant entries only.
     """
     det = rs.cartan_det
-    c_max: Optional[Q] = None
-    tp_max = 1
-    for coords, _ in module.dominant or module.items:
-        scaled = rs.root_basis_scaled(coords)
-        top = Q(max(scaled), det)
-        if c_max is None or top > c_max:
-            c_max = top
-        tp_max = max(tp_max, _p_part(_class_order(scaled, det), p))
-    return (c_max if c_max is not None else Q(0)), tp_max
+    rows = [rs.root_basis_scaled(coords) for coords, _ in module.dominant or module.items]
+    if not rows:
+        return Q(0), 1
+    tp_max = max(_p_part(_class_order(scaled, det), p) for scaled in rows)
+    return Q(max(map(max, rows)), det), tp_max
 
 
 def compare_thresholds(

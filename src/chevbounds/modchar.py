@@ -2,10 +2,13 @@
 
 Multiplicities are plain Python integers, so they never overflow.  A Weyl
 character is built from its dominant weights: the dominant weights below the
-highest weight come from a downward search over positive roots, and the
-Freudenthal recursion gives their multiplicities.  Orbit sizes, not orbits,
-check the result against the Weyl dimension formula: the orbit of a dominant
-mu has |W| / |W_J| weights, J = {i : mu_i = 0}.
+highest weight come from a downward search over positive roots, which skips a
+root before building mu - alpha when that weight cannot be dominant, and the
+Freudenthal recursion gives their multiplicities.  At a dominant mu with
+J = {i : mu_i = 0}, the recursion takes one root per orbit of the stabilizer
+W_J, and each root's orbit is read off its shape: its length and its
+coefficients off J.  Orbit sizes, not orbits, check the result against the
+Weyl dimension formula: the orbit of mu has |W| / |W_J| weights.
 
 A multiset known to be W-stable (a Weyl character, or the trivial module)
 also carries its dominant entries in `dominant`.  Every orbit invariant of
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb
+from operator import sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, OracleError, ResourceLimitError
@@ -159,19 +163,28 @@ def _dominant_levels(rs: RootSystem, lam: Coords) -> dict[Coords, int]:
     Downward search from lam over positive roots, keeping dominant weights
     only.  Any two dominant weights mu < lam are joined by a chain of dominant
     weights whose steps are positive roots (Stembridge, "The partial order of
-    dominant weights", 1998), so the search reaches every one of them.
+    dominant weights", 1998), so the search reaches every one of them.  For a
+    dominant mu, mu - alpha is dominant exactly when mu_i >= c at each positive
+    omega-coordinate c of alpha; a root that fails this builds no candidate.
     """
-    steps = [(root.omega_coords, sum(root.root_coords)) for root in rs.positive_roots]
+    steps = []
+    for root in rs.positive_roots:
+        need = [(i, c) for i, c in enumerate(root.omega_coords) if c > 0]
+        steps.append((root.omega_coords, sum(root.root_coords), need))
     level = {lam: 0}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for omega, height in steps:
-                cand = tuple(a - b for a, b in zip(mu, omega))
-                if cand not in level and all(c >= 0 for c in cand):
-                    level[cand] = level[mu] + height
-                    nxt.append(cand)
+            for omega, height, need in steps:
+                for i, c in need:
+                    if mu[i] < c:
+                        break
+                else:
+                    cand = tuple(map(sub, mu, omega))
+                    if cand not in level:
+                        level[cand] = level[mu] + height
+                        nxt.append(cand)
         frontier = nxt
     return level
 
@@ -236,20 +249,6 @@ def _freudenthal_multiplicities(
 
 
 @lru_cache(maxsize=None)
-def _root_permutations(family: str, rank: int) -> tuple[Coords, ...]:
-    """Each simple reflection as a permutation of root indices.
-
-    Index k < N is the k-th positive root and N + k its negative, N the
-    number of positive roots.
-    """
-    rs = build_root_system(family, rank)
-    positive = [root.omega_coords for root in rs.positive_roots]
-    roots = positive + [tuple(-c for c in w) for w in positive]
-    index = {w: k for k, w in enumerate(roots)}
-    return tuple(tuple(index[rs.reflect(w, i)] for w in roots) for i in range(rank))
-
-
-@lru_cache(maxsize=None)
 def _stabilizer_orbits(
     family: str, rank: int, zeros: Coords
 ) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -257,32 +256,36 @@ def _stabilizer_orbits(
 
     Each orbit holding a positive root is given as (index of its first
     positive root, number of positive roots in it); the counts add up to the
-    number of positive roots.  The orbits come from union-find over the
-    simple reflections in J.  The index is the product of (ht a + 1) / ht a
-    over the positive roots a whose support is not inside J (Kostant 1959;
+    number of positive roots.  W_J changes only the coefficients at J, so the
+    orbits are read off the roots: outside Phi_J, roots with the same length
+    and the same coefficients off J (the same shape) form one orbit; in
+    Phi_J, roots with the same length whose support lies in the same
+    component of J do (Azad, Barry and Seitz, "On the structure of parabolic
+    subgroups", Comm. Algebra 18, 1990).  The index is the product of
+    (ht a + 1) / ht a over the roots a of nonzero shape (Kostant 1959;
     Humphreys, Reflection Groups and Coxeter Groups, 3.20).
     """
-    perms = _root_permutations(family, rank)
-    parent = list(range(len(perms[0])))
-
-    def find(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for j in zeros:
-        for k, img in enumerate(perms[j]):
-            parent[find(img)] = find(k)
-    orbits: dict[int, list[int]] = {}
+    rs = build_root_system(family, rank)
+    component: dict[int, int] = {}  # node of J -> least node of its component
+    for start in zeros:
+        stack = [] if start in component else [start]
+        while stack:
+            i = stack.pop()
+            component[i] = start
+            stack += [j for j in zeros if j not in component and rs.cartan_matrix[i][j]]
+    orbits: dict[tuple, list[int]] = {}
     num = den = 1
-    for k, root in enumerate(build_root_system(family, rank).positive_roots):
-        orbit = orbits.setdefault(find(k), [k, 0])
-        orbit[1] += 1
-        if any(c and i not in zeros for i, c in enumerate(root.root_coords)):
-            height = sum(root.root_coords)
+    for k, root in enumerate(rs.positive_roots):
+        coeffs = root.root_coords
+        shape = tuple(c for i, c in enumerate(coeffs) if i not in component)
+        if any(shape):
+            height = sum(coeffs)
             num *= height + 1
             den *= height
+        else:
+            shape = component[next(i for i, c in enumerate(coeffs) if c)]
+        orbit = orbits.setdefault((shape, root.length2), [k, 0])
+        orbit[1] += 1
     return tuple(map(tuple, orbits.values())), num // den
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InputError
+from .errors import InputError, OracleError
 
 Coords = tuple[int, ...]
 
@@ -91,7 +92,7 @@ class RootSystem:
     fundamental_group_invariants: tuple[int, ...]
     # Implementation data used by the other modules.
     d_symmetrizer: Coords  # half squared lengths of the simple roots
-    cartan_adjugate: tuple[Coords, ...]  # det * inverse Cartan, integer
+    adjugate_columns: tuple[Coords, ...]  # columns of det * inverse Cartan
     cartan_det: int
     highest_root_pairing: Coords  # <omega_i, highest-root-vee>
     highest_short_pairing: Coords
@@ -136,11 +137,7 @@ class RootSystem:
 
     def root_basis_scaled(self, coords: Sequence[int]) -> Coords:
         """Integer vector equal to cartan_det times the root-basis coordinates."""
-        adj = self.cartan_adjugate
-        n = self.rank
-        return tuple(
-            sum(coords[i] * adj[i][j] for i in range(n)) for j in range(n)
-        )
+        return tuple(sum(map(mul, coords, col)) for col in self.adjugate_columns)
 
     def pairing(self, w: WeightLike, coroot: Optional[Coords] = None) -> int:
         """<w, alpha-vee> from a `coroot_pairing` vector; the highest coroot by default."""
@@ -269,27 +266,26 @@ def _positive_root_coords(cartan: list[list[int]]) -> list[Coords]:
 
 
 def _adjugate_and_det(mat: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant of a small integer matrix, exactly."""
+    """Adjugate and determinant of a Cartan matrix, in integers.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [C | I]: row_i becomes
+    (pivot * row_i - row_i[k] * row_k) // previous pivot, exactly, and ends as
+    [det * I | adj].  The pivots are the leading principal minors, positive
+    for a finite-type Cartan matrix.
+    """
     n = len(mat)
-    work = [[Q(mat[i][j]) for j in range(n)] for i in range(n)]
-    aug = [row + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(work)]
-    det = Q(1)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    det_int = int(det)
-    adj = [[aug[i][n + j] * det_int for j in range(n)] for i in range(n)]
-    adj_int = [[int(x) for x in row] for row in adj]
-    return adj_int, det_int
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(n):
+        pivot = aug[k][k]
+        if pivot == 0:
+            raise OracleError(f"leading principal minor {k + 1} of {mat} is 0")
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(pivot * x - f * y) // prev for x, y in zip(aug[i], aug[k])]
+        prev = pivot
+    return [row[n:] for row in aug], prev
 
 
 def _smith_diagonal(mat: list[list[int]]) -> list[int]:
@@ -417,7 +413,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         dual_coxeter_number=h_dual,
         fundamental_group_invariants=invariants,
         d_symmetrizer=tuple(d),
-        cartan_adjugate=tuple(tuple(row) for row in adj),
+        adjugate_columns=tuple(zip(*adj)),
         cartan_det=det,
         highest_root_pairing=highest.coroot_pairing,
         highest_short_pairing=highest_short.coroot_pairing,

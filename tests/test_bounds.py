@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevbounds import bounds
 from chevbounds.bounds import (
@@ -36,6 +38,21 @@ def test_bs_vanish_threshold_values() -> None:
     assert bs_vanish_threshold(1, 3, 1, "c") == 2
     assert bs_vanish_threshold(2, 3, 1, "c") == 3
     assert bs_vanish_threshold(4, 5, 2, "b") == Q(2, 3) + 1
+
+
+def test_variant_c_exceeds_b_when_the_leading_digit_is_p_minus_1() -> None:
+    # c - b = top/(p-2) - 1, top the leading base-p digit of d.
+    for m in range(5):
+        assert bs_vanish_threshold(2, 3, m, "b") == m + 1
+        assert bs_vanish_threshold(2, 3, m, "c") == m + 2
+    for p in (3, 5, 7, 11):
+        for d in range(1, 3 * p * p):
+            top = d
+            while top >= p:
+                top //= p
+            gap = bs_vanish_threshold(d, p, 4, "c") - bs_vanish_threshold(d, p, 4, "b")
+            assert gap == Q(top, p - 2) - 1
+            assert (gap > 0) == (top == p - 1)
 
 
 def test_bs_vanish_threshold_guards() -> None:
@@ -297,3 +314,90 @@ def test_r_min_consistency_with_floor_rule() -> None:
                     rep = generic_thresholds(rs, p, m, b_m)
                     if rep.theorem_tag == "T811":
                         assert rep.r_min == floor(rep.e) + rep.f + 1
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+MONOTONE_SYSTEMS = tuple(
+    build_root_system(family, rank)
+    for family, rank in (("A", 1), ("A", 2), ("B", 3), ("E", 8), ("G", 2))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 10**6),
+    k=st.integers(0, len(ODD_PRIMES) - 2),
+    m=st.integers(0, 60),
+)
+def test_bs_vanish_threshold_is_monotone(d, k, m) -> None:
+    """t(d, p) is the number of base-p digits of d, top the leading one.
+
+    'a' = m + t(d, 2) and 'b' = m/(p-2) + t(d, p) grow with m and with d, as
+    t does.  'c' = (m + top)/(p-2) + t - 1 grows with m; in d, top grows while
+    t stays, and where t gains a digit top falls from p-1 to 1, which costs
+    (p-2)/(p-2) = 1 and leaves 'c' unchanged.  For a larger odd prime p'
+    neither m/(p-2) nor t grows, so 'b' does not grow; nor does 'c': with the
+    same t, top does not grow, and with t smaller by j >= 1 the term
+    top/(p-2) grows by at most (p'-1)/(p'-2) - 1/(p-2) < 1 <= j.
+    """
+    p, q = ODD_PRIMES[k], ODD_PRIMES[k + 1]
+    cases = [(2, "a")] + [(p, "b"), (p, "c")]
+    for prime, variant in cases:
+        here = bs_vanish_threshold(d, prime, m, variant)
+        assert bs_vanish_threshold(d, prime, m + 1, variant) >= here
+        assert bs_vanish_threshold(d + 1, prime, m, variant) >= here
+    for variant in ("b", "c"):
+        assert bs_vanish_threshold(d, q, m, variant) <= bs_vanish_threshold(d, p, m, variant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    system=st.sampled_from(MONOTONE_SYSTEMS),
+    p=st.sampled_from((2,) + ODD_PRIMES),
+    m=st.integers(0, 40),
+    b_m=st.integers(0, 10**5),
+)
+def test_generic_thresholds_are_monotone(system, p, m, b_m) -> None:
+    """s_min and r_min do not fall as m grows, and r_min does not fall as b_m grows.
+
+    T811 gives s_min = e and r_min = floor(e) + t + 1, t the number of base-p
+    digits of b_m, with e = m at p = 2 and m/(p-2) at odd p.  T831 (A1, odd
+    p, m != 1) gives e = ceil((m-1)/(p-2)) and r_min = e + t + 1 at p >= 5,
+    and e = max(m-1, 0) and r_min = max(m + 1 + floor(log3(b_m+1)), 1) at
+    p = 3.  Each grows with m, and t and floor(log3(b_m+1)) grow with b_m.
+    T821 (m = 1, odd p) gives s_min = 0 and r_min = t + 1, at least 2 for A1
+    at p = 3.  At m = 0 the rules give s_min = 0 and r_min <= t + 1
+    (floor(log3(b_m+1)) <= t); at m = 2 they give s_min > 0 and
+    r_min >= t + 1, at least 3 for A1 at p = 3.  So the steps through m = 1
+    do not fall either.
+    """
+    here = generic_thresholds(system, p, m, b_m)
+    more_m = generic_thresholds(system, p, m + 1, b_m)
+    assert more_m.s_min >= here.s_min and more_m.r_min >= here.r_min
+    assert generic_thresholds(system, p, m, b_m + 1).r_min >= here.r_min
+
+
+@pytest.mark.parametrize("system", MONOTONE_SYSTEMS, ids=lambda rs: rs.name)
+def test_stability_constants_are_monotone(system) -> None:
+    """C = m + ceil_log(2, 2(h'-1)+1) - 1 at p = 2 and m/(p-2) + const at odd p;
+    F = m at p = 2 and 0 for m <= 1, m/(p-2) after, at odd p.  Both grow with m.
+    """
+    for p in (2,) + ODD_PRIMES:
+        prev = stability_constants(system, p, 0)
+        for m in range(1, 30):
+            rep = stability_constants(system, p, m)
+            assert rep.c_stability >= prev.c_stability
+            assert rep.f_stability >= prev.f_stability
+            prev = rep
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(0, len(ODD_PRIMES) - 2), r=st.integers(1, 10**6))
+def test_finite_group_vanishing_range_is_monotone(k, r) -> None:
+    """The range is r at p = 2 and r(p-2) at odd p: it grows strictly with r,
+    since p - 2 >= 1, and does not fall as the odd prime grows.
+    """
+    p, q = ODD_PRIMES[k], ODD_PRIMES[k + 1]
+    for prime in (2, p):
+        assert finite_group_vanishing_range(prime, r + 1) > finite_group_vanishing_range(prime, r)
+    assert finite_group_vanishing_range(q, r) >= finite_group_vanishing_range(p, r)

@@ -295,22 +295,30 @@ ACCEPTANCE_8_RANKS = {
 }
 
 
-def test_orbit_sum_matches_every_root_on_the_fundamental_characters(monkeypatch) -> None:
-    modules = 0
+def _fundamental_cases() -> list[tuple[str, int, int, Coords]]:
+    out = []
     for family, ranks in ACCEPTANCE_8_RANKS.items():
         for rank in ranks:
             rs = build_root_system(family, rank)
             for i in range(1, rank + 1):
                 lam = rs.fundamental_weight(i).coords
-                if weyl_dimension(rs, lam) > 10**5:
-                    continue
-                modules += 1
-                level = modchar._dominant_levels(rs, lam)
-                expected, old_steps = all_roots_freudenthal(rs, lam, level)
-                got, steps = _orbit_sum_freudenthal(monkeypatch, rs, lam, level)
-                assert got == expected, (rs.name, i)
-                assert steps <= old_steps
-    assert modules == 155
+                if weyl_dimension(rs, lam) <= 10**5:
+                    out.append((family, rank, i, lam))
+    return out
+
+
+FUNDAMENTAL_CASES = _fundamental_cases()
+
+
+def test_orbit_sum_matches_every_root_on_the_fundamental_characters(monkeypatch) -> None:
+    assert len(FUNDAMENTAL_CASES) == 155
+    for family, rank, i, lam in FUNDAMENTAL_CASES:
+        rs = build_root_system(family, rank)
+        level = modchar._dominant_levels(rs, lam)
+        expected, old_steps = all_roots_freudenthal(rs, lam, level)
+        got, steps = _orbit_sum_freudenthal(monkeypatch, rs, lam, level)
+        assert got == expected, (rs.name, i)
+        assert steps <= old_steps
 
 
 def test_orbit_sum_matches_every_root_on_the_case_pool(monkeypatch) -> None:
@@ -324,3 +332,29 @@ def test_orbit_sum_matches_every_root_on_the_case_pool(monkeypatch) -> None:
         assert steps <= old_steps
         fewer += steps < old_steps
     assert fewer > len(CASES) // 2
+
+
+def unpruned_dominant_levels(rs: RootSystem, lam: Coords) -> dict[Coords, int]:
+    """The downward search that builds mu - alpha for every root before testing it."""
+    steps = [(root.omega_coords, sum(root.root_coords)) for root in rs.positive_roots]
+    level = {lam: 0}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for omega, height in steps:
+                cand = tuple(a - b for a, b in zip(mu, omega))
+                if cand not in level and all(c >= 0 for c in cand):
+                    level[cand] = level[mu] + height
+                    nxt.append(cand)
+        frontier = nxt
+    return level
+
+
+def test_pruned_dominant_search_matches_the_unpruned_one() -> None:
+    cases = [case[:2] + case[3:] for case in FUNDAMENTAL_CASES] + CASES
+    for family, rank, lam in cases:
+        rs = build_root_system(family, rank)
+        got = modchar._dominant_levels(rs, lam)
+        # Same weights, same heights, found in the same order.
+        assert list(got.items()) == list(unpruned_dominant_levels(rs, lam).items())

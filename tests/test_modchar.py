@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import itertools
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevbounds.errors import InputError, ResourceLimitError
 from chevbounds.modchar import (
     WeightMultiset,
     _orbit,
     _orbit_size,
-    _root_permutations,
     _stabilizer_orbits,
     combine,
     graded_power,
@@ -205,6 +207,29 @@ def _root_orbit(rs, roots, position, start: int, zeros) -> set:
     return seen
 
 
+def _check_stabilizer_orbits(rs, zeros, orbit_cap: int = 2000) -> int:
+    """Check the cached W_J-orbits and index of one J against the BFS oracle."""
+    positive = [root.omega_coords for root in rs.positive_roots]
+    roots = positive + [tuple(-c for c in w) for w in positive]
+    position = {w: k for k, w in enumerate(roots)}
+    npos = len(positive)
+    orbits, index = _stabilizer_orbits(rs.family, rs.rank, zeros)
+    assert sum(count for _, count in orbits) == npos
+    assert [first for first, _ in orbits] == sorted(first for first, _ in orbits)
+    covered = set()
+    for first, count in orbits:
+        orbit = _root_orbit(rs, roots, position, first, zeros)
+        members = sorted(k for k in orbit if k < npos)
+        assert members[0] == first and len(members) == count
+        covered.update(members)
+    assert covered == set(range(npos))
+    mu = tuple(0 if i in zeros else 1 for i in range(rs.rank))
+    assert _orbit_size(rs, mu) == index
+    if index <= orbit_cap:
+        assert index == len(_orbit(rs, mu))
+    return index
+
+
 @pytest.mark.parametrize(
     "family, rank, lengths, weyl_order",
     (
@@ -214,31 +239,45 @@ def _root_orbit(rs, roots, position, start: int, zeros) -> set:
 )
 def test_stabilizer_orbits_of_the_roots(family, rank, lengths, weyl_order) -> None:
     rs = build_root_system(family, rank)
-    positive = [root.omega_coords for root in rs.positive_roots]
-    roots = positive + [tuple(-c for c in w) for w in positive]
-    position = {w: k for k, w in enumerate(roots)}
-    npos = len(positive)
-    for i, perm in enumerate(_root_permutations(family, rank)):
-        assert [roots[k] for k in perm] == [rs.reflect(w, i) for w in roots]
     for size in range(rank + 1):
         for zeros in itertools.combinations(range(rank), size):
-            orbits, index = _stabilizer_orbits(family, rank, zeros)
-            assert sum(count for _, count in orbits) == npos
-            covered = set()
-            for first, count in orbits:
-                orbit = _root_orbit(rs, roots, position, first, zeros)
-                members = sorted(k for k in orbit if k < npos)
-                assert members[0] == first and len(members) == count
-                covered.update(members)
-            assert covered == set(range(npos))
-            mu = tuple(0 if i in zeros else 1 for i in range(rank))
-            assert _orbit_size(rs, mu) == index
-            if index <= 2000:
-                assert index == len(_orbit(rs, mu))
+            _check_stabilizer_orbits(rs, zeros)
+    npos = len(rs.positive_roots)
     singletons = tuple((k, 1) for k in range(npos))
     assert _stabilizer_orbits(family, rank, ()) == (singletons, weyl_order)
     whole, index = _stabilizer_orbits(family, rank, tuple(range(rank)))
     assert len(whole) == lengths and index == 1
+
+
+# The 31 systems of ACCEPTANCE 8, with the order of each Weyl group.
+ACCEPTANCE_8_SYSTEMS = {
+    **{("A", n): factorial(n + 1) for n in range(1, 9)},
+    **{("B", n): 2**n * factorial(n) for n in range(2, 9)},
+    **{("C", n): 2**n * factorial(n) for n in range(3, 9)},
+    **{("D", n): 2 ** (n - 1) * factorial(n) for n in range(4, 9)},
+    ("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+    ("F", 4): 1152, ("G", 2): 12,
+}
+
+
+def test_stabilizer_orbits_on_every_acceptance_8_system() -> None:
+    pairs = 0
+    for (family, rank), weyl_order in ACCEPTANCE_8_SYSTEMS.items():
+        rs = build_root_system(family, rank)
+        for size in range(rank + 1):
+            for zeros in itertools.combinations(range(rank), size):
+                index = _check_stabilizer_orbits(rs, zeros, orbit_cap=200)
+                pairs += 1
+                if not zeros:
+                    assert index == weyl_order
+    assert len(ACCEPTANCE_8_SYSTEMS) == 31 and pairs == 2486
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from("ABCD"), st.sets(st.integers(0, 11)))
+def test_stabilizer_orbits_at_rank_12(family, zeros) -> None:
+    rs = build_root_system(family, 12)
+    _check_stabilizer_orbits(rs, tuple(sorted(zeros)), orbit_cap=0)
 
 
 def test_character_cache_returns_consistent_objects() -> None:

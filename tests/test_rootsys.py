@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction as Q
 
 import pytest
 
-from chevbounds.errors import InputError
+from chevbounds.errors import InputError, OracleError
 from chevbounds.rootsys import (
+    MAX_CLASSICAL_RANK,
     Weight,
+    _adjugate_and_det,
+    _cartan_and_lengths,
     apply_w0,
     build_root_system,
     dominance_leq,
@@ -210,3 +214,56 @@ def test_weight_rank_validation() -> None:
 
 def test_systems_are_cached_singletons() -> None:
     assert build_root_system("B", 4) is build_root_system("B", 4)
+
+
+def fraction_adjugate_and_det(mat: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant by Gauss-Jordan over the rationals, with row swaps."""
+    n = len(mat)
+    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    det = Q(1)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [[int(x * det) for x in row[n:]] for row in aug], int(det)
+
+
+SUPPORTED_SYSTEMS = [
+    (family, rank)
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+    for rank in range(low, MAX_CLASSICAL_RANK + 1)
+] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def test_integer_adjugate_on_every_supported_system() -> None:
+    expected_det = {"B": 2, "C": 2, "D": 4, "F": 1, "G": 1}
+    for family, rank in SUPPORTED_SYSTEMS:
+        cartan, _ = _cartan_and_lengths(family, rank)
+        adj, det = _adjugate_and_det(cartan)
+        assert (adj, det) == fraction_adjugate_and_det(cartan), (family, rank)
+        if family == "A":
+            assert det == rank + 1
+        elif family == "E":
+            assert det == 9 - rank
+        else:
+            assert det == expected_det[family]
+        n = len(cartan)
+        product = [[sum(cartan[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
+        rs = build_root_system(family, rank)
+        assert rs.cartan_det == det
+        assert rs.adjugate_columns == tuple(zip(*adj))
+    assert len(SUPPORTED_SYSTEMS) == 48
+
+
+def test_integer_adjugate_refuses_a_zero_pivot() -> None:
+    with pytest.raises(OracleError, match="leading principal minor 1"):
+        _adjugate_and_det([[0, 1], [1, 0]])
