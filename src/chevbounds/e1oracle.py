@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
+from operator import add
 from typing import Iterator, Optional, Union
 
 from .bounds import bs_vanish_threshold, bs_vanish_variants
@@ -24,9 +25,8 @@ from .modchar import (
     DEFAULT_ENTRY_CAP,
     WeightMultiset,
     _check_cap,
-    _twisted_product,
-    graded_power,
-    nilradical_dual_weights,
+    _degree_fold,
+    _scale_coords,
 )
 from .primes import require_prime
 from .rootsys import Coords, RootSystem, Weight, build_root_system
@@ -115,15 +115,6 @@ def enumerate_tuples(p: int, levels: int, m: int) -> tuple[ExponentTuple, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
-def _nilradical_power(
-    family: str, rank: int, kind: str, degree: int, cap: int
-) -> tuple[tuple[Coords, int], ...]:
-    rs = build_root_system(family, rank)
-    power = graded_power(kind, nilradical_dual_weights(rs), degree, cap)
-    return power.items
-
-
 # One page level grouped by residue: {residue: (entries of degree 0, ..., m)}.
 Level = dict[Coords, tuple[tuple[tuple[Coords, int], ...], ...]]
 
@@ -134,24 +125,21 @@ def _page_level(
 ) -> tuple[int, Level]:
     """One untwisted page level in degrees 0..m and the modulus it is grouped by.
 
-    The carry pass divides by that modulus: p for a filtered level, and 1
-    for the top level, which it does not filter.
+    The dual nilradical is one line L per positive root alpha, and
+    S^a(L) (x) Lambda^b(L) is (a + b) alpha when b <= 1 and zero otherwise.
+    The (a, b) a level allows add up over the roots, so the level is a
+    product of one factor per root, read off the same shape table.  The carry
+    pass divides by the modulus: p for a filtered level, and 1 for the top
+    level, which it does not filter.
     """
+    shape = [(d, a + b) for d in range(1, m + 1) for a, b in _LEVEL_SHAPES[kind](d) if b < 2]
+    factors = (
+        [(d, _scale_coords(root.omega_coords, k), 1) for d, k in shape]
+        for root in build_root_system(family, rank).positive_roots
+    )
     modulus = 1 if kind == "top" else p
     grouped: dict[Coords, list[list[tuple[Coords, int]]]] = {}
-    for d in range(m + 1):
-        table: dict[Coords, int] = {}
-        for a, b in _LEVEL_SHAPES[kind](d):
-            prod = _twisted_product(
-                _nilradical_power(family, rank, "sym", a, cap),
-                _nilradical_power(family, rank, "ext", b, cap),
-                1,
-                cap,
-                "page level",
-            )
-            for w, mult in prod.items():
-                table[w] = table.get(w, 0) + mult
-            _check_cap("page level", len(table), cap)
+    for d, table in enumerate(_degree_fold((0,) * rank, factors, m, cap, "page level")):
         for w, mult in table.items():
             rows = grouped.setdefault(
                 tuple(c % modulus for c in w), [[] for _ in range(m + 1)]
@@ -163,7 +151,7 @@ def _page_level(
 def _carry_class(
     family: str, rank: int, p: int, levels: int, m: int, cap: int, r: Coords
 ) -> tuple[tuple[Coords, int], ...]:
-    """The summand weights w = r (mod p^levels) of the degree-m page.
+    """The carries (w - r) / p^levels of the degree-m page's weights w = r (mod p^levels).
 
     A summand weight is sum_n p^n w_n over its levels.  Starting from the
     carry -r, a filtered level keeps only the w_n with carry + w_n = 0 (mod p)
@@ -191,21 +179,18 @@ def _carry_class(
         if not nxt:
             return ()
         states = nxt
-    q = p**levels
-    return tuple(
-        (tuple([q * g + c for g, c in zip(gamma, r)]), mult)
-        for (gamma, _), mult in states.items()
-    )
+    return tuple((gamma, mult) for (gamma, _), mult in states.items())
 
 
 @lru_cache(maxsize=None)
 def _page_table(
     family: str, rank: int, p: int, levels: int, m: int, cap: int
 ) -> dict[Coords, tuple[tuple[Coords, int], ...]]:
-    """Summand weights of the degree-m page by residue mod p^levels, filled lazily.
+    """Carries (w - r) / p^levels of the degree-m page by residue r, filled lazily.
 
-    lambda, mu and the split of levels into s + f only shift these weights
-    and pick one residue class, so every such page shares this table.
+    The w are the summand weights w = r (mod p^levels).  lambda, mu and the
+    split of levels into s + f only shift them by one weight and pick one
+    residue class, so every such page shares this table.
     `invariant_page` stores each class it asks for, empty ones included.
     """
     return {}
@@ -227,7 +212,7 @@ class InvariantPage:
 
 def exact_bound_value(rs: RootSystem, p: int, s: int, m: int, lam: Weight) -> int:
     """The sharp upper bound on b(gamma) for a dominant nonzero lam."""
-    d = rs.pairing(lam)
+    d = rs.pairing(rs.coords_of(lam))
     if d < 1 or not lam.is_dominant():
         raise InputError("exact bound needs lambda dominant and nonzero")
     return _exact_bound(p, s, m, d, t_invariant(d, p))
@@ -265,14 +250,20 @@ def invariant_page(
     table = _page_table(rs.family, rs.rank, p, levels, m, cap)
     gathered: dict[Coords, int] = {}
     for u, mult_u in mu_set.items:
+        if len(u) != rs.rank:
+            raise InputError(f"mu_set weight {u} has wrong rank for {rs.name}")
         v = tuple(a + p**s * b for a, b in zip(lam.coords, u))
         r = tuple((-c) % q for c in v)
         entries = table.get(r)
         if entries is None:
             entries = _carry_class(rs.family, rs.rank, p, levels, m, cap, r)
             table[r] = entries
-        for w, mult in entries:
-            gamma = tuple((a + b) // q for a, b in zip(v, w))
+        if not entries:
+            continue
+        # A weight w of the class is q * gamma0 + r, and q divides v + r.
+        shift = tuple((a + b) // q for a, b in zip(v, r))
+        for gamma0, mult in entries:
+            gamma = tuple(map(add, gamma0, shift))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
     return InvariantPage(
         system=rs,

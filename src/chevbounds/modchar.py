@@ -364,35 +364,50 @@ def graded_power(
         raise InputError(f"kind must be 'sym' or 'ext', got {kind!r}")
     if n < 0:
         raise InputError(f"power degree must be non-negative, got {n}")
-    if n == 0:
-        if not ws.items:
-            raise InputError("graded_power of an empty multiset needs n > 0")
-        rank = len(ws.items[0][0])
-        return WeightMultiset.from_dict({(0,) * rank: 1})
-    if kind == "ext" and n > ws.total_dimension:
+    if n == 0 and not ws.items:
+        raise InputError("graded_power of an empty multiset needs n > 0")
+    if not ws.items or (kind == "ext" and n > ws.total_dimension):
         return WeightMultiset(())
+    zero = (0,) * len(ws.items[0][0])
+    if n == 0:
+        return WeightMultiset.from_dict({zero: 1})
 
-    # One dict per degree 0..n; fold in one weight (with multiplicity) at a time.
-    # Every fold keeps each old entry (k = 0), so the table only grows, and
-    # checking `cap` after each row raises on exactly the powers whose final
-    # table exceeds it.
-    rank = len(ws.items[0][0])
-    zero = (0,) * rank
+    # A weight of multiplicity c has its k-th multiple comb(c, k) times in the
+    # exterior power and comb(c + k - 1, k) times in the symmetric one.
+    ext = kind == "ext"
+    factors = (
+        [
+            (k, _scale_coords(coords, k), comb(mult, k) if ext else comb(mult + k - 1, k))
+            for k in range(1, min(mult, n) + 1 if ext else n + 1)
+        ]
+        for coords, mult in ws.items
+    )
+    tables = _degree_fold(zero, factors, n, cap, f"graded power {kind}^{n}")
+    return WeightMultiset.from_dict(tables[n])
+
+
+def _degree_fold(
+    zero: Coords, factors: Iterable[list[tuple[int, Coords, int]]], n: int, cap: int, stage: str
+) -> list[dict[Coords, int]]:
+    """The product of the factors in degrees 0..n, one table per degree.
+
+    A factor is the weight zero in degree 0 plus its terms (k, shift, count)
+    sorted by k >= 1: count copies of the weight shift in degree k.  Its zero
+    keeps each old entry, so the tables only grow, and checking `cap` against
+    their total size after each row raises on exactly the products whose
+    final tables exceed it.
+    """
     levels: list[dict[Coords, int]] = [{zero: 1}] + [dict() for _ in range(n)]
-    stage = f"graded power {kind}^{n}"
-    for coords, mult in ws.items:
-        top = mult if kind == "ext" else n
-        factor = []
-        for k in range(0, min(top, n) + 1):
-            count = comb(mult, k) if kind == "ext" else comb(mult + k - 1, k)
-            if count:
-                factor.append((k, _scale_coords(coords, k), count))
+    for factor in factors:
         new_levels: list[dict[Coords, int]] = [dict() for _ in range(n + 1)]
         size = 0
-        for deg in range(n + 1):
+        # From the top degree down, no lower degree has reached
+        # new_levels[deg] yet, so the degree-0 term is a copy of levels[deg].
+        for deg in range(n, -1, -1):
             src = levels[deg]
-            if not src:
-                continue
+            new_levels[deg] = dict(src)
+            size += len(src)
+            _check_cap(stage, size, cap)
             for k, shift, count in factor:
                 if deg + k > n:
                     break
@@ -404,7 +419,7 @@ def graded_power(
                 size += len(dst)
                 _check_cap(stage, size, cap)
         levels = new_levels
-    return WeightMultiset.from_dict(levels[n])
+    return levels
 
 
 def combine(
@@ -414,31 +429,23 @@ def combine(
     p: int,
     cap: int = DEFAULT_ENTRY_CAP,
 ) -> WeightMultiset:
-    """Product multiset {sigma + p**twist2 * tau} with multiplied counts."""
-    if p < 2:
-        raise InputError(f"p must be at least 2, got {p}")
-    if twist2 < 0:
-        raise InputError(f"twist must be non-negative, got {twist2}")
-    return WeightMultiset.from_dict(
-        _twisted_product(ws1.items, ws2.items, p**twist2, cap, "combine")
-    )
-
-
-def _twisted_product(
-    rows: Iterable[tuple[Coords, int]], cols: Entries, scale: int, cap: int, stage: str
-) -> dict[Coords, int]:
-    """{sigma + scale * tau: m1 * m2} over rows sigma and columns tau.
+    """Product multiset {sigma + p**twist2 * tau} with multiplied counts.
 
     The table only grows, so checking `cap` after each row raises on exactly
     the products whose final size exceeds it, before the rest is built.
     """
+    if p < 2:
+        raise InputError(f"p must be at least 2, got {p}")
+    if twist2 < 0:
+        raise InputError(f"twist must be non-negative, got {twist2}")
+    scale = p**twist2
     out: dict[Coords, int] = {}
-    for w1, m1 in rows:
-        for w2, m2 in cols:
+    for w1, m1 in ws1.items:
+        for w2, m2 in ws2.items:
             key = tuple(a + scale * b for a, b in zip(w1, w2))
             out[key] = out.get(key, 0) + m1 * m2
-        _check_cap(stage, len(out), cap)
-    return out
+        _check_cap("combine", len(out), cap)
+    return WeightMultiset.from_dict(out)
 
 
 def _check_cap(stage: str, size: int, cap: int, what: str = "distinct weights") -> None:

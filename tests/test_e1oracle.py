@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from chevbounds.bounds import bs_vanish_threshold
 from chevbounds.e1oracle import (
+    _LEVEL_SHAPES,
     MAX_DEGREE,
     MAX_LEVELS,
     _compositions,
+    _page_level,
     bs_vanishing_failure,
     check_bs_vanishing,
     check_weight_bounds,
@@ -23,6 +25,7 @@ from chevbounds.e1oracle import (
 )
 from chevbounds.errors import InputError, ResourceLimitError
 from chevbounds.modchar import (
+    DEFAULT_ENTRY_CAP,
     WeightMultiset,
     graded_power,
     nilradical_dual_weights,
@@ -357,58 +360,94 @@ def test_exact_bound_failure_reasons() -> None:
 
 
 def test_page_cap_is_checked_on_the_carry_states() -> None:
-    # A2 at p = 3 with two levels in degree 5: the carry states of the class
-    # r = (6, 6) outnumber every graded power, level product and level table
-    # that the page builds.
-    p, levels, m, r = 3, 2, 5, (6, 6)
-    nil = nilradical_dual_weights(A2)
-    sym = [graded_power("sym", nil, k).items for k in range(m + 1)]
-    ext = [graded_power("ext", nil, k).items for k in range(m + 1)]
-    # A graded power holds every degree up to its own while it folds.
-    largest_other = max(sum(map(len, sym[: m // 2 + 1])), sum(map(len, ext)))
-
-    def level(n: int, d: int) -> set:
-        """Distinct untwisted weights of level n in degree d."""
-        if n == 0:
-            shapes = [(0, d)]
-        elif n == levels:
-            shapes = [(d // 2, 0)] if d % 2 == 0 else []
-        else:
-            shapes = [(a, d - 2 * a) for a in range(d // 2 + 1)]
-        return {
-            tuple(x + y for x, y in zip(w1, w2))
-            for a, b in shapes for w1, _ in sym[a] for w2, _ in ext[b]
-        }
-
-    for n in range(levels + 1):
-        for d in range(m + 1):
-            largest_other = max(largest_other, len(level(n, d)))
-    # After filtered level n the carry states are the prefix sums
+    # A1 at p = 2 with four levels in degree 8: the carry states of the class
+    # r = 0 outnumber the working set of every level that the page builds.
+    p, levels, m, r = 2, 4, 8, (0,)
+    nil = nilradical_dual_weights(A1)
+    # At p = 2 every level is S^d in degree d, and a level holds all of its
+    # degrees 0..m while it folds.
+    sym = [{w for w, _ in graded_power("sym", nil, d).items} for d in range(m + 1)]
+    largest_other = sum(map(len, sym))
+    # After level n, twisted p^n, the carry states are the prefix sums
     # sum_{j <= n} p^j w_j, with the degree they use, that are r mod p^(n+1).
-    # The top level is not filtered and takes the missing degree.
-    prefixes = {((0, 0), 0)}
+    # Every level is filtered, and the last one takes the missing degree.
+    prefixes = {((0,), 0)}
     largest_carry = 0
-    for n in range(levels + 1):
-        top = n == levels
+    for n in range(levels):
+        last = n == levels - 1
         prefixes = {
             (tuple(x + p**n * y for x, y in zip(prefix, w)), used + d)
             for prefix, used in prefixes
-            for d in range(m - used + 1) if d == m - used or not top
-            for w in level(n, d)
+            for d in range(m - used + 1) if d == m - used or not last
+            for w in sym[d]
         }
-        modulus = p ** min(n + 1, levels)
         prefixes = {
             (prefix, used) for prefix, used in prefixes
-            if all((x - c) % modulus == 0 for x, c in zip(prefix, r))
+            if all((x - c) % p ** (n + 1) == 0 for x, c in zip(prefix, r))
         }
         largest_carry = max(largest_carry, len(prefixes))
     assert largest_other < largest_carry - 1
-    lam, trivial = A2.weight((3, 3)), WeightMultiset.trivial(A2)
+    lam, trivial = A1.weight((0,)), WeightMultiset.trivial(A1)
     assert tuple((-c) % p**levels for c in lam.coords) == r
-    page = invariant_page(A2, p, 1, 1, lam, trivial, m, cap=largest_carry)
-    assert page == invariant_page(A2, p, 1, 1, lam, trivial, m)
-    with pytest.raises(ResourceLimitError, match="page carry"):
-        invariant_page(A2, p, 1, 1, lam, trivial, m, cap=largest_carry - 1)
+    for s in range(levels + 1):
+        f = levels - s
+        page = invariant_page(A1, p, s, f, lam, trivial, m, cap=largest_carry)
+        assert page == invariant_page(A1, p, s, f, lam, trivial, m)
+        with pytest.raises(ResourceLimitError, match="page carry"):
+            invariant_page(A1, p, s, f, lam, trivial, m, cap=largest_carry - 1)
+
+
+LEVEL_SYSTEMS = {
+    name: build_root_system(name[0], int(name[1:]))
+    for name in ("A1", "A2", "B2", "G2", "A3", "D4", "F4")
+}
+
+
+@lru_cache(maxsize=None)
+def _level_by_products(name: str, kind: str, d: int) -> dict[Coords, int]:
+    """The degree-d table of a page level: the sum of S^a (x) Lambda^b over its (a, b)."""
+    nil = nilradical_dual_weights(LEVEL_SYSTEMS[name])
+    table: dict[Coords, int] = {}
+    for a, b in _LEVEL_SHAPES[kind](d):
+        for w1, m1 in graded_power("sym", nil, a).items:
+            for w2, m2 in graded_power("ext", nil, b).items:
+                key = tuple(x + y for x, y in zip(w1, w2))
+                table[key] = table.get(key, 0) + m1 * m2
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_SYSTEMS))
+def test_page_level_fold_matches_the_graded_power_products(name: str) -> None:
+    # The fold over the roots gives each level table, degree by degree and
+    # residue by residue, as the products of graded powers do.
+    rs = LEVEL_SYSTEMS[name]
+    grid = [(3, 4)] if name == "F4" else [(p, m) for p in (2, 3, 5) for m in range(6)]
+    for p, m in grid:
+        for kind in sorted(_LEVEL_SHAPES):
+            modulus, level = _page_level(rs.family, rs.rank, p, m, DEFAULT_ENTRY_CAP, kind)
+            assert modulus == (1 if kind == "top" else p)
+            expected: dict[Coords, list[dict[Coords, int]]] = {}
+            for d in range(m + 1):
+                for w, mult in _level_by_products(name, kind, d).items():
+                    residue = tuple(c % modulus for c in w)
+                    expected.setdefault(residue, [{} for _ in range(m + 1)])[d][w] = mult
+            assert {r: [dict(row) for row in rows] for r, rows in level.items()} == expected
+
+
+def test_page_refuses_mu_of_the_wrong_rank() -> None:
+    lam = A2.weight((1, 1))
+    for mu_set in (
+        WeightMultiset.from_dict({(1,): 1}),
+        weyl_character(A1, A1.fundamental_weight(1)),
+        WeightMultiset.from_dict({(0, 0): 1, (1,): 1}),
+    ):
+        with pytest.raises(InputError, match="wrong rank for A2"):
+            invariant_page(A2, 3, 1, 0, lam, mu_set, 2)
+
+
+def test_exact_bound_value_refuses_lambda_of_the_wrong_rank() -> None:
+    with pytest.raises(InputError, match="weight has 1 coordinates, A2 needs 2"):
+        exact_bound_value(A2, 3, 1, 2, Weight((1,)))
 
 
 def test_dyadic_sharpness_examples() -> None:

@@ -103,6 +103,17 @@ def test_graded_powers() -> None:
         graded_power("tensor", nil, 2)
 
 
+def test_graded_power_of_the_empty_multiset() -> None:
+    # Every positive power of the zero module is zero; its degree-0 power
+    # has no rank to put the zero weight in.
+    empty = WeightMultiset(())
+    for kind in ("sym", "ext"):
+        for n in (1, 2, 5):
+            assert graded_power(kind, empty, n) == empty
+        with pytest.raises(InputError, match="needs n > 0"):
+            graded_power(kind, empty, 0)
+
+
 def test_graded_power_dimensions() -> None:
     nil = nilradical_dual_weights(B2)
     n = nil.total_dimension
