@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import ceil, floor
 from typing import Optional, Union
 
@@ -51,6 +52,7 @@ def _check_odd_prime(p: int) -> None:
         raise InputError("this clause needs an odd prime")
 
 
+@lru_cache(maxsize=1024)
 def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     """Smallest admissible tower height s forcing degree-m vanishing.
 
@@ -58,7 +60,8 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     must be positive.  Variant 'a' is the p=2 clause; 'b' and 'c' are the two
     odd-prime clauses.  'c' differs from 'b' by top/(p-2) - 1, top the leading
     base-p digit of d: it is at most 'b' unless top = p - 1, where it is
-    1/(p-2) larger (d = 2, p = 3 gives 'b' m + 1 and 'c' m + 2).
+    1/(p-2) larger (d = 2, p = 3 gives 'b' m + 1 and 'c' m + 2).  A pure
+    function of its arguments with an immutable result, so it is memoized.
     """
     if d < 1:
         raise InputError(f"threshold needs d >= 1, got {d}")

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import product
-from operator import add
+from itertools import groupby, product
+from operator import add, mul
 from typing import Iterator, Optional, Union
 
 from .bounds import bs_vanish_threshold, bs_vanish_variants
@@ -161,24 +161,27 @@ def _carry_class(
     all of them are filtered.  The last level takes the degree still missing.
     A level is built only when some carry state reaches it.
     """
-    kinds = _level_kinds(p, levels)
     states: dict[tuple[Coords, int], int] = {(tuple([-c for c in r]), 0): 1}
-    for i, kind in enumerate(kinds):
+    kinds = _level_kinds(p, levels)
+    left = len(kinds)
+    # Levels of one kind are adjacent, so each table is looked up once.
+    for kind, run in groupby(kinds):
         div, level = _page_level(family, rank, p, m, cap, kind)
-        last = i == len(kinds) - 1
-        nxt: dict[tuple[Coords, int], int] = {}
-        for (carry, used), mult in states.items():
-            rows = level.get(tuple([-c % div for c in carry]))
-            if rows is None:
-                continue
-            for d in (m - used,) if last else range(m - used + 1):
-                for w, mult_w in rows[d]:
-                    key = (tuple([(c + x) // div for c, x in zip(carry, w)]), used + d)
-                    nxt[key] = nxt.get(key, 0) + mult * mult_w
-            _check_cap("page carry", len(nxt), cap, "carry states")
-        if not nxt:
-            return ()
-        states = nxt
+        for _ in run:
+            left -= 1
+            nxt: dict[tuple[Coords, int], int] = {}
+            for (carry, used), mult in states.items():
+                rows = level.get(tuple([-c % div for c in carry]))
+                if rows is None:
+                    continue
+                for d in range(m - used + 1) if left else (m - used,):
+                    for w, mult_w in rows[d]:
+                        key = (tuple([(c + x) // div for c, x in zip(carry, w)]), used + d)
+                        nxt[key] = nxt.get(key, 0) + mult * mult_w
+                _check_cap("page carry", len(nxt), cap, "carry states")
+            if not nxt:
+                return ()
+            states = nxt
     return tuple((gamma, mult) for (gamma, _), mult in states.items())
 
 
@@ -196,7 +199,7 @@ def _page_table(
     return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantPage:
     """The twist-invariant first page in one total degree."""
 
@@ -247,24 +250,25 @@ def invariant_page(
     if mu_set.is_empty():
         raise InputError("mu_set must be non-empty; use the trivial multiset")
     q = p**levels
+    ps = p**s
+    lam_coords = lam.coords
     table = _page_table(rs.family, rs.rank, p, levels, m, cap)
     gathered: dict[Coords, int] = {}
     for u, mult_u in mu_set.items:
         if len(u) != rs.rank:
             raise InputError(f"mu_set weight {u} has wrong rank for {rs.name}")
-        v = tuple(a + p**s * b for a, b in zip(lam.coords, u))
-        r = tuple((-c) % q for c in v)
+        # v = lam + p^s u; a weight w of the class r = -v (mod q) is
+        # q * gamma0 + r, and (v + w) / q = gamma0 + ceil(v / q).
+        shift = [-((-a - ps * b) // q) for a, b in zip(lam_coords, u)]
+        r = tuple([q * c - a - ps * b for c, a, b in zip(shift, lam_coords, u)])
         entries = table.get(r)
         if entries is None:
             entries = _carry_class(rs.family, rs.rank, p, levels, m, cap, r)
             table[r] = entries
-        if not entries:
-            continue
-        # A weight w of the class is q * gamma0 + r, and q divides v + r.
-        shift = tuple((a + b) // q for a, b in zip(v, r))
         for gamma0, mult in entries:
             gamma = tuple(map(add, gamma0, shift))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
+    # Keys are coordinate tuples and counts are positive by construction.
     return InvariantPage(
         system=rs,
         p=p,
@@ -273,11 +277,11 @@ def invariant_page(
         m=m,
         lam=lam,
         mu_set=mu_set,
-        gammas=WeightMultiset.from_dict(gathered),
+        gammas=WeightMultiset(tuple(sorted(gathered.items()))),
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCheckReport:
     """Outcome of checking every page weight against one bound."""
 
@@ -329,18 +333,23 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
         reason, t_lam = _exact_failure(page, t_mu)
         if reason is not None:
             raise InputError(reason)
-        bound = _exact_bound(p, page.s, page.m, rs.pairing(page.lam), t_lam)
+        bound = num = _exact_bound(p, page.s, page.m, rs.pairing(page.lam), t_lam)
+        den = 1
     elif which == "rough":
-        q = p ** (page.s + page.f)
-        bound = Q(p**page.s * b_mu + b_of_weight(rs, page.lam.coords) + page.m * q, q)
+        den = p ** (page.s + page.f)
+        num = p**page.s * b_mu + b_of_weight(rs, page.lam.coords) + page.m * den
+        bound = Q(num, den)
         t_lam = None
     else:
         raise InputError(f"unknown check {which!r}; expected 'exact' or 'rough'")
+    # b(gamma) <= bound as b * den <= num, in integers.
+    hrp = rs.highest_root_pairing
+    dominant = rs.dominant_representative
     details = []
     for coords, _ in page.gammas.items:
-        bg = b_of_weight(rs, coords)
-        details.append((coords, bg, bg <= bound))
-    hits = tuple(c for c, bg, _ in details if which == "exact" and bg == bound)
+        bg = sum(map(mul, hrp, dominant(coords)))
+        details.append((coords, bg, bg * den <= num))
+    hits = tuple(c for c, bg, _ in details if bg == bound) if which == "exact" else ()
     equality_consistent = not hits or page.f == t_mu
     return BoundCheckReport(
         which=which,
@@ -368,7 +377,7 @@ def bs_vanishing_failure(rs: RootSystem, lam: Weight, s: int, f: int) -> Optiona
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VanishReport:
     """Threshold evaluation next to the page it predicts empty."""
 

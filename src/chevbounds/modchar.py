@@ -36,7 +36,7 @@ DEFAULT_ENTRY_CAP = 10**7
 Entries = tuple[tuple[Coords, int], ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class WeightMultiset:
     """A finite multiset of weights with positive integer multiplicities.
 
@@ -344,7 +344,7 @@ def weyl_character(
 ) -> WeightMultiset:
     """Weight multiset of the highest-weight module with highest weight lam."""
     coords = rs.coords_of(lam)
-    if any(c < 0 for c in coords):
+    if min(coords) < 0:
         raise InputError("weyl_character needs a dominant weight")
     return _character_cached(rs.family, rs.rank, coords, cap)
 
@@ -366,9 +366,10 @@ def graded_power(
         raise InputError(f"power degree must be non-negative, got {n}")
     if n == 0 and not ws.items:
         raise InputError("graded_power of an empty multiset needs n > 0")
-    if not ws.items or (kind == "ext" and n > ws.total_dimension):
+    rank = _common_rank(ws)
+    if rank is None or (kind == "ext" and n > ws.total_dimension):
         return WeightMultiset(())
-    zero = (0,) * len(ws.items[0][0])
+    zero = (0,) * rank
     if n == 0:
         return WeightMultiset.from_dict({zero: 1})
 
@@ -438,6 +439,7 @@ def combine(
         raise InputError(f"p must be at least 2, got {p}")
     if twist2 < 0:
         raise InputError(f"twist must be non-negative, got {twist2}")
+    _common_rank(ws1, ws2)
     scale = p**twist2
     out: dict[Coords, int] = {}
     for w1, m1 in ws1.items:
@@ -446,6 +448,17 @@ def combine(
             out[key] = out.get(key, 0) + m1 * m2
         _check_cap("combine", len(out), cap)
     return WeightMultiset.from_dict(out)
+
+
+def _common_rank(*multisets: WeightMultiset) -> Optional[int]:
+    """The rank every weight of the multisets has, or None when they have none.
+
+    Weights of different ranks raise InputError; `zip` would truncate them.
+    """
+    ranks = {len(coords) for ws in multisets for coords, _ in ws.items}
+    if len(ranks) > 1:
+        raise InputError(f"weights of different ranks {sorted(ranks)} in one product")
+    return ranks.pop() if ranks else None
 
 
 def _check_cap(stage: str, size: int, cap: int, what: str = "distinct weights") -> None:

@@ -3,11 +3,13 @@
 Small p is decided by trial division up to its integer square root, larger p
 by Miller-Rabin on fixed bases, which is a proof below the accepted bound.
 There is no floating point, so every integer gets an answer or an InputError
-quickly.
+quickly.  The answers are memoized in a bounded cache, because every page
+query checks the same few primes again.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 from .errors import InputError
@@ -19,6 +21,7 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _TRIAL_DIVISION_BELOW = 1 << 20
 
 
+@lru_cache(maxsize=256)
 def _is_prime(n: int) -> bool:
     if n < _TRIAL_DIVISION_BELOW:
         return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -23,7 +24,7 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 MAX_CLASSICAL_RANK = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """An element of the weight lattice in fundamental-weight coordinates."""
 
@@ -31,7 +32,7 @@ class Weight:
 
     def __post_init__(self) -> None:
         if not isinstance(self.coords, tuple) or not all(
-            isinstance(c, int) for c in self.coords
+            map(isinstance, self.coords, repeat(int))
         ):
             raise InputError("Weight coordinates must be a tuple of integers")
 
@@ -111,7 +112,7 @@ class RootSystem:
         """The i-th fundamental weight, 1-indexed."""
         if not 1 <= i <= self.rank:
             raise InputError(f"fundamental weight index out of range: {i}")
-        return Weight(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
+        return Weight((0,) * (i - 1) + (1,) + (0,) * (self.rank - i))
 
     def weight(self, coords: Iterable[int]) -> Weight:
         w = Weight(tuple(coords))
@@ -143,7 +144,7 @@ class RootSystem:
         """<w, alpha-vee> from a `coroot_pairing` vector; the highest coroot by default."""
         coords = w.coords if isinstance(w, Weight) else w
         vec = self.highest_root_pairing if coroot is None else coroot
-        return sum(v * c for v, c in zip(vec, coords))
+        return sum(map(mul, vec, coords))
 
     def reflect(self, coords: Coords, i: int) -> Coords:
         """Apply the i-th simple reflection (0-indexed) in omega coordinates."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd
+from operator import mul
 from typing import Union
 
 from .errors import InputError, OracleError
@@ -77,7 +78,7 @@ def pair_with_coroot(rs: RootSystem, w: WeightLike, alpha: WeightLike) -> int:
     raise InputError(f"{target} is not a root of {rs.name}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BInvariant:
     """Largest coroot pairing against any long root.
 
@@ -97,7 +98,8 @@ def b_invariant(rs: RootSystem, weights: WeightMultiset) -> BInvariant:
     attains the maximum at a dominant weight, so only those are scanned.
     """
     if weights.dominant:
-        return BInvariant(value=max(rs.pairing(coords) for coords, _ in weights.dominant))
+        hrp = rs.highest_root_pairing
+        return BInvariant(value=max(sum(map(mul, hrp, coords)) for coords, _ in weights.dominant))
     if not weights.items:
         raise InputError("b_invariant needs a non-empty weight multiset")
     return BInvariant(value=max(b_of_weight(rs, coords) for coords, _ in weights.items))

@@ -135,6 +135,18 @@ def test_combine() -> None:
     assert sq.multiplicity((1, 1)) == 2
 
 
+def test_combine_refuses_weights_of_different_ranks() -> None:
+    with pytest.raises(InputError, match="different ranks"):
+        combine(nilradical_dual_weights(A2), nilradical_dual_weights(A1), 1, 3)
+
+
+def test_graded_power_refuses_weights_of_different_ranks() -> None:
+    mixed = WeightMultiset.from_dict({(1,): 1, (1, 2): 1})
+    for kind in ("sym", "ext"):
+        with pytest.raises(InputError, match="different ranks"):
+            graded_power(kind, mixed, 2)
+
+
 def test_resource_caps() -> None:
     # Each message names the stage, the size it reached, the cap and the knob.
     knob = "above the cap {}; raise the cap to allow$"

@@ -1,0 +1,195 @@
+"""The per-query page path against the loops it replaced, and its guards.
+
+`invariant_page` builds each mu weight's shift and residue in one pass and
+`check_weight_bounds` compares b(gamma) with the bound in integers.  The
+loops they replaced (per-weight tuples, `WeightMultiset.from_dict`, Fraction
+comparison) are kept here as oracles.  The remaining tests pin what a caller
+may rely on: the records stay frozen dataclasses, a repeated query reuses its
+residue classes, and every added cache is bounded.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from fractions import Fraction as Q
+from operator import add
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chevbounds import e1oracle
+from chevbounds.bounds import bs_vanish_threshold, bs_vanish_variants, compare_thresholds
+from chevbounds.e1oracle import (
+    _carry_class,
+    _page_table,
+    check_bs_vanishing,
+    check_weight_bounds,
+    exact_bound_failure,
+    exact_bound_value,
+    invariant_page,
+)
+from chevbounds.errors import InputError
+from chevbounds.modchar import DEFAULT_ENTRY_CAP, WeightMultiset, weyl_character
+from chevbounds.primes import _is_prime, require_prime
+from chevbounds.rootsys import Weight, build_root_system
+from chevbounds.weightcomb import BInvariant, b_of_weight, t_invariant
+
+SYSTEMS = {
+    name: build_root_system(name[0], int(name[1:]))
+    for name in ("A1", "A2", "B2", "G2", "A3")
+}
+MAX_D = 8
+
+
+def _dominant_upto(rs, d_max: int) -> list[tuple[int, ...]]:
+    """Dominant weights with highest-coroot pairing at most d_max."""
+    found = [()]
+    for _ in range(rs.rank):
+        found = [c + (k,) for c in found for k in range(d_max + 1)]
+    return [c for c in found if rs.pairing(c) <= d_max]
+
+
+LAMBDAS = {name: _dominant_upto(rs, MAX_D) for name, rs in SYSTEMS.items()}
+
+
+def oracle_gammas(rs, p, s, f, lam, mu_set, m) -> WeightMultiset:
+    """The page weights by the per-weight tuples v, r and shift, then from_dict.
+
+    Any integer shift with r = q * shift - v gives the same page, so the
+    oracle also checks that the page table holds each class under the
+    reduced residue r in [0, q), which every page of the class shares.
+    """
+    q = p ** (s + f)
+    table = _page_table(rs.family, rs.rank, p, s + f, m, DEFAULT_ENTRY_CAP)
+    gathered: dict = {}
+    for u, mult_u in mu_set.items:
+        v = tuple(a + p**s * b for a, b in zip(lam.coords, u))
+        r = tuple((-c) % q for c in v)
+        shift = tuple((a + b) // q for a, b in zip(v, r))
+        entries = _carry_class(rs.family, rs.rank, p, s + f, m, DEFAULT_ENTRY_CAP, r)
+        assert table.get(r) == entries, r
+        for gamma0, mult in entries:
+            gamma = tuple(map(add, gamma0, shift))
+            gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
+    return WeightMultiset.from_dict(gathered)
+
+
+def oracle_check(page, which: str) -> dict:
+    """The bound report's fields by b_of_weight per weight and Fraction comparison."""
+    rs, p, s, f, m = page.system, page.p, page.s, page.f, page.m
+    b_mu = max(b_of_weight(rs, c) for c, _ in page.mu_set.items)
+    if which == "exact":
+        bound = exact_bound_value(rs, p, s, m, page.lam)
+    else:
+        q = p ** (s + f)
+        bound = Q(p**s * b_mu + b_of_weight(rs, page.lam.coords) + m * q, q)
+    details = tuple(
+        (c, b_of_weight(rs, c), Q(b_of_weight(rs, c)) <= bound) for c, _ in page.gammas.items
+    )
+    hits = tuple(c for c, bg, _ in details if which == "exact" and bg == bound)
+    consistent = not hits or f == t_invariant(b_mu, p)
+    return {
+        "bound": bound,
+        "details": details,
+        "equality_hits": hits,
+        "passed": all(w for _, _, w in details) and consistent,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_page_query_matches_the_per_weight_oracle(data) -> None:
+    name = data.draw(st.sampled_from(sorted(SYSTEMS)), label="system")
+    rs = SYSTEMS[name]
+    p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+    levels = data.draw(st.integers(1, 4), label="s + f")
+    s = data.draw(st.integers(0, levels), label="s")
+    f = levels - s
+    m = data.draw(st.integers(0, 6), label="m")
+    lam = Weight(data.draw(st.sampled_from(LAMBDAS[name]), label="lambda"))
+    i = data.draw(st.integers(0, rs.rank), label="mu index")
+    mu_set = WeightMultiset.trivial(rs) if i == 0 else weyl_character(rs, rs.fundamental_weight(i))
+
+    page = invariant_page(rs, p, s, f, lam, mu_set, m)
+    assert page.gammas.items == oracle_gammas(rs, p, s, f, lam, mu_set, m).items
+    for which in ("rough", "exact"):
+        if which == "exact" and exact_bound_failure(page) is not None:
+            with pytest.raises(InputError):
+                check_weight_bounds(page, which)
+            continue
+        report = check_weight_bounds(page, which)
+        want = oracle_check(page, which)
+        assert {key: getattr(report, key) for key in want} == want
+        assert type(report.bound) is type(want["bound"])
+    if f == 0 and s >= 1 and rs.pairing(lam) >= 1:
+        d = rs.pairing(lam)
+        report = check_bs_vanishing(rs, p, lam, s, m)
+        uncached = tuple(
+            (v, bs_vanish_threshold.__wrapped__(d, p, m, v)) for v in bs_vanish_variants(p)
+        )
+        assert report.thresholds == uncached
+        assert report.met == any(s >= value for _, value in uncached)
+
+
+def test_records_stay_frozen_dataclasses() -> None:
+    # Callers copy reports with dataclasses.replace; slots must not change that.
+    rs = SYSTEMS["A2"]
+    lam = Weight((2, 1))
+    page = invariant_page(rs, 3, 1, 0, lam, WeightMultiset.trivial(rs), 2)
+    report = check_weight_bounds(page, "rough")
+    assert dataclasses.replace(report, passed=False).passed is False
+    module = weyl_character(rs, rs.fundamental_weight(1))
+    cmp = compare_thresholds(rs, 3, 2, module)
+    assert dataclasses.replace(cmp, f_delta=cmp.f_delta + 1).f_delta == cmp.f_delta + 1
+    vanish = check_bs_vanishing(rs, 3, lam, 1, 2)
+    slotted = (
+        (lam, "coords"),
+        (page.gammas, "dominant"),
+        (page, "m"),
+        (report, "passed"),
+        (vanish, "met"),
+        (BInvariant(1), "value"),
+    )
+    for record, field in slotted:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, None)
+
+
+def test_repeated_page_query_runs_no_carry_pass(monkeypatch) -> None:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _carry_class(*args)
+
+    monkeypatch.setattr(e1oracle, "_carry_class", counted)
+    _page_table.cache_clear()
+    rs = SYSTEMS["A2"]
+    args = (rs, 5, 1, 1, Weight((2, 1)), weyl_character(rs, rs.fundamental_weight(1)), 3)
+    first = invariant_page(*args)
+    built = len(calls)
+    assert built >= 1
+    assert invariant_page(*args).gammas == first.gammas
+    assert len(calls) == built
+
+
+def test_added_caches_are_bounded() -> None:
+    for cached in (_is_prime, bs_vanish_threshold):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_warm_primality_cache_still_rejects_pseudoprimes() -> None:
+    # 561 is a Carmichael number; the others are strong pseudoprimes to the
+    # bases up to 7, 23 and 37.
+    composites = (561, 3215031751, 3825123056546413051, 318665857834031151167461)
+    hits = []
+    for _ in range(2):
+        hits.append(_is_prime.cache_info().hits)
+        for n in composites:
+            with pytest.raises(InputError, match="must be prime"):
+                require_prime(n)
+        require_prime(2**61 - 1)
+    # The second round is answered from the cache.
+    assert _is_prime.cache_info().hits - hits[1] >= len(composites) + 1
