@@ -34,14 +34,12 @@ from .e1oracle import (
     dyadic_sharpness,
     enumerate_tuples,
     exact_bound_failure,
-    exact_bound_value,
     invariant_page,
 )
 from .errors import InputError, OracleError, ResourceLimitError
 from .modchar import (
     DEFAULT_ENTRY_CAP,
     WeightMultiset,
-    combine,
     graded_power,
     nilradical_dual_weights,
     weyl_character,
@@ -59,15 +57,12 @@ from .rootsys import (
 )
 from .weightcomb import (
     BInvariant,
-    LambdaStats,
     b_invariant,
     b_of_weight,
     ceil_log,
     floor_log,
-    lambda_stats,
     order_in_fundamental_group,
     p_adic_digits,
-    pair_with_coroot,
     structural_constants,
     t_invariant,
 )
@@ -82,7 +77,6 @@ __all__ = [
     "ExponentTuple",
     "InputError",
     "InvariantPage",
-    "LambdaStats",
     "OracleError",
     "ResourceLimitError",
     "Root",
@@ -102,7 +96,6 @@ __all__ = [
     "ceil_log",
     "check_bs_vanishing",
     "check_weight_bounds",
-    "combine",
     "compare_thresholds",
     "cpsvdk_thresholds",
     "dominance_leq",
@@ -110,20 +103,17 @@ __all__ = [
     "dyadic_sharpness",
     "enumerate_tuples",
     "exact_bound_failure",
-    "exact_bound_value",
     "finite_group_vanishing_range",
     "floor_log",
     "g_ext_vanishing_holds",
     "generic_thresholds",
     "graded_power",
     "invariant_page",
-    "lambda_stats",
     "lemma61",
     "lemma61_scan",
     "nilradical_dual_weights",
     "order_in_fundamental_group",
     "p_adic_digits",
-    "pair_with_coroot",
     "parse_type",
     "prop62_vanishing_holds",
     "stability_constants",

@@ -148,12 +148,6 @@ def _render(doc: dict[str, Any], fmt: str, raw_keys: Sequence[str] = ()) -> str:
     return "\n".join(lines)
 
 
-def _root_system(type_name: Optional[str]) -> RootSystem:
-    if not type_name:
-        raise InputError("missing --type")
-    return parse_type(type_name)
-
-
 def _parse_coords(rs: RootSystem, text: str) -> tuple[int, ...]:
     try:
         coords = tuple(int(part) for part in text.split(","))
@@ -223,7 +217,7 @@ def _threshold_doc(report) -> dict[str, Any]:
 
 
 def _cmd_info(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    rs = _root_system(args.type)
+    rs = parse_type(args.type)
     c, t = structural_constants(rs)
     doc = {
         "schema": SCHEMA,
@@ -244,8 +238,6 @@ def _cmd_info(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...]
 
 
 def _cmd_vanish_range(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    if args.p is None or args.r is None:
-        raise InputError("vanish-range needs --p and --r")
     if args.r < 1:
         raise InputError("--r must be positive")
     upper = finite_group_vanishing_range(args.p, args.r)
@@ -272,9 +264,7 @@ def _cmd_vanish_range(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[s
 
 
 def _cmd_generic(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    rs = _root_system(args.type)
-    if args.p is None or args.m is None:
-        raise InputError("generic needs --p and --m")
+    rs = parse_type(args.type)
     module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
     b_m = b_invariant(rs, module).value
     report = generic_thresholds(rs, args.p, args.m, b_m)
@@ -285,9 +275,7 @@ def _cmd_generic(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, .
 
 
 def _cmd_compare(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    rs = _root_system(args.type)
-    if args.p is None or args.m is None:
-        raise InputError("compare needs --p and --m")
+    rs = parse_type(args.type)
     if args.m < 1:
         raise InputError("compare needs --m at least 1")
     module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
@@ -306,9 +294,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, .
 
 
 def _cmd_stability(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    rs = _root_system(args.type)
-    if args.p is None or args.m is None:
-        raise InputError("stability needs --p and --m")
+    rs = parse_type(args.type)
     if args.m < 0:
         raise InputError("--m must be non-negative")
     report = stability_constants(rs, args.p, args.m)
@@ -327,11 +313,7 @@ def _cmd_stability(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str,
 
 
 def _cmd_verify_e1(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    rs = _root_system(args.type)
-    if args.p is None:
-        raise InputError("verify-e1 needs --p")
-    if args.m is None:
-        raise InputError("verify-e1 needs --m")
+    rs = parse_type(args.type)
     cap = _cap(args)
     lam = rs.zero if args.weight is None else rs.weight(_parse_coords(rs, args.weight))
     mu_set = _resolve_module(rs, args.module_weight, None, cap)
@@ -383,19 +365,18 @@ def _cmd_verify_e1(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str,
 
 
 def _cmd_verify_lemma61(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    limit = args.max if args.max is not None else 12
-    if limit < 1:
+    if args.max < 1:
         raise InputError("--max must be positive")
     primes = (2, 3, 5, 7)
-    counterexamples = lemma61_scan(limit, primes, _cap(args))
+    counterexamples = lemma61_scan(args.max, primes, _cap(args))
     doc = {
         "schema": SCHEMA,
         "command": "verify-lemma61",
         "primes": list(primes),
-        "max": limit,
+        "max": args.max,
         "counterexamples": len(counterexamples),
         "summary": f"{len(counterexamples)} counterexamples over "
-        f"{len(primes)}×{limit}³ grid",
+        f"{len(primes)}×{args.max}³ grid",
     }
     return doc, ("summary",), bool(counterexamples)
 
@@ -435,17 +416,19 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *names: str) -> None:
         if "type" in names:
-            p.add_argument("--type", help="root system, e.g. A5 or G2")
+            p.add_argument("--type", required=True, help="root system, e.g. A5 or G2")
         if "p" in names:
-            p.add_argument("--p", type=int, help="prime")
+            p.add_argument("--p", type=int, required=True, help="prime")
         if "r" in names:
-            p.add_argument("--r", type=int, help="Frobenius power / field exponent")
+            p.add_argument(
+                "--r", type=int, required=True, help="Frobenius power / field exponent"
+            )
         if "s" in names:
             p.add_argument("--s", type=int, default=1, help="twist height (default 1)")
         if "f" in names:
             p.add_argument("--f", type=int, default=0, help="extra height (default 0)")
         if "m" in names:
-            p.add_argument("--m", type=int, help="cohomological degree")
+            p.add_argument("--m", type=int, required=True, help="cohomological degree")
         if "weight" in names:
             p.add_argument("--weight", help="fundamental-weight coordinates, e.g. 1,0,2")
         if "module-weight" in names:
@@ -457,7 +440,7 @@ def _parser() -> argparse.ArgumentParser:
         if "variant" in names:
             p.add_argument("--variant", choices=("a", "b", "c"), help="threshold clause")
         if "max" in names:
-            p.add_argument("--max", type=int, help="scan bound (default 12)")
+            p.add_argument("--max", type=int, default=12, help="scan bound (default 12)")
         if "cap" in names:
             p.add_argument(
                 "--cap", type=int, help="size cap: multiset entries, or lemma61 grid cells"

@@ -213,14 +213,6 @@ class InvariantPage:
     gammas: WeightMultiset
 
 
-def exact_bound_value(rs: RootSystem, p: int, s: int, m: int, lam: Weight) -> int:
-    """The sharp upper bound on b(gamma) for a dominant nonzero lam."""
-    d = rs.pairing(rs.coords_of(lam))
-    if d < 1 or not lam.is_dominant():
-        raise InputError("exact bound needs lambda dominant and nonzero")
-    return _exact_bound(p, s, m, d, t_invariant(d, p))
-
-
 def _exact_bound(p: int, s: int, m: int, d: int, t: int) -> int:
     """The exact bound for <lambda, theta-vee> = d >= 1 with t = t(d)."""
     if p == 2:

@@ -1,4 +1,4 @@
-"""Weight multisets of modules: characters, graded powers, twisted products.
+"""Weight multisets of modules: characters and graded powers.
 
 Multiplicities are plain Python integers, so they never overflow.  A Weyl
 character is built from its dominant weights: the dominant weights below the
@@ -92,18 +92,17 @@ class WeightMultiset:
 
     @staticmethod
     def from_dict(table: Mapping[Coords, int]) -> "WeightMultiset":
+        """The multiset with these integer coordinates and multiplicities."""
         cleaned = {}
         for coords, mult in table.items():
-            key = coords.coords if isinstance(coords, Weight) else tuple(coords)
+            key = (coords if isinstance(coords, Weight) else Weight(tuple(coords))).coords
+            if not isinstance(mult, int):
+                raise InputError(f"multiplicity of {key} must be an integer, got {mult!r}")
             if mult < 0:
                 raise InputError(f"negative multiplicity for {key}")
             if mult:
                 cleaned[key] = cleaned.get(key, 0) + mult
         return WeightMultiset(tuple(sorted(cleaned.items())))
-
-    @staticmethod
-    def single(rs: RootSystem, w: WeightLike, mult: int = 1) -> "WeightMultiset":
-        return WeightMultiset.from_dict({rs.coords_of(w): mult})
 
     @staticmethod
     def trivial(rs: RootSystem) -> "WeightMultiset":
@@ -112,10 +111,6 @@ class WeightMultiset:
 
     def as_dict(self) -> dict[Coords, int]:
         return dict(self.items)
-
-    def multiplicity(self, w: WeightLike) -> int:
-        key = w.coords if isinstance(w, Weight) else tuple(w)
-        return dict(self.items).get(key, 0)
 
     @property
     def total_dimension(self) -> int:
@@ -384,7 +379,8 @@ def graded_power(
         for coords, mult in ws.items
     )
     tables = _degree_fold(zero, factors, n, cap, f"graded power {kind}^{n}")
-    return WeightMultiset.from_dict(tables[n])
+    # Keys are coordinate tuples and counts are positive by construction.
+    return WeightMultiset(tuple(sorted(tables[n].items())))
 
 
 def _degree_fold(
@@ -423,39 +419,12 @@ def _degree_fold(
     return levels
 
 
-def combine(
-    ws1: WeightMultiset,
-    ws2: WeightMultiset,
-    twist2: int,
-    p: int,
-    cap: int = DEFAULT_ENTRY_CAP,
-) -> WeightMultiset:
-    """Product multiset {sigma + p**twist2 * tau} with multiplied counts.
-
-    The table only grows, so checking `cap` after each row raises on exactly
-    the products whose final size exceeds it, before the rest is built.
-    """
-    if p < 2:
-        raise InputError(f"p must be at least 2, got {p}")
-    if twist2 < 0:
-        raise InputError(f"twist must be non-negative, got {twist2}")
-    _common_rank(ws1, ws2)
-    scale = p**twist2
-    out: dict[Coords, int] = {}
-    for w1, m1 in ws1.items:
-        for w2, m2 in ws2.items:
-            key = tuple(a + scale * b for a, b in zip(w1, w2))
-            out[key] = out.get(key, 0) + m1 * m2
-        _check_cap("combine", len(out), cap)
-    return WeightMultiset.from_dict(out)
-
-
-def _common_rank(*multisets: WeightMultiset) -> Optional[int]:
-    """The rank every weight of the multisets has, or None when they have none.
+def _common_rank(ws: WeightMultiset) -> Optional[int]:
+    """The rank every weight of the multiset has, or None when it has none.
 
     Weights of different ranks raise InputError; `zip` would truncate them.
     """
-    ranks = {len(coords) for ws in multisets for coords, _ in ws.items}
+    ranks = {len(coords) for coords, _ in ws.items}
     if len(ranks) > 1:
         raise InputError(f"weights of different ranks {sorted(ranks)} in one product")
     return ranks.pop() if ranks else None

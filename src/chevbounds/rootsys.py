@@ -4,15 +4,15 @@ Weights are stored by their coordinates in the fundamental-weight basis, so
 the i-th coordinate of a weight sigma is the integer <sigma, alpha_i-vee>.
 Simple roots are numbered in the standard Bourbaki order.  All derived data
 (positive roots, Weyl vector, Coxeter numbers, fundamental group) is computed
-from the Cartan matrix with integer and Fraction arithmetic only.
+from the Cartan matrix with integer arithmetic only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import repeat
+from math import gcd, isqrt
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -96,7 +96,6 @@ class RootSystem:
     adjugate_columns: tuple[Coords, ...]  # columns of det * inverse Cartan
     cartan_det: int
     highest_root_pairing: Coords  # <omega_i, highest-root-vee>
-    highest_short_pairing: Coords
     long_positive_roots: tuple[Root, ...]
     w0_word: tuple[int, ...]  # simple reflections driving rho to -rho
 
@@ -130,11 +129,6 @@ class RootSystem:
                 f"weight has {len(coords)} coordinates, {self.name} needs {self.rank}"
             )
         return coords
-
-    def root_basis_coords(self, w: Weight) -> tuple[Q, ...]:
-        """Exact coordinates of w in the simple-root basis."""
-        scaled = self.root_basis_scaled(w.coords)
-        return tuple(Q(x, self.cartan_det) for x in scaled)
 
     def root_basis_scaled(self, coords: Sequence[int]) -> Coords:
         """Integer vector equal to cartan_det times the root-basis coordinates."""
@@ -289,64 +283,19 @@ def _adjugate_and_det(mat: list[list[int]]) -> tuple[list[list[int]], int]:
     return [row[n:] for row in aug], prev
 
 
-def _smith_diagonal(mat: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    diag: list[int] = []
-    for k in range(n):
-        while True:
-            pivot = None
-            best = None
-            for i in range(k, n):
-                for j in range(k, n):
-                    v = abs(m[i][j])
-                    if v and (best is None or v < best):
-                        best = v
-                        pivot = (i, j)
-            if pivot is None:
-                diag.append(0)
-                break
-            pi, pj = pivot
-            m[k], m[pi] = m[pi], m[k]
-            for row in m:
-                row[k], row[pj] = row[pj], row[k]
-            pv = m[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if m[i][k] % pv:
-                    dirty = True
-                q = m[i][k] // pv
-                if q:
-                    for j in range(k, n):
-                        m[i][j] -= q * m[k][j]
-            for j in range(k + 1, n):
-                if m[k][j] % pv:
-                    dirty = True
-                q = m[k][j] // pv
-                if q:
-                    for i in range(k, n):
-                        m[i][j] -= q * m[i][k]
-            if dirty:
-                continue
-            if all(m[i][k] == 0 for i in range(k + 1, n)) and all(
-                m[k][j] == 0 for j in range(k + 1, n)
-            ):
-                diag.append(abs(pv))
-                break
-    # Enforce the divisibility chain d1 | d2 | ... with gcd/lcm fixups.
-    from math import gcd
+def _fundamental_group_invariants(adj: list[list[int]], det: int) -> tuple[int, ...]:
+    """Invariant factors above 1 of X(T) / (root lattice), read off the adjugate.
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b and b % a:
-                g = gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-    return diag
+    The adjugate's entries are the signed (n-1)-minors of the Cartan matrix,
+    so their gcd g is d_1 ... d_(n-1), the product of its first n - 1
+    invariant factors, and det / g is d_n (determinantal divisors; M. Newman,
+    Integral Matrices, 1972, ch. II).  As d_1 | d_2 | ..., a squarefree g
+    leaves d_1 = ... = d_(n-2) = 1 and d_(n-1) = g.
+    """
+    g = gcd(*(x for row in adj for x in row))
+    if any(g % (k * k) == 0 for k in range(2, isqrt(g) + 1)):
+        raise OracleError(f"gcd {g} of the Cartan adjugate is not squarefree")
+    return tuple(x for x in (g, det // g) if x > 1) or (1,)
 
 
 @lru_cache(maxsize=None)
@@ -388,8 +337,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     h_dual = sum(highest.coroot_pairing) + 1
 
     adj, det = _adjugate_and_det(cartan)
-    snf = _smith_diagonal(cartan)
-    invariants = tuple(x for x in snf if x > 1) or (1,)
+    invariants = _fundamental_group_invariants(adj, det)
 
     # Word for the longest Weyl element, found by driving rho to -rho.
     word: list[int] = []
@@ -417,7 +365,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         adjugate_columns=tuple(zip(*adj)),
         cartan_det=det,
         highest_root_pairing=highest.coroot_pairing,
-        highest_short_pairing=highest_short.coroot_pairing,
         long_positive_roots=long_roots,
         w0_word=tuple(word),
     )

@@ -13,9 +13,9 @@ from math import gcd
 from operator import mul
 from typing import Union
 
-from .errors import InputError, OracleError
+from .errors import InputError
 from .modchar import WeightMultiset
-from .rootsys import Coords, RootSystem, Weight, WeightLike
+from .rootsys import Coords, RootSystem, WeightLike
 
 
 def ceil_log(p: int, x: Union[int, Q]) -> int:
@@ -64,18 +64,6 @@ def p_adic_digits(n: int, p: int) -> tuple[int, ...]:
         n, r = divmod(n, p)
         digits.append(r)
     return tuple(digits)
-
-
-def pair_with_coroot(rs: RootSystem, w: WeightLike, alpha: WeightLike) -> int:
-    """<w, alpha-vee> for any root alpha, given in omega coordinates."""
-    coords = rs.coords_of(w)
-    target = rs.coords_of(alpha)
-    for root in rs.positive_roots:
-        if root.omega_coords == target:
-            return rs.pairing(coords, root.coroot_pairing)
-        if tuple(-x for x in root.omega_coords) == target:
-            return -rs.pairing(coords, root.coroot_pairing)
-    raise InputError(f"{target} is not a root of {rs.name}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,52 +140,3 @@ def _p_part(n: int, p: int) -> int:
         n //= p
         out *= p
     return out
-
-
-@dataclass(frozen=True)
-class LambdaStats:
-    """Per-weight constants entering the comparison thresholds."""
-
-    c_lambda: Q
-    d_lambda: int
-    t_p_lambda: int
-    order_in_fundamental_group: int
-
-
-def _d_from_root_coords(rs: RootSystem, rc: tuple[Q, ...]) -> Q:
-    """Case formula for d(lambda) from root-basis coordinates."""
-    fam, n = rs.family, rs.rank
-    if fam == "A":
-        return 2 * rc[0] if n == 1 else rc[0] + rc[n - 1]
-    if fam in ("C", "F") or (fam, n) == ("E", 7):
-        return rc[0]
-    if fam in ("B", "D", "G") or (fam, n) == ("E", 6):
-        return rc[1]
-    if (fam, n) == ("E", 8):
-        # The highest root is the 8th fundamental weight.
-        return rc[7]
-    raise OracleError(f"no d(lambda) case for {rs.name}")
-
-
-def lambda_stats(rs: RootSystem, w: WeightLike, p: int) -> LambdaStats:
-    """c, d, t_p and fundamental-group order for a dominant weight."""
-    coords = rs.coords_of(w)
-    if any(c < 0 for c in coords):
-        raise InputError("lambda_stats needs a dominant weight")
-    if p < 2:
-        raise InputError(f"p must be at least 2, got {p}")
-    rc = rs.root_basis_coords(Weight(coords))
-    c_lambda = max(rc) if rc else Q(0)
-    d_pairing = rs.pairing(coords)
-    d_case = _d_from_root_coords(rs, rc)
-    if d_case != d_pairing:
-        raise OracleError(
-            f"d(lambda) case formula {d_case} disagrees with pairing {d_pairing}"
-        )
-    order = order_in_fundamental_group(rs, coords)
-    return LambdaStats(
-        c_lambda=c_lambda,
-        d_lambda=d_pairing,
-        t_p_lambda=_p_part(order, p),
-        order_in_fundamental_group=order,
-    )

@@ -275,7 +275,7 @@ def test_criterion_09_character_sanity() -> None:
     a2 = SMALL_SYSTEMS[1]
     adjoint = weyl_character(a2, Weight((1, 1)))
     adjoint_ok = (
-        adjoint.total_dimension == 8 and adjoint.multiplicity((0, 0)) == 2
+        adjoint.total_dimension == 8 and adjoint.as_dict()[(0, 0)] == 2
     )
     elapsed = perf_counter() - start
     ok = not mismatches and adjoint_ok

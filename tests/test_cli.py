@@ -382,6 +382,29 @@ def test_exit_code_input_errors(capsys) -> None:
     assert "does not apply at p=2" in capsys.readouterr().err
 
 
+# Every required flag of each subcommand, with a value that runs.
+_REQUIRED_FLAGS = {
+    "info": {"--type": "A1"},
+    "vanish-range": {"--p": "3", "--r": "1"},
+    "generic": {"--type": "A1", "--p": "3", "--m": "1"},
+    "compare": {"--type": "A1", "--p": "3", "--m": "1"},
+    "stability": {"--type": "A1", "--p": "3", "--m": "1"},
+    "verify-e1": {"--type": "A1", "--p": "3", "--m": "1"},
+}
+
+
+@pytest.mark.parametrize(
+    "sub, missing", [(sub, flag) for sub, flags in _REQUIRED_FLAGS.items() for flag in flags]
+)
+def test_leaving_out_a_required_flag_exits_2_and_names_it(sub: str, missing: str, capsys) -> None:
+    flags = _REQUIRED_FLAGS[sub]
+    assert run([sub, *itertools.chain(*flags.items())]) == 0
+    capsys.readouterr()
+    argv = [sub, *itertools.chain(*((k, v) for k, v in flags.items() if k != missing))]
+    assert run(argv) == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
 def test_exit_code_argparse_error(capsys) -> None:
     assert run(["no-such-command"]) == 2
     capsys.readouterr()

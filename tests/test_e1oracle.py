@@ -20,7 +20,6 @@ from chevbounds.e1oracle import (
     dyadic_sharpness,
     enumerate_tuples,
     exact_bound_failure,
-    exact_bound_value,
     invariant_page,
 )
 from chevbounds.errors import InputError, ResourceLimitError
@@ -37,6 +36,22 @@ from chevbounds.weightcomb import b_of_weight, t_invariant
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
+
+
+def paper_exact_bound(p: int, s: int, m: int, d: int) -> int:
+    """The paper's exact bound on b(gamma) for d = <lambda, theta-vee> >= 1.
+
+    t is the number of base-p digits of d and top the leading one:
+    m - (s - t) at p = 2, min(m - (s - t + 1)(p - 2) + top, m - (s - t)(p - 2))
+    at odd p.
+    """
+    t = 0
+    while p**t <= d:
+        t += 1
+    top = d // p ** (t - 1)
+    if p == 2:
+        return m - (s - t)
+    return min(m - (s - t + 1) * (p - 2) + top, m - (s - t) * (p - 2))
 
 
 def test_enumerate_tuples_odd_degree_one() -> None:
@@ -168,7 +183,7 @@ def test_page_equality_hit() -> None:
 def test_page_nontrivial_mu() -> None:
     mu = weyl_character(A1, A1.fundamental_weight(1))
     page = invariant_page(A1, 3, 1, 1, A1.zero, mu, 2)
-    assert page.gammas.multiplicity((1,)) == 1
+    assert page.gammas.as_dict().get((1,), 0) == 1
 
 
 def test_invariant_page_guards() -> None:
@@ -187,12 +202,14 @@ def test_invariant_page_guards() -> None:
 
 def test_exact_bound_value() -> None:
     omega = A1.fundamental_weight(1)
-    assert exact_bound_value(A1, 3, 1, 1, omega) == 1
-    assert exact_bound_value(A1, 2, 2, 3, omega) == 2
-    with pytest.raises(InputError):
-        exact_bound_value(A1, 3, 1, 1, A1.zero)
-    with pytest.raises(InputError):
-        exact_bound_value(A1, 3, 1, 1, Weight((-1,)))
+    triv = WeightMultiset.trivial(A1)
+    for p, s, m, bound in ((3, 1, 1, 1), (2, 2, 3, 2)):
+        page = invariant_page(A1, p, s, 0, omega, triv, m)
+        assert check_weight_bounds(page, "exact").bound == bound == paper_exact_bound(p, s, m, 1)
+    for lam in (A1.zero, Weight((-1,))):
+        page = invariant_page(A1, 3, 1, 0, lam, triv, 1)
+        with pytest.raises(InputError, match="exact bound needs lambda dominant and nonzero"):
+            check_weight_bounds(page, "exact")
 
 
 def test_check_exact_bound_on_hit_page() -> None:
@@ -348,8 +365,9 @@ def test_exact_bound_failure_reasons() -> None:
         page = invariant_page(A1, 3, s, f, lam, mu_set, 2)
         assert exact_bound_failure(page) == reason
         if reason is None:
-            bound = exact_bound_value(A1, 3, s, 2, lam)
+            bound = paper_exact_bound(3, s, 2, A1.pairing(lam))
             report = check_weight_bounds(page, "exact")
+            assert report.bound == bound
             assert report.equality_hits == tuple(
                 c for c, _ in page.gammas.items if b_of_weight(A1, c) == bound
             )
@@ -446,8 +464,8 @@ def test_page_refuses_mu_of_the_wrong_rank() -> None:
 
 
 def test_exact_bound_value_refuses_lambda_of_the_wrong_rank() -> None:
-    with pytest.raises(InputError, match="weight has 1 coordinates, A2 needs 2"):
-        exact_bound_value(A2, 3, 1, 2, Weight((1,)))
+    with pytest.raises(InputError, match="lambda has wrong rank for A2"):
+        invariant_page(A2, 3, 1, 0, Weight((1,)), WeightMultiset.trivial(A2), 2)
 
 
 def test_dyadic_sharpness_examples() -> None:
@@ -578,6 +596,9 @@ def test_page_lookup_matches_brute_force(data) -> None:
         page = invariant_page(rs, p, s, f, rs.weight(lam), mu_set, m)
         assert page.gammas.as_dict() == expected
         if exact_bound_failure(page) is None:
-            bound = exact_bound_value(rs, p, s, m, page.lam)
-            hits = tuple(g for g in sorted(expected) if b_of_weight(rs, g) == bound)
-            assert check_weight_bounds(page, "exact").equality_hits == hits
+            bound = paper_exact_bound(p, s, m, rs.pairing(lam))
+            report = check_weight_bounds(page, "exact")
+            assert report.bound == bound
+            assert report.equality_hits == tuple(
+                g for g in sorted(expected) if b_of_weight(rs, g) == bound
+            )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -13,7 +14,6 @@ from chevbounds.modchar import (
     _orbit,
     _orbit_size,
     _stabilizer_orbits,
-    combine,
     graded_power,
     nilradical_dual_weights,
     weyl_character,
@@ -31,13 +31,26 @@ def test_multiset_construction() -> None:
     assert ws.items == (((0, 1), 1), ((1, 0), 2))
     assert ws.total_dimension == 3
     assert ws.support_size == 2
-    assert ws.multiplicity((1, 0)) == 2
-    assert ws.multiplicity((5, 5)) == 0
+    assert ws.as_dict().get((1, 0), 0) == 2
+    assert ws.as_dict().get((5, 5), 0) == 0
     assert not ws.is_empty()
     assert WeightMultiset.trivial(A2).items == (((0, 0), 1),)
-    assert WeightMultiset.single(A2, A2.fundamental_weight(1), 3).items == (
-        ((1, 0), 3),
-    )
+    assert WeightMultiset.from_dict({A2.fundamental_weight(1): 3}).items == (((1, 0), 3),)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({(0.0,): 1}, "Weight coordinates must be a tuple of integers"),
+        ({"ab": 1}, "Weight coordinates must be a tuple of integers"),
+        ({(1,): 1.5}, r"multiplicity of \(1,\) must be an integer, got 1.5"),
+        ({(1,): Fraction(1, 2)}, r"multiplicity of \(1,\) must be an integer, got Fraction"),
+    ],
+    ids=["float coordinate", "string coordinate", "float multiplicity", "Fraction multiplicity"],
+)
+def test_from_dict_refuses_what_is_not_an_integer(table, message) -> None:
+    with pytest.raises(InputError, match=message):
+        WeightMultiset.from_dict(table)
 
 
 def test_nilradical_dual_weights() -> None:
@@ -52,16 +65,17 @@ def test_small_characters() -> None:
 
     adjoint = weyl_character(A2, A2.weight((1, 1)))
     assert adjoint.total_dimension == 8
-    assert adjoint.multiplicity((0, 0)) == 2
+    assert adjoint.as_dict()[(0, 0)] == 2
     assert adjoint.support_size == 7
 
 
 def test_characters_are_weyl_symmetric() -> None:
     for rs, coords in ((A2, (1, 1)), (B2, (1, 1))):
         ch = weyl_character(rs, rs.weight(coords))
+        table = ch.as_dict()
         for w, mult in ch.items:
             for i in range(rs.rank):
-                assert ch.multiplicity(rs.reflect(w, i)) == mult
+                assert table.get(rs.reflect(w, i), 0) == mult
 
 
 def test_dimensions_match_weyl_formula() -> None:
@@ -124,22 +138,6 @@ def test_graded_power_dimensions() -> None:
         assert graded_power("ext", nil, k).total_dimension == comb(n, k)
 
 
-def test_combine() -> None:
-    ch = weyl_character(A1, A1.fundamental_weight(1))
-    out = combine(ch, ch, 2, 3)
-    assert out.as_dict() == {(10,): 1, (8,): 1, (-8,): 1, (-10,): 1}
-
-    nil = nilradical_dual_weights(A2)
-    sq = combine(nil, nil, 0, 2)
-    assert sq.total_dimension == 9
-    assert sq.multiplicity((1, 1)) == 2
-
-
-def test_combine_refuses_weights_of_different_ranks() -> None:
-    with pytest.raises(InputError, match="different ranks"):
-        combine(nilradical_dual_weights(A2), nilradical_dual_weights(A1), 1, 3)
-
-
 def test_graded_power_refuses_weights_of_different_ranks() -> None:
     mixed = WeightMultiset.from_dict({(1,): 1, (1, 2): 1})
     for kind in ("sym", "ext"):
@@ -159,16 +157,6 @@ def test_resource_caps() -> None:
         match=r"^graded power sym\^9 working set reached \d+ distinct weights, " + knob.format(5),
     ):
         graded_power("sym", nilradical_dual_weights(B2), 9, cap=5)
-    # combine's cap is its number of distinct weights.
-    nil = nilradical_dual_weights(B2)
-    full = combine(nil, nil, 1, 3)
-    assert combine(nil, nil, 1, 3, cap=full.support_size) == full
-    with pytest.raises(
-        ResourceLimitError,
-        match=r"^combine working set reached \d+ distinct weights, "
-        + knob.format(full.support_size - 1),
-    ):
-        combine(nil, nil, 1, 3, cap=full.support_size - 1)
 
 
 def test_graded_power_cap_is_checked_inside_the_fold() -> None:

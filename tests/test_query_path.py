@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction as Q
+from itertools import count
 from operator import add
 
 import pytest
@@ -26,7 +27,6 @@ from chevbounds.e1oracle import (
     check_bs_vanishing,
     check_weight_bounds,
     exact_bound_failure,
-    exact_bound_value,
     invariant_page,
 )
 from chevbounds.errors import InputError
@@ -76,11 +76,21 @@ def oracle_gammas(rs, p, s, f, lam, mu_set, m) -> WeightMultiset:
 
 
 def oracle_check(page, which: str) -> dict:
-    """The bound report's fields by b_of_weight per weight and Fraction comparison."""
+    """The bound report's fields by b_of_weight per weight and Fraction comparison.
+
+    The exact bound is the paper's formula in d = d(lambda), with t the number
+    of base-p digits of d and top the leading one.
+    """
     rs, p, s, f, m = page.system, page.p, page.s, page.f, page.m
     b_mu = max(b_of_weight(rs, c) for c, _ in page.mu_set.items)
     if which == "exact":
-        bound = exact_bound_value(rs, p, s, m, page.lam)
+        d = rs.pairing(page.lam)
+        t = next(k for k in count() if p**k > d)
+        top = d // p ** (t - 1)
+        if p == 2:
+            bound = m - (s - t)
+        else:
+            bound = min(m - (s - t + 1) * (p - 2) + top, m - (s - t) * (p - 2))
     else:
         q = p ** (s + f)
         bound = Q(p**s * b_mu + b_of_weight(rs, page.lam.coords) + m * q, q)

@@ -8,6 +8,7 @@ import pytest
 from chevbounds.errors import InputError, OracleError
 from chevbounds.rootsys import (
     MAX_CLASSICAL_RANK,
+    RootSystem,
     Weight,
     _adjugate_and_det,
     _cartan_and_lengths,
@@ -67,12 +68,18 @@ def test_root_coords_are_integral_and_positive(family: str, rank: int) -> None:
 
 
 def test_fundamental_group_invariants() -> None:
-    assert build_root_system("A", 3).fundamental_group_invariants == (4,)
-    assert build_root_system("D", 4).fundamental_group_invariants == (2, 2)
-    assert build_root_system("D", 5).fundamental_group_invariants == (4,)
-    assert build_root_system("E", 6).fundamental_group_invariants == (3,)
-    assert build_root_system("E", 8).fundamental_group_invariants == (1,)
-    assert build_root_system("G", 2).fundamental_group_invariants == (1,)
+    # The classification of X(T) / (root lattice) (Bourbaki, Lie VI, Plate I-IX).
+    exceptional = {("E", 6): (3,), ("E", 7): (2,), ("E", 8): (1,), ("F", 4): (1,), ("G", 2): (1,)}
+    for family, rank in SUPPORTED_SYSTEMS:
+        if family == "A":
+            expected = (rank + 1,)
+        elif family in "BC":
+            expected = (2,)
+        elif family == "D":
+            expected = (2, 2) if rank % 2 == 0 else (4,)
+        else:
+            expected = exceptional[(family, rank)]
+        assert build_root_system(family, rank).fundamental_group_invariants == expected
 
 
 def test_highest_roots() -> None:
@@ -177,8 +184,8 @@ def test_pairing_against_cartan_matrix() -> None:
 def test_root_basis_round_trip() -> None:
     rs = build_root_system("C", 3)
     for root in rs.positive_roots:
-        frac = rs.root_basis_coords(Weight(root.omega_coords))
-        assert tuple(int(x) for x in frac) == root.root_coords
+        frac = tuple(Q(x, rs.cartan_det) for x in rs.root_basis_scaled(root.omega_coords))
+        assert frac == root.root_coords
     scaled = rs.root_basis_scaled((1, 0, 0))
     assert all(isinstance(x, int) for x in scaled)
 
@@ -267,3 +274,27 @@ def test_integer_adjugate_on_every_supported_system() -> None:
 def test_integer_adjugate_refuses_a_zero_pivot() -> None:
     with pytest.raises(OracleError, match="leading principal minor 1"):
         _adjugate_and_det([[0, 1], [1, 0]])
+
+
+def _d_from_root_coords(rs: RootSystem, rc: tuple[Q, ...]) -> Q:
+    """Case formula for d(lambda) = <lambda, highest-coroot> from root-basis coordinates."""
+    fam, n = rs.family, rs.rank
+    if fam == "A":
+        return 2 * rc[0] if n == 1 else rc[0] + rc[n - 1]
+    if fam in ("C", "F") or (fam, n) == ("E", 7):
+        return rc[0]
+    if fam in ("B", "D", "G") or (fam, n) == ("E", 6):
+        return rc[1]
+    if (fam, n) == ("E", 8):
+        # The highest root is the 8th fundamental weight.
+        return rc[7]
+    raise OracleError(f"no d(lambda) case for {rs.name}")
+
+
+def test_pairing_matches_the_case_formula_for_d() -> None:
+    for family, rank in SUPPORTED_SYSTEMS:
+        rs = build_root_system(family, rank)
+        for i in range(1, rank + 1):
+            coords = rs.fundamental_weight(i).coords
+            rc = tuple(Q(x, rs.cartan_det) for x in rs.root_basis_scaled(coords))
+            assert rs.pairing(coords) == _d_from_root_coords(rs, rc), (rs.name, i)

@@ -5,19 +5,18 @@ from math import isqrt
 
 import pytest
 
+from chevbounds.bounds import _module_stats
 from chevbounds.errors import InputError
 from chevbounds.modchar import WeightMultiset
 from chevbounds.primes import PRIME_CERTIFIED_BELOW, require_prime
-from chevbounds.rootsys import build_root_system
+from chevbounds.rootsys import RootSystem, build_root_system
 from chevbounds.weightcomb import (
     b_invariant,
     b_of_weight,
     ceil_log,
     floor_log,
-    lambda_stats,
     order_in_fundamental_group,
     p_adic_digits,
-    pair_with_coroot,
     structural_constants,
     t_invariant,
 )
@@ -89,18 +88,6 @@ def test_p_adic_digits() -> None:
         assert sum(d * 5**i for i, d in enumerate(digits)) == n
 
 
-def test_pair_with_coroot() -> None:
-    a2 = build_root_system("A", 2)
-    w1 = a2.fundamental_weight(1)
-    alpha1 = a2.simple_roots[0].coords
-    assert pair_with_coroot(a2, w1, alpha1) == 1
-    assert pair_with_coroot(a2, w1, a2.simple_roots[1].coords) == 0
-    assert pair_with_coroot(a2, w1, tuple(-c for c in alpha1)) == -1
-    assert pair_with_coroot(a2, w1, (1, 1)) == 1  # the highest root
-    with pytest.raises(InputError):
-        pair_with_coroot(a2, w1, (2, 0))  # 2*omega_1 is not a root
-
-
 def test_b_invariant_single_weights() -> None:
     a1 = build_root_system("A", 1)
     rep = b_invariant(a1, WeightMultiset.from_dict({(-1,): 1}))
@@ -138,35 +125,34 @@ def test_structural_constants_table() -> None:
         assert structural_constants(build_root_system(family, rank)) == pair
 
 
+def _c_and_t_p(rs: RootSystem, coords: tuple[int, ...], p: int) -> tuple[Q, int]:
+    """c(lambda) and t_p(lambda): the module statistics of the one weight lambda."""
+    return _module_stats(rs, WeightMultiset.from_dict({coords: 1}), p)
+
+
 def test_lambda_stats_examples() -> None:
     a1 = build_root_system("A", 1)
-    stats = lambda_stats(a1, (1,), 2)
-    assert stats.c_lambda == Q(1, 2)
-    assert stats.d_lambda == 1
-    assert stats.t_p_lambda == 2
-    assert stats.order_in_fundamental_group == 2
+    assert _c_and_t_p(a1, (1,), 2) == (Q(1, 2), 2)
+    assert a1.pairing((1,)) == 1
+    assert order_in_fundamental_group(a1, (1,)) == 2
 
     a2 = build_root_system("A", 2)
-    stats2 = lambda_stats(a2, (1, 0), 3)
-    assert stats2.c_lambda == Q(2, 3)
-    assert stats2.d_lambda == 1
-    assert stats2.t_p_lambda == 3
-
-    with pytest.raises(InputError):
-        lambda_stats(a2, (-1, 0), 3)
+    assert _c_and_t_p(a2, (1, 0), 3) == (Q(2, 3), 3)
+    assert a2.pairing((1, 0)) == 1
+    assert order_in_fundamental_group(a2, (1, 0)) == 3
 
 
 def test_d_at_most_c_outside_type_a() -> None:
     for family, rank in (("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)):
         rs = build_root_system(family, rank)
         for i in range(1, rank + 1):
-            stats = lambda_stats(rs, rs.fundamental_weight(i), 2)
-            assert stats.d_lambda <= stats.c_lambda
+            coords = rs.fundamental_weight(i).coords
+            assert rs.pairing(coords) <= _c_and_t_p(rs, coords, 2)[0]
     for rank in (1, 2, 3, 4):
         rs = build_root_system("A", rank)
         for i in range(1, rank + 1):
-            stats = lambda_stats(rs, rs.fundamental_weight(i), 2)
-            assert stats.d_lambda <= 2 * stats.c_lambda
+            coords = rs.fundamental_weight(i).coords
+            assert rs.pairing(coords) <= 2 * _c_and_t_p(rs, coords, 2)[0]
 
 
 def test_order_in_fundamental_group() -> None:
