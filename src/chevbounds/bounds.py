@@ -258,81 +258,44 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
     if b_m < 0:
         raise InputError(f"b_m must be non-negative, got {b_m}")
     f_val = t_invariant(b_m, p)
-    echo = {"p": p, "m": m, "b_m": b_m}
-
+    base_e = Q(m) if p == 2 else Q(m, p - 2)
+    improves = f"improves T811 (e = {base_e})"
+    r_min = None  # set only by the two special forms
     if p == 2:
-        e = Q(m)
-        return ThresholdReport(
-            theorem_tag="T811",
-            e=e,
-            f=f_val,
-            s_min=e,
-            r_min=m + f_val + 1,
-            conditions=("base rule: e = m at p = 2",),
-            inputs_echo=echo,
-        )
-
-    base_e = Q(m, p - 2)
-    if m == 1:
+        tag, e, conditions = "T811", base_e, ("base rule: e = m at p = 2",)
+    elif m == 1:
+        tag, e = "T821", Q(0)
         conditions = ["T821 override: degree-1 case at an odd prime gives e = 0"]
-        r_min = f_val + 1
-        if _is_a1(rs):
-            if p == 3:
-                r_min = max(r_min, 2)
-                conditions.append("type A1 with p = 3 additionally needs r >= 2")
-            else:
-                conditions.append("type A1 needs p >= 5: satisfied")
-        conditions.append(f"improves T811 (e = {base_e})")
-        return ThresholdReport(
-            theorem_tag="T821",
-            e=Q(0),
-            f=f_val,
-            s_min=Q(0),
-            r_min=r_min,
-            conditions=tuple(conditions),
-            inputs_echo=echo,
+        if _is_a1(rs) and p == 3:
+            r_min = max(f_val + 1, 2)
+            conditions.append("type A1 with p = 3 additionally needs r >= 2")
+        elif _is_a1(rs):
+            conditions.append("type A1 needs p >= 5: satisfied")
+        conditions.append(improves)
+    elif not _is_a1(rs):
+        tag, e, conditions = "T811", base_e, ("base rule: e = m/(p-2) at an odd prime",)
+    elif p >= 5:
+        tag, e = "T831", Q(ceil(Q(m - 1, p - 2)))
+        conditions = (
+            "T831 override, part a: type A1 with p >= 5 gives e = ceil((m-1)/(p-2))",
+            improves,
         )
-
-    if _is_a1(rs):
-        if p >= 5:
-            e = Q(ceil(Q(m - 1, p - 2)))
-            return ThresholdReport(
-                theorem_tag="T831",
-                e=e,
-                f=f_val,
-                s_min=e,
-                r_min=int(e) + f_val + 1,
-                conditions=(
-                    "T831 override, part a: type A1 with p >= 5 gives "
-                    "e = ceil((m-1)/(p-2))",
-                    f"improves T811 (e = {base_e})",
-                ),
-                inputs_echo=echo,
-            )
-        e = Q(max(m - 1, 0))
+    else:
+        tag, e = "T831", Q(max(m - 1, 0))
         r_min = max(m + 1 + floor_log(3, b_m + 1), 1)
-        return ThresholdReport(
-            theorem_tag="T831",
-            e=e,
-            f=f_val,
-            s_min=e,
-            r_min=r_min,
-            conditions=(
-                "T831 override, part b: type A1 with p = 3 gives s >= m-1 "
-                "and r >= m+1+floor(log3(b_m+1))",
-                "special form: r_min uses a floor, not floor(e)+f+1",
-            ),
-            inputs_echo=echo,
+        conditions = (
+            "T831 override, part b: type A1 with p = 3 gives s >= m-1 "
+            "and r >= m+1+floor(log3(b_m+1))",
+            "special form: r_min uses a floor, not floor(e)+f+1",
         )
-
     return ThresholdReport(
-        theorem_tag="T811",
-        e=base_e,
+        theorem_tag=tag,
+        e=e,
         f=f_val,
-        s_min=base_e,
-        r_min=floor(base_e) + f_val + 1,
-        conditions=("base rule: e = m/(p-2) at an odd prime",),
-        inputs_echo=echo,
+        s_min=e,
+        r_min=floor(e) + f_val + 1 if r_min is None else r_min,
+        conditions=tuple(conditions),
+        inputs_echo={"p": p, "m": m, "b_m": b_m},
     )
 
 
@@ -416,6 +379,7 @@ def compare_thresholds(
     rs: RootSystem, p: int, m: int, module: WeightMultiset
 ) -> ComparisonReport:
     """Compare the generic thresholds against the structural-constant ones."""
+    require_prime(p)  # before the module scan, which divides by p
     if module.is_empty():
         raise InputError("compare_thresholds needs a non-empty module multiset")
     b_m = b_invariant(rs, module).value

@@ -180,10 +180,7 @@ def _resolve_module(
             table[coords] = table.get(coords, 0) + mult
         return WeightMultiset.from_dict(table)
     if weight is not None:
-        lam = rs.weight(_parse_coords(rs, weight))
-        if not lam.is_dominant():
-            raise InputError("--weight must be dominant to induce a character")
-        return weyl_character(rs, lam, cap)
+        return weyl_character(rs, _parse_coords(rs, weight), cap)
     return WeightMultiset.trivial(rs)
 
 
@@ -204,42 +201,41 @@ def _cap(args: argparse.Namespace) -> int:
     return DEFAULT_ENTRY_CAP
 
 
+# A handler's report body and whether it found a violation (exit 1).
+_Report = tuple[dict[str, Any], bool]
+
+
 def _threshold_doc(report) -> dict[str, Any]:
     return {
         "theorem": report.theorem_tag,
-        "e": _jsonable(report.e),
+        "e": report.e,
         "f": report.f,
-        "s_min": _jsonable(report.s_min),
+        "s_min": report.s_min,
         "r_min": report.r_min,
-        "conditions": list(report.conditions),
-        "echo": _jsonable(report.inputs_echo),
+        "conditions": report.conditions,
+        "echo": report.inputs_echo,
     }
 
 
-def _cmd_info(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
+def _cmd_info(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
     c, t = structural_constants(rs)
-    doc = {
-        "schema": SCHEMA,
-        "command": "info",
+    return {
         "type": rs.name,
         "rank": rs.rank,
         "positive_roots": len(rs.positive_roots),
         "h": rs.coxeter_number,
         "h_dual": rs.dual_coxeter_number,
         "det": rs.cartan_det,
-        "fundamental_group": list(rs.fundamental_group_invariants),
+        "fundamental_group": rs.fundamental_group_invariants,
         "c": c,
         "t": t,
         "ct": c * t,
         "highest_root": rs.highest_root,
-    }
-    return {k: _jsonable(v) for k, v in doc.items()}, (), False
+    }, False
 
 
-def _cmd_vanish_range(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    if args.r < 1:
-        raise InputError("--r must be positive")
+def _cmd_vanish_range(args: argparse.Namespace) -> _Report:
     upper = finite_group_vanishing_range(args.p, args.r)
     # Python before 3.10.7 has no limit and no getter.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_INT_DIGITS
@@ -250,143 +246,116 @@ def _cmd_vanish_range(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[s
     q = 0 if too_long else args.p**args.r
     if too_long or (q.bit_length() > 3 * digits and q >= 10**digits):
         raise InputError(f"q = p^r has more than {digits} digits; use a smaller --r")
-    doc = {
-        "schema": SCHEMA,
-        "command": "vanish-range",
+    return {
         "theorem": "T711",
         "p": args.p,
         "r": args.r,
         "q": q,
         "upper": upper,
         "statement": f"H^m(G(F_q),k)=0 for 0<m<{upper}",
-    }
-    return doc, ("statement",), False
+    }, False
 
 
-def _cmd_generic(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
+def _cmd_generic(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
     module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
     b_m = b_invariant(rs, module).value
-    report = generic_thresholds(rs, args.p, args.m, b_m)
-    doc = {"schema": SCHEMA, "command": "generic"}
-    doc.update(_threshold_doc(report))
-    doc["b_M"] = b_m
-    return doc, (), False
+    return {**_threshold_doc(generic_thresholds(rs, args.p, args.m, b_m)), "b_M": b_m}, False
 
 
-def _cmd_compare(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
+def _cmd_compare(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
     if args.m < 1:
         raise InputError("compare needs --m at least 1")
     module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
     report = compare_thresholds(rs, args.p, args.m, module)
-    doc = {
-        "schema": SCHEMA,
-        "command": "compare",
+    return {
         "bnp": _threshold_doc(report.bnp),
         "cpsvdk": _threshold_doc(report.cpsvdk),
         "f_delta": report.f_delta,
-        "e_delta": _jsonable(report.e_delta),
+        "e_delta": report.e_delta,
         "exception": report.exception_flag,
-        "notes": list(report.notes),
-    }
-    return doc, (), False
+        "notes": report.notes,
+    }, False
 
 
-def _cmd_stability(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
+def _cmd_stability(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
-    if args.m < 0:
-        raise InputError("--m must be non-negative")
     report = stability_constants(rs, args.p, args.m)
-    doc = {
-        "schema": SCHEMA,
-        "command": "stability",
-        "theorems": ["T511", "T521"],
+    return {
+        "theorems": ("T511", "T521"),
         "type": rs.name,
         "p": args.p,
         "m": args.m,
-        "C": _jsonable(report.c_stability),
-        "F": _jsonable(report.f_stability),
-        "notes": list(report.notes),
-    }
-    return doc, (), False
+        "C": report.c_stability,
+        "F": report.f_stability,
+        "notes": report.notes,
+    }, False
 
 
-def _cmd_verify_e1(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
+def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
     cap = _cap(args)
-    lam = rs.zero if args.weight is None else rs.weight(_parse_coords(rs, args.weight))
+    lam = rs.zero if args.weight is None else Weight(_parse_coords(rs, args.weight))
     mu_set = _resolve_module(rs, args.module_weight, None, cap)
     page = invariant_page(rs, args.p, args.s, args.f, lam, mu_set, args.m, cap=cap)
     bs_vanish_variants(args.p, args.variant)  # refuse the variant even if unused
-    doc: dict[str, Any] = {
-        "schema": SCHEMA,
-        "command": "verify-e1",
+    rough = check_weight_bounds(page, "rough")
+    body: dict[str, Any] = {
         "type": rs.name,
         "p": args.p,
         "s": args.s,
         "f": args.f,
         "m": args.m,
-        "lambda": _jsonable(lam),
+        "lambda": lam,
         "mu": " ".join(f"{','.join(map(str, c))}:{n}" for c, n in mu_set.items),
         "page_size": page.gammas.total_dimension,
-        "gammas": " ".join(
-            f"{','.join(map(str, c))}:{n}" for c, n in page.gammas.items
-        ),
+        "gammas": " ".join(f"{','.join(map(str, c))}:{n}" for c, n in page.gammas.items),
+        "rough_bound": rough.bound,
+        "rough_pass": rough.passed,
     }
-    rough = check_weight_bounds(page, "rough")
-    doc["rough_bound"] = _jsonable(rough.bound)
-    doc["rough_pass"] = rough.passed
     failed = not rough.passed
 
     exact_ok = exact_bound_failure(page) is None
-    doc["exact_applicable"] = exact_ok
+    body["exact_applicable"] = exact_ok
     if exact_ok:
         exact = check_weight_bounds(page, "exact")
-        doc["exact_bound"] = _jsonable(exact.bound)
-        doc["exact_pass"] = exact.passed
-        doc["equality_hits"] = len(exact.equality_hits)
-        doc["equality_consistent"] = exact.equality_consistent
+        body["exact_bound"] = exact.bound
+        body["exact_pass"] = exact.passed
+        body["equality_hits"] = len(exact.equality_hits)
+        body["equality_consistent"] = exact.equality_consistent
         failed = failed or not exact.passed
 
     if bs_vanishing_failure(rs, lam, args.s, args.f) is None:
         vanish = check_bs_vanishing(
             rs, args.p, lam, args.s, args.m, cap=cap, variant=args.variant
         )
-        doc["vanish_theorems"] = list(vanish.theorems)
-        doc["vanish_thresholds"] = [_jsonable(thr) for _, thr in vanish.thresholds]
-        doc["vanish_met"] = vanish.met
-        doc["vanish_page_empty"] = vanish.page_empty
-        doc["vanish_consistent"] = vanish.consistent
+        body["vanish_theorems"] = vanish.theorems
+        body["vanish_thresholds"] = [thr for _, thr in vanish.thresholds]
+        body["vanish_met"] = vanish.met
+        body["vanish_page_empty"] = vanish.page_empty
+        body["vanish_consistent"] = vanish.consistent
         failed = failed or not vanish.consistent
 
-    doc["verdict"] = "fail" if failed else "ok"
-    return doc, (), failed
+    body["verdict"] = "fail" if failed else "ok"
+    return body, failed
 
 
-def _cmd_verify_lemma61(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
+def _cmd_verify_lemma61(args: argparse.Namespace) -> _Report:
     if args.max < 1:
         raise InputError("--max must be positive")
     primes = (2, 3, 5, 7)
     counterexamples = lemma61_scan(args.max, primes, _cap(args))
-    doc = {
-        "schema": SCHEMA,
-        "command": "verify-lemma61",
-        "primes": list(primes),
+    return {
+        "primes": primes,
         "max": args.max,
         "counterexamples": len(counterexamples),
         "summary": f"{len(counterexamples)} counterexamples over "
         f"{len(primes)}×{args.max}³ grid",
-    }
-    return doc, ("summary",), bool(counterexamples)
+    }, bool(counterexamples)
 
 
-def emit_table(kind: str, fmt: str = "text") -> str:
-    """Render one static reference table in the requested format."""
-    return _render(_table_doc(kind), fmt)
-
-
-def _table_doc(kind: str) -> dict[str, Any]:
+def _table_body(kind: str) -> dict[str, Any]:
     if kind not in TABLE_KINDS:
         raise InputError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
     if kind == "structural":
@@ -395,16 +364,70 @@ def _table_doc(kind: str) -> dict[str, Any]:
         header, rows, note = COMPARISON_HEADER, COMPARISON_P2_ROWS, COMPARISON_NOTE
     else:
         header, rows, note = COMPARISON_HEADER, COMPARISON_ODD_ROWS, COMPARISON_NOTE
-    doc: dict[str, Any] = {"schema": SCHEMA, "command": "table", "kind": kind}
+    body: dict[str, Any] = {"kind": kind}
     if note:
-        doc["note"] = note
-    doc["header"] = list(header)
-    doc["rows"] = [dict(zip(header, row)) for row in rows]
-    return doc
+        body["note"] = note
+    body["header"] = header
+    body["rows"] = [dict(zip(header, row)) for row in rows]
+    return body
 
 
-def _cmd_table(args: argparse.Namespace) -> tuple[dict[str, Any], tuple[str, ...], bool]:
-    return _table_doc(args.kind), (), False
+def _cmd_table(args: argparse.Namespace) -> _Report:
+    return _table_body(args.kind), False
+
+
+def _document(command: str, body: dict[str, Any]) -> dict[str, Any]:
+    """One report as JSON-ready values, headed by the schema and the command."""
+    return _jsonable({"schema": SCHEMA, "command": command, **body})
+
+
+def emit_table(kind: str, fmt: str = "text") -> str:
+    """Render one static reference table in the requested format."""
+    return _render(_document("table", _table_body(kind)), fmt)
+
+
+# Every flag a subcommand may take, with its add_argument keywords.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--type": dict(required=True, help="root system, e.g. A5 or G2"),
+    "--p": dict(type=int, required=True, help="prime"),
+    "--r": dict(type=int, required=True, help="Frobenius power / field exponent"),
+    "--s": dict(type=int, default=1, help="twist height (default 1)"),
+    "--f": dict(type=int, default=0, help="extra height (default 0)"),
+    "--m": dict(type=int, required=True, help="cohomological degree"),
+    "--weight": dict(help="fundamental-weight coordinates, e.g. 1,0,2"),
+    "--module-weight": dict(action="append", help="module weight entry coords[:mult], repeatable"),
+    "--variant": dict(choices=("a", "b", "c"), help="threshold clause"),
+    "--max": dict(type=int, default=12, help="scan bound (default 12)"),
+    "--cap": dict(type=int, help="size cap: multiset entries, or lemma61 grid cells"),
+    "kind": dict(nargs="?", default="structural", choices=TABLE_KINDS),
+    "--format": dict(
+        choices=("text", "json", "csv"), default="text", help="output format (default text)"
+    ),
+}
+
+_MODULE_FLAGS = ("--type", "--p", "--m", "--weight", "--module-weight", "--cap")
+
+# Each subcommand: its handler, its help, its flags before --format, and the
+# string fields printed as bare sentence lines in text mode.
+_COMMANDS = {
+    "info": (_cmd_info, "root-system constants", ("--type",), ()),
+    "vanish-range": (
+        _cmd_vanish_range, "trivial-coefficient vanishing range", ("--p", "--r"), ("statement",)
+    ),
+    "generic": (_cmd_generic, "generic-cohomology thresholds", _MODULE_FLAGS, ()),
+    "compare": (_cmd_compare, "threshold comparison against CPSVDK", _MODULE_FLAGS, ()),
+    "stability": (_cmd_stability, "stability constants", ("--type", "--p", "--m"), ()),
+    "verify-e1": (
+        _cmd_verify_e1,
+        "brute-force page verification",
+        ("--type", "--p", "--s", "--f", "--m", "--weight", "--module-weight", "--variant", "--cap"),
+        (),
+    ),
+    "verify-lemma61": (
+        _cmd_verify_lemma61, "exhaustive inequality scan", ("--max", "--cap"), ("summary",)
+    ),
+    "table": (_cmd_table, "static reference tables", ("kind",), ()),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -413,79 +436,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact root-system bounds, thresholds, and page verifications.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser, *names: str) -> None:
-        if "type" in names:
-            p.add_argument("--type", required=True, help="root system, e.g. A5 or G2")
-        if "p" in names:
-            p.add_argument("--p", type=int, required=True, help="prime")
-        if "r" in names:
-            p.add_argument(
-                "--r", type=int, required=True, help="Frobenius power / field exponent"
-            )
-        if "s" in names:
-            p.add_argument("--s", type=int, default=1, help="twist height (default 1)")
-        if "f" in names:
-            p.add_argument("--f", type=int, default=0, help="extra height (default 0)")
-        if "m" in names:
-            p.add_argument("--m", type=int, required=True, help="cohomological degree")
-        if "weight" in names:
-            p.add_argument("--weight", help="fundamental-weight coordinates, e.g. 1,0,2")
-        if "module-weight" in names:
-            p.add_argument(
-                "--module-weight",
-                action="append",
-                help="module weight entry coords[:mult], repeatable",
-            )
-        if "variant" in names:
-            p.add_argument("--variant", choices=("a", "b", "c"), help="threshold clause")
-        if "max" in names:
-            p.add_argument("--max", type=int, default=12, help="scan bound (default 12)")
-        if "cap" in names:
-            p.add_argument(
-                "--cap", type=int, help="size cap: multiset entries, or lemma61 grid cells"
-            )
-        p.add_argument(
-            "--format",
-            choices=("text", "json", "csv"),
-            default="text",
-            help="output format (default text)",
-        )
-
-    common(sub.add_parser("info", help="root-system constants"), "type")
-    common(sub.add_parser("vanish-range", help="trivial-coefficient vanishing range"), "p", "r")
-    common(
-        sub.add_parser("generic", help="generic-cohomology thresholds"),
-        "type", "p", "m", "weight", "module-weight", "cap",
-    )
-    common(
-        sub.add_parser("compare", help="threshold comparison against CPSVDK"),
-        "type", "p", "m", "weight", "module-weight", "cap",
-    )
-    common(sub.add_parser("stability", help="stability constants"), "type", "p", "m")
-    common(
-        sub.add_parser("verify-e1", help="brute-force page verification"),
-        "type", "p", "s", "f", "m", "weight", "module-weight", "variant", "cap",
-    )
-    common(
-        sub.add_parser("verify-lemma61", help="exhaustive inequality scan"), "max", "cap"
-    )
-    table = sub.add_parser("table", help="static reference tables")
-    table.add_argument("kind", nargs="?", default="structural", choices=TABLE_KINDS)
-    table.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "--format"):
+            command.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_DISPATCH = {
-    "info": _cmd_info,
-    "vanish-range": _cmd_vanish_range,
-    "generic": _cmd_generic,
-    "compare": _cmd_compare,
-    "stability": _cmd_stability,
-    "verify-e1": _cmd_verify_e1,
-    "verify-lemma61": _cmd_verify_lemma61,
-    "table": _cmd_table,
-}
 
 
 def run(argv: Sequence[str]) -> int:
@@ -493,8 +448,10 @@ def run(argv: Sequence[str]) -> int:
         args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    handler, _, _, raw_keys = _COMMANDS[args.subcommand]
     try:
-        doc, raw_keys, failed = _DISPATCH[args.subcommand](args)
+        body, failed = handler(args)
+        doc = _document(args.subcommand, body)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -95,7 +95,7 @@ class WeightMultiset:
         """The multiset with these integer coordinates and multiplicities."""
         cleaned = {}
         for coords, mult in table.items():
-            key = (coords if isinstance(coords, Weight) else Weight(tuple(coords))).coords
+            key = Weight.of(coords).coords
             if not isinstance(mult, int):
                 raise InputError(f"multiplicity of {key} must be an integer, got {mult!r}")
             if mult < 0:

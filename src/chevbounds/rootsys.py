@@ -3,8 +3,8 @@
 Weights are stored by their coordinates in the fundamental-weight basis, so
 the i-th coordinate of a weight sigma is the integer <sigma, alpha_i-vee>.
 Simple roots are numbered in the standard Bourbaki order.  All derived data
-(positive roots, Weyl vector, Coxeter numbers, fundamental group) is computed
-from the Cartan matrix with integer arithmetic only.
+(positive roots, Coxeter numbers, fundamental group) is computed from the
+Cartan matrix with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ class Weight:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
+    @staticmethod
+    def of(w: "WeightLike") -> "Weight":
+        """w itself if it is a Weight, else the Weight of its integer entries."""
+        if isinstance(w, Weight):
+            return w
+        try:
+            return Weight(tuple(w))
+        except TypeError:
+            raise InputError(f"a weight is a sequence of integers, got {w!r}") from None
+
 
 WeightLike = Union[Weight, Iterable[int]]
 
@@ -86,8 +96,6 @@ class RootSystem:
     simple_roots: tuple[Weight, ...]
     positive_roots: tuple[Root, ...]
     highest_root: Weight
-    highest_short_root: Weight
-    rho: Weight
     coxeter_number: int
     dual_coxeter_number: int
     fundamental_group_invariants: tuple[int, ...]
@@ -96,7 +104,6 @@ class RootSystem:
     adjugate_columns: tuple[Coords, ...]  # columns of det * inverse Cartan
     cartan_det: int
     highest_root_pairing: Coords  # <omega_i, highest-root-vee>
-    long_positive_roots: tuple[Root, ...]
     w0_word: tuple[int, ...]  # simple reflections driving rho to -rho
 
     @property
@@ -123,7 +130,7 @@ class RootSystem:
 
     def coords_of(self, w: WeightLike) -> Coords:
         """Coordinates of a Weight or an integer sequence, checked against the rank."""
-        coords = w.coords if isinstance(w, Weight) else tuple(w)
+        coords = Weight.of(w).coords
         if len(coords) != self.rank:
             raise InputError(
                 f"weight has {len(coords)} coordinates, {self.name} needs {self.rank}"
@@ -332,7 +339,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     highest = dominant_root(long_roots)
     highest_short = dominant_root(short_roots)
 
-    rho = Weight((1,) * n)
     h = sum(highest_short.coroot_pairing) + 1
     h_dual = sum(highest.coroot_pairing) + 1
 
@@ -341,7 +347,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     # Word for the longest Weyl element, found by driving rho to -rho.
     word: list[int] = []
-    cur = rho.coords
+    cur = (1,) * n
     target = tuple(-1 for _ in range(n))
     while cur != target:
         i = next(k for k, c in enumerate(cur) if c > 0)
@@ -356,8 +362,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         simple_roots=tuple(Weight(row) for row in alpha_rows),
         positive_roots=tuple(roots),
         highest_root=Weight(highest.omega_coords),
-        highest_short_root=Weight(highest_short.omega_coords),
-        rho=rho,
         coxeter_number=h,
         dual_coxeter_number=h_dual,
         fundamental_group_invariants=invariants,
@@ -365,7 +369,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         adjugate_columns=tuple(zip(*adj)),
         cartan_det=det,
         highest_root_pairing=highest.coroot_pairing,
-        long_positive_roots=long_roots,
         w0_word=tuple(word),
     )
 

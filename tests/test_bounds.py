@@ -219,6 +219,43 @@ def test_generic_thresholds_a1_override() -> None:
     assert rep_b.r_min == 3
 
 
+_T821 = "T821 override: degree-1 case at an odd prime gives e = 0"
+
+
+@pytest.mark.parametrize(
+    "system, p, m, b_m, expected",
+    [
+        ("B2", 2, 3, 5, ("T811", 3, 7, ("base rule: e = m at p = 2",))),
+        ("B2", 5, 1, 4, ("T821", 0, 2, (_T821, "improves T811 (e = 1/3)"))),
+        ("A1", 3, 1, 0, ("T821", 0, 2, (
+            _T821, "type A1 with p = 3 additionally needs r >= 2", "improves T811 (e = 1)"
+        ))),
+        ("A1", 7, 1, 3, ("T821", 0, 2, (
+            _T821, "type A1 needs p >= 5: satisfied", "improves T811 (e = 1/5)"
+        ))),
+        ("A1", 5, 5, 7, ("T831", 2, 5, (
+            "T831 override, part a: type A1 with p >= 5 gives e = ceil((m-1)/(p-2))",
+            "improves T811 (e = 5/3)",
+        ))),
+        ("A1", 3, 4, 8, ("T831", 3, 7, (
+            "T831 override, part b: type A1 with p = 3 gives s >= m-1 "
+            "and r >= m+1+floor(log3(b_m+1))",
+            "special form: r_min uses a floor, not floor(e)+f+1",
+        ))),
+        ("G2", 7, 7, 2, ("T811", Q(7, 5), 3, ("base rule: e = m/(p-2) at an odd prime",))),
+    ],
+    ids=[
+        "T811 p=2", "T821 off A1", "T821 A1 p=3", "T821 A1 p>=5",
+        "T831 part a", "T831 part b", "T811 odd p",
+    ],
+)
+def test_generic_thresholds_rule_per_branch(system, p, m, b_m, expected) -> None:
+    rep = generic_thresholds(build_root_system(system[0], int(system[1])), p, m, b_m)
+    assert (rep.theorem_tag, rep.e, rep.r_min, rep.conditions) == expected
+    assert rep.s_min == rep.e
+    assert rep.inputs_echo == {"p": p, "m": m, "b_m": b_m}
+
+
 def test_generic_thresholds_monotone() -> None:
     for rs in (A1, B2):
         for p in (2, 3, 5):

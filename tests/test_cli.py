@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import chevbounds
 from chevbounds.bounds import bs_vanish_threshold
-from chevbounds.cli import DEFAULT_INT_DIGITS, emit_table, run
+from chevbounds.cli import DEFAULT_INT_DIGITS, _parser, emit_table, run
 from chevbounds.errors import InputError
 from chevbounds.rootsys import build_root_system
 from chevbounds.weightcomb import b_of_weight, t_invariant
@@ -344,6 +344,84 @@ def test_json_round_trip(argv, capsys) -> None:
     assert json.dumps(doc, indent=2) == raw.removesuffix("\n")
 
 
+_COMPARE_A1_P3 = (
+    ("bnp.theorem", "T831"),
+    ("bnp.e", "1"),
+    ("bnp.f", "1"),
+    ("bnp.s_min", "1"),
+    ("bnp.r_min", "3"),
+    ("bnp.conditions", "T831 override, part b: type A1 with p = 3 gives s >= m-1 and "
+     "r >= m+1+floor(log3(b_m+1)),special form: r_min uses a floor, not floor(e)+f+1"),
+    ("bnp.echo.p", "3"),
+    ("bnp.echo.m", "2"),
+    ("bnp.echo.b_m", "1"),
+    ("cpsvdk.theorem", "CPSVDK"),
+    ("cpsvdk.e", "1"),
+    ("cpsvdk.f", "1"),
+    ("cpsvdk.s_min", "1"),
+    ("cpsvdk.r_min", "3"),
+    ("cpsvdk.conditions", "f stated in this package's normalization; the source convention "
+     "is one larger (echoed as raw_f),per-weight constants c and t_p taken as maxima over "
+     "the module's weights"),
+    ("cpsvdk.echo.p", "3"),
+    ("cpsvdk.echo.m", "2"),
+    ("cpsvdk.echo.c", "1"),
+    ("cpsvdk.echo.t", "2"),
+    ("cpsvdk.echo.c_m", "1/2"),
+    ("cpsvdk.echo.tpmax", "1"),
+    ("cpsvdk.echo.raw_f", "2"),
+    ("f_delta", "0"),
+    ("e_delta", "0"),
+    ("exception", "true"),
+    ("notes", ""),
+)
+
+
+def _csv_field(value: str) -> str:
+    return f'"{value}"' if "," in value else value
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (
+        ["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "1"],
+        [f"{key}={value}" for key, value in _COMPARE_A1_P3],
+    ),
+    (
+        ["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "1", "--format", "csv"],
+        ["key,value"] + [f"{key},{_csv_field(value)}" for key, value in _COMPARE_A1_P3],
+    ),
+    (
+        ["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "1", "--weight", "1"],
+        [
+            "type=A1", "p=3", "s=1", "f=0", "m=1", "lambda=1", "mu=0:1", "page_size=1",
+            "gammas=1:1", "rough_bound=4/3", "rough_pass=true", "exact_applicable=true",
+            "exact_bound=1", "exact_pass=true", "equality_hits=1",
+            "equality_consistent=true", "vanish_theorems=P241b,P241c",
+            "vanish_thresholds=2,2", "vanish_met=false", "vanish_page_empty=false",
+            "vanish_consistent=true", "verdict=ok",
+        ],
+    ),
+    (
+        ["vanish-range", "--p", "7", "--r", "2"],
+        ["theorem=T711", "p=7", "r=2", "q=49", "upper=10", "H^m(G(F_q),k)=0 for 0<m<10"],
+    ),
+    (
+        ["verify-lemma61", "--max", "6"],
+        ["primes=2,3,5,7", "max=6", "counterexamples=0", "0 counterexamples over 4×6³ grid"],
+    ),
+], ids=["compare text", "compare csv", "verify-e1 text", "vanish-range text", "lemma61 text"])
+def test_whole_stdout(argv: list[str], expected: list[str], capsys) -> None:
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-1"])
+def test_compare_refuses_a_non_prime_before_it_scans_the_module(p: str, capsys) -> None:
+    # p = 1 or -1 once looped forever in the module scan, and p = 0 raised a traceback.
+    assert run(["compare", "--type", "A1", "--p", p, "--m", "1"]) == 2
+    assert capsys.readouterr().err == f"error: p must be prime, got {p}\n"
+
+
 def test_emit_table_unknown_kind() -> None:
     with pytest.raises(InputError):
         emit_table("frieze")
@@ -610,6 +688,19 @@ _FUZZ_WILD = {
     "kind": st.just("none"),
     "format": st.just("xml"),
 }
+
+
+def test_parser_flags_are_the_fuzzed_ones() -> None:
+    # A flag the parser drops or gains fails here, not only in the fuzzer.
+    (subparsers,) = [a for a in _parser()._actions if a.choices and a.dest == "subcommand"]
+    assert list(subparsers.choices) == list(_FUZZ_OPTIONS)
+    for sub, parser in subparsers.choices.items():
+        names = tuple(
+            action.option_strings[0].removeprefix("--") if action.option_strings else action.dest
+            for action in parser._actions
+            if "-h" not in action.option_strings
+        )
+        assert names == _FUZZ_OPTIONS[sub] + ("format",), sub
 
 
 @st.composite

@@ -53,6 +53,14 @@ def test_from_dict_refuses_what_is_not_an_integer(table, message) -> None:
         WeightMultiset.from_dict(table)
 
 
+def test_a_weight_that_is_not_integers_is_bad_input() -> None:
+    for lam in ((1.5,), (2.0,), "2"):
+        with pytest.raises(InputError, match="Weight coordinates must be a tuple of integers"):
+            weyl_character(A1, lam)
+    with pytest.raises(InputError, match="a weight is a sequence of integers, got 1"):
+        WeightMultiset.from_dict({1: 1})
+
+
 def test_nilradical_dual_weights() -> None:
     nil = nilradical_dual_weights(A2)
     assert nil.items == (((-1, 2), 1), ((1, 1), 1), ((2, -1), 1))
