@@ -153,11 +153,7 @@ def _parse_coords(rs: RootSystem, text: str) -> tuple[int, ...]:
         coords = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise InputError(f"bad weight {text!r}: {exc}") from None
-    if len(coords) != rs.rank:
-        raise InputError(
-            f"weight {text!r} has {len(coords)} coordinates, {rs.name} needs {rs.rank}"
-        )
-    return coords
+    return rs.coords_of(coords)
 
 
 def _resolve_module(

@@ -29,7 +29,7 @@ from .modchar import (
     _scale_coords,
 )
 from .primes import require_prime
-from .rootsys import Coords, RootSystem, Weight, build_root_system
+from .rootsys import Coords, RootSystem, Weight, WeightLike, build_root_system
 from .weightcomb import b_invariant, b_of_weight, p_adic_digits, t_invariant
 
 # The page shapes this oracle builds: s + f levels and total degree m.
@@ -119,7 +119,7 @@ def enumerate_tuples(p: int, levels: int, m: int) -> tuple[ExponentTuple, ...]:
 Level = dict[Coords, tuple[tuple[tuple[Coords, int], ...], ...]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _page_level(
     family: str, rank: int, p: int, m: int, cap: int, kind: str
 ) -> tuple[int, Level]:
@@ -185,7 +185,7 @@ def _carry_class(
     return tuple((gamma, mult) for (gamma, _), mult in states.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _page_table(
     family: str, rank: int, p: int, levels: int, m: int, cap: int
 ) -> dict[Coords, tuple[tuple[Coords, int], ...]]:
@@ -194,7 +194,8 @@ def _page_table(
     The w are the summand weights w = r (mod p^levels).  lambda, mu and the
     split of levels into s + f only shift them by one weight and pick one
     residue class, so every such page shares this table.
-    `invariant_page` stores each class it asks for, empty ones included.
+    `invariant_page` stores each class it asks for, empty ones included; the
+    cache bounds the number of tables, not the classes in one.
     """
     return {}
 
@@ -226,7 +227,7 @@ def invariant_page(
     p: int,
     s: int,
     f: int,
-    lam: Weight,
+    lam: WeightLike,
     mu_set: WeightMultiset,
     m: int,
     cap: int = DEFAULT_ENTRY_CAP,
@@ -237,13 +238,12 @@ def invariant_page(
         raise InputError("need s, f >= 0 with s + f >= 1")
     levels = s + f
     _check_page_shape(levels, m)
-    if len(lam.coords) != rs.rank:
-        raise InputError(f"lambda has wrong rank for {rs.name}")
+    lam = Weight.of(lam)
+    lam_coords = rs.coords_of(lam)
     if mu_set.is_empty():
         raise InputError("mu_set must be non-empty; use the trivial multiset")
     q = p**levels
     ps = p**s
-    lam_coords = lam.coords
     table = _page_table(rs.family, rs.rank, p, levels, m, cap)
     gathered: dict[Coords, int] = {}
     for u, mult_u in mu_set.items:
@@ -329,7 +329,7 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
         den = 1
     elif which == "rough":
         den = p ** (page.s + page.f)
-        num = p**page.s * b_mu + b_of_weight(rs, page.lam.coords) + page.m * den
+        num = p**page.s * b_mu + b_of_weight(rs, page.lam) + page.m * den
         bound = Q(num, den)
         t_lam = None
     else:
@@ -355,16 +355,18 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     )
 
 
-def bs_vanishing_failure(rs: RootSystem, lam: Weight, s: int, f: int) -> Optional[str]:
+def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Optional[str]:
     """Why the P241 vanishing check does not apply, or None when it does.
 
     It needs f = 0, s >= 1 and a positive highest-coroot pairing of lambda.
+    A lambda that is not a weight of rs raises InputError.
     """
+    coords = rs.coords_of(lam)
     if f != 0:
         return f"vanishing check needs f = 0, got f = {f}"
     if s < 1:
         return f"kernel height s must be at least 1, got {s}"
-    if rs.pairing(lam) < 1:
+    if rs.pairing(coords) < 1:
         return "vanishing thresholds need a positive highest-coroot pairing"
     return None
 
@@ -392,7 +394,7 @@ class VanishReport:
 def check_bs_vanishing(
     rs: RootSystem,
     p: int,
-    lam: Weight,
+    lam: WeightLike,
     s: int,
     m: int,
     cap: int = DEFAULT_ENTRY_CAP,
@@ -418,7 +420,7 @@ def check_bs_vanishing(
         p=p,
         s=s,
         m=m,
-        lam=lam,
+        lam=page.lam,
         d=d,
         thresholds=thresholds,
         met=met,
@@ -428,7 +430,11 @@ def check_bs_vanishing(
 
 
 def dyadic_sharpness(s: int, f: int) -> bool:
-    """Whether (2^(s+f) - 1) * 2^(s+f-1) has exactly s+f binary ones."""
+    """Whether (2^(s+f) - 1) * 2^(s+f-1) has exactly s+f binary ones.
+
+    In binary that number is k = s+f ones followed by k - 1 zeros, so this
+    holds for every k >= 1; acceptance criterion 6 pins it as a regression check.
+    """
     if s < 0 or f < 0 or s + f < 1:
         raise InputError("need s, f >= 0 with s + f >= 1")
     k = s + f

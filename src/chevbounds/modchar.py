@@ -243,7 +243,7 @@ def _freudenthal_multiplicities(
     return mult
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _stabilizer_orbits(
     family: str, rank: int, zeros: Coords
 ) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -312,7 +312,7 @@ def _zero_set(mu: Coords) -> Coords:
     return tuple(i for i, c in enumerate(mu) if c == 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _character_cached(family: str, rank: int, lam: Coords, cap: int) -> WeightMultiset:
     rs = build_root_system(family, rank)
     dim = weyl_dimension(rs, lam)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, isqrt
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, OracleError
@@ -22,33 +21,23 @@ Coords = tuple[int, ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 MAX_CLASSICAL_RANK = 12
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True, slots=True)
 class Weight:
-    """An element of the weight lattice in fundamental-weight coordinates."""
+    """An element of the weight lattice in fundamental-weight coordinates.
+
+    It has no arithmetic, because it cannot check an operand's rank; read
+    checked coordinates with `RootSystem.coords_of`.
+    """
 
     coords: Coords
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coords, tuple) or not all(
-            map(isinstance, self.coords, repeat(int))
-        ):
+        # One C-level pass; `type` rather than isinstance refuses bool.
+        if not isinstance(self.coords, tuple) or not _INT.issuperset(map(type, self.coords)):
             raise InputError("Weight coordinates must be a tuple of integers")
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def __mul__(self, scalar: int) -> "Weight":
-        return Weight(tuple(scalar * a for a in self.coords))
-
-    __rmul__ = __mul__
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
@@ -120,35 +109,34 @@ class RootSystem:
             raise InputError(f"fundamental weight index out of range: {i}")
         return Weight((0,) * (i - 1) + (1,) + (0,) * (self.rank - i))
 
-    def weight(self, coords: Iterable[int]) -> Weight:
-        w = Weight(tuple(coords))
-        if len(w.coords) != self.rank:
-            raise InputError(
-                f"expected {self.rank} coordinates, got {len(w.coords)}"
-            )
-        return w
-
     def coords_of(self, w: WeightLike) -> Coords:
-        """Coordinates of a Weight or an integer sequence, checked against the rank."""
+        """The coordinates of w; the one check that w is a weight of this system.
+
+        A weight is a tuple of ints (not bools) as long as the rank.  Every
+        public function that takes a weight reads it here once.
+        """
         coords = Weight.of(w).coords
         if len(coords) != self.rank:
             raise InputError(
-                f"weight has {len(coords)} coordinates, {self.name} needs {self.rank}"
+                f"weight {coords} has {len(coords)} coordinates, {self.name} needs {self.rank}"
             )
         return coords
 
     def root_basis_scaled(self, coords: Sequence[int]) -> Coords:
-        """Integer vector equal to cartan_det times the root-basis coordinates."""
+        """cartan_det times the root-basis coordinates; the caller checks the rank."""
         return tuple(sum(map(mul, coords, col)) for col in self.adjugate_columns)
 
     def pairing(self, w: WeightLike, coroot: Optional[Coords] = None) -> int:
-        """<w, alpha-vee> from a `coroot_pairing` vector; the highest coroot by default."""
+        """<w, alpha-vee> from a `coroot_pairing` vector; the highest coroot by default.
+
+        The caller passes a weight of this system's rank; it is not checked.
+        """
         coords = w.coords if isinstance(w, Weight) else w
         vec = self.highest_root_pairing if coroot is None else coroot
         return sum(map(mul, vec, coords))
 
     def reflect(self, coords: Coords, i: int) -> Coords:
-        """Apply the i-th simple reflection (0-indexed) in omega coordinates."""
+        """The i-th simple reflection (0-indexed) of coords; the caller checks the rank."""
         c = coords[i]
         if c == 0:
             return coords
@@ -159,7 +147,8 @@ class RootSystem:
         """The dominant weight in the Weyl orbit of coords.
 
         Reflects a list in place through the first negative coordinate and
-        starts over; a dominant input is returned as it came.
+        starts over; a dominant input is returned as it came.  The caller
+        passes coordinates of this system's rank; they are not checked.
         """
         if min(coords) >= 0:
             return coords
@@ -225,7 +214,7 @@ def _validate(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}; expected one of {FAMILIES}")
     low = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}[family]
-    high = {"A": 12, "B": 12, "C": 12, "D": 12, "E": 8, "F": 4, "G": 2}[family]
+    high = {"E": 8, "F": 4, "G": 2}.get(family, MAX_CLASSICAL_RANK)
     if not low <= rank <= high:
         raise InputError(
             f"rank {rank} out of range for family {family} "
@@ -305,6 +294,7 @@ def _fundamental_group_invariants(adj: list[list[int]], det: int) -> tuple[int, 
     return tuple(x for x in (g, det // g) if x > 1) or (1,)
 
 
+# Unbounded: the keys are the 48 supported systems, and bad input raises first.
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct (and memoize) the root system of the given family and rank."""
@@ -322,7 +312,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         length2 = sum(rc[j] * d[j] * omega[j] for j in range(n))
         pairing = tuple(2 * d[j] * rc[j] // length2 for j in range(n))
         if any(2 * d[j] * rc[j] % length2 for j in range(n)):
-            raise InputError(f"non-integral coroot pairing for root {rc}")
+            raise OracleError(f"non-integral coroot pairing for root {rc}")
         roots.append(Root(omega, rc, pairing, length2))
 
     max_len = max(r.length2 for r in roots)
@@ -333,7 +323,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     def dominant_root(candidates: Sequence[Root]) -> Root:
         best = [r for r in candidates if all(c >= 0 for c in r.omega_coords)]
         if len(best) != 1:
-            raise InputError(f"expected one dominant root, found {len(best)}")
+            raise OracleError(f"expected one dominant root, found {len(best)}")
         return best[0]
 
     highest = dominant_root(long_roots)
@@ -386,22 +376,21 @@ def parse_type(label: str) -> RootSystem:
     return build_root_system(family, rank)
 
 
-def apply_w0(rs: RootSystem, w: Weight) -> Weight:
+def apply_w0(rs: RootSystem, w: WeightLike) -> Weight:
     """Image of w under the longest Weyl group element."""
-    cur = w.coords
+    cur = rs.coords_of(w)
     for i in rs.w0_word:
         cur = rs.reflect(cur, i)
     return Weight(cur)
 
 
-def dual_weight(rs: RootSystem, w: Weight) -> Weight:
+def dual_weight(rs: RootSystem, w: WeightLike) -> Weight:
     """The highest weight of the dual module, -w0(w)."""
-    return -apply_w0(rs, w)
+    return Weight(tuple([-c for c in apply_w0(rs, w).coords]))
 
 
-def dominance_leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
+def dominance_leq(rs: RootSystem, mu: WeightLike, lam: WeightLike) -> bool:
     """True when lam - mu is a non-negative integer sum of simple roots."""
-    diff = lam - mu
-    scaled = rs.root_basis_scaled(diff.coords)
+    diff = tuple(map(sub, rs.coords_of(lam), rs.coords_of(mu)))
     det = rs.cartan_det
-    return all(x >= 0 and x % det == 0 for x in scaled)
+    return all(x >= 0 and x % det == 0 for x in rs.root_basis_scaled(diff))

