@@ -148,12 +148,12 @@ def _render(doc: dict[str, Any], fmt: str, raw_keys: Sequence[str] = ()) -> str:
     return "\n".join(lines)
 
 
-def _parse_coords(rs: RootSystem, text: str) -> tuple[int, ...]:
+def _parse_coords(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated weight; the library checks them against a system."""
     try:
-        coords = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise InputError(f"bad weight {text!r}: {exc}") from None
-    return rs.coords_of(coords)
 
 
 def _resolve_module(
@@ -172,11 +172,11 @@ def _resolve_module(
                     raise InputError(f"bad multiplicity in {entry!r}") from None
             if mult < 1:
                 raise InputError(f"multiplicity must be positive in {entry!r}")
-            coords = _parse_coords(rs, body)
+            coords = _parse_coords(body)
             table[coords] = table.get(coords, 0) + mult
-        return WeightMultiset.from_dict(table)
+        return WeightMultiset.from_dict(rs, table)
     if weight is not None:
-        return weyl_character(rs, _parse_coords(rs, weight), cap)
+        return weyl_character(rs, _parse_coords(weight), cap)
     return WeightMultiset.trivial(rs)
 
 
@@ -292,7 +292,7 @@ def _cmd_stability(args: argparse.Namespace) -> _Report:
 def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
     cap = _cap(args)
-    lam = rs.zero if args.weight is None else Weight(_parse_coords(rs, args.weight))
+    lam = rs.zero if args.weight is None else Weight(_parse_coords(args.weight))
     mu_set = _resolve_module(rs, args.module_weight, None, cap)
     page = invariant_page(rs, args.p, args.s, args.f, lam, mu_set, args.m, cap=cap)
     bs_vanish_variants(args.p, args.variant)  # refuse the variant even if unused

@@ -29,7 +29,7 @@ from .modchar import (
     _scale_coords,
 )
 from .primes import require_prime
-from .rootsys import Coords, RootSystem, Weight, WeightLike, build_root_system
+from .rootsys import Coords, RootSystem, Weight, WeightLike
 from .weightcomb import b_invariant, b_of_weight, p_adic_digits, t_invariant
 
 # The page shapes this oracle builds: s + f levels and total degree m.
@@ -120,9 +120,7 @@ Level = dict[Coords, tuple[tuple[tuple[Coords, int], ...], ...]]
 
 
 @lru_cache(maxsize=256)
-def _page_level(
-    family: str, rank: int, p: int, m: int, cap: int, kind: str
-) -> tuple[int, Level]:
+def _page_level(rs: RootSystem, p: int, m: int, cap: int, kind: str) -> tuple[int, Level]:
     """One untwisted page level in degrees 0..m and the modulus it is grouped by.
 
     The dual nilradical is one line L per positive root alpha, and
@@ -135,11 +133,11 @@ def _page_level(
     shape = [(d, a + b) for d in range(1, m + 1) for a, b in _LEVEL_SHAPES[kind](d) if b < 2]
     factors = (
         [(d, _scale_coords(root.omega_coords, k), 1) for d, k in shape]
-        for root in build_root_system(family, rank).positive_roots
+        for root in rs.positive_roots
     )
     modulus = 1 if kind == "top" else p
     grouped: dict[Coords, list[list[tuple[Coords, int]]]] = {}
-    for d, table in enumerate(_degree_fold((0,) * rank, factors, m, cap, "page level")):
+    for d, table in enumerate(_degree_fold((0,) * rs.rank, factors, m, cap, "page level")):
         for w, mult in table.items():
             rows = grouped.setdefault(
                 tuple(c % modulus for c in w), [[] for _ in range(m + 1)]
@@ -149,7 +147,7 @@ def _page_level(
 
 
 def _carry_class(
-    family: str, rank: int, p: int, levels: int, m: int, cap: int, r: Coords
+    rs: RootSystem, p: int, levels: int, m: int, cap: int, r: Coords
 ) -> tuple[tuple[Coords, int], ...]:
     """The carries (w - r) / p^levels of the degree-m page's weights w = r (mod p^levels).
 
@@ -166,7 +164,7 @@ def _carry_class(
     left = len(kinds)
     # Levels of one kind are adjacent, so each table is looked up once.
     for kind, run in groupby(kinds):
-        div, level = _page_level(family, rank, p, m, cap, kind)
+        div, level = _page_level(rs, p, m, cap, kind)
         for _ in run:
             left -= 1
             nxt: dict[tuple[Coords, int], int] = {}
@@ -187,7 +185,7 @@ def _carry_class(
 
 @lru_cache(maxsize=256)
 def _page_table(
-    family: str, rank: int, p: int, levels: int, m: int, cap: int
+    rs: RootSystem, p: int, levels: int, m: int, cap: int
 ) -> dict[Coords, tuple[tuple[Coords, int], ...]]:
     """Carries (w - r) / p^levels of the degree-m page by residue r, filled lazily.
 
@@ -232,7 +230,10 @@ def invariant_page(
     m: int,
     cap: int = DEFAULT_ENTRY_CAP,
 ) -> InvariantPage:
-    """Compute the invariant first page for coefficient lam + p^s * mu."""
+    """Compute the invariant first page for coefficient lam + p^s * mu, mu in mu_set.
+
+    mu_set must be a non-empty weight multiset of rs.
+    """
     require_prime(p)
     if s < 0 or f < 0 or s + f < 1:
         raise InputError("need s, f >= 0 with s + f >= 1")
@@ -240,22 +241,21 @@ def invariant_page(
     _check_page_shape(levels, m)
     lam = Weight.of(lam)
     lam_coords = rs.coords_of(lam)
+    mu_set.check_system(rs)
     if mu_set.is_empty():
         raise InputError("mu_set must be non-empty; use the trivial multiset")
     q = p**levels
     ps = p**s
-    table = _page_table(rs.family, rs.rank, p, levels, m, cap)
+    table = _page_table(rs, p, levels, m, cap)
     gathered: dict[Coords, int] = {}
     for u, mult_u in mu_set.items:
-        if len(u) != rs.rank:
-            raise InputError(f"mu_set weight {u} has wrong rank for {rs.name}")
         # v = lam + p^s u; a weight w of the class r = -v (mod q) is
         # q * gamma0 + r, and (v + w) / q = gamma0 + ceil(v / q).
         shift = [-((-a - ps * b) // q) for a, b in zip(lam_coords, u)]
         r = tuple([q * c - a - ps * b for c, a, b in zip(shift, lam_coords, u)])
         entries = table.get(r)
         if entries is None:
-            entries = _carry_class(rs.family, rs.rank, p, levels, m, cap, r)
+            entries = _carry_class(rs, p, levels, m, cap, r)
             table[r] = entries
         for gamma0, mult in entries:
             gamma = tuple(map(add, gamma0, shift))
@@ -269,7 +269,7 @@ def invariant_page(
         m=m,
         lam=lam,
         mu_set=mu_set,
-        gammas=WeightMultiset(tuple(sorted(gathered.items()))),
+        gammas=WeightMultiset(rs, tuple(sorted(gathered.items()))),
     )
 
 

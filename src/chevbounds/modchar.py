@@ -21,7 +21,7 @@ spreads them along their Weyl orbits and keeps the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb
@@ -29,7 +29,7 @@ from operator import sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, OracleError, ResourceLimitError
-from .rootsys import Coords, RootSystem, Weight, WeightLike, build_root_system
+from .rootsys import Coords, RootSystem, WeightLike, _shown
 
 DEFAULT_ENTRY_CAP = 10**7
 
@@ -38,30 +38,20 @@ Entries = tuple[tuple[Coords, int], ...]
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class WeightMultiset:
-    """A finite multiset of weights with positive integer multiplicities.
+    """A finite multiset of weights of one root system, with positive multiplicities.
 
-    `dominant` holds the sorted dominant entries of a W-stable multiset and
-    is None when stability is not known.  It takes no part in equality,
-    hashing or repr: two multisets with the same items are the same.  A Weyl
-    character is made from `dominant` alone and fills `items` on first read.
+    `system` is the one record of the group whose module this is.  `dominant`
+    holds the sorted dominant entries of a W-stable multiset and is None when
+    stability is not known.  It takes no part in equality, hashing or repr:
+    two multisets of the same system with the same items are the same.  A
+    Weyl character is made from `dominant` and `_sizes`, the orbit size of
+    each dominant entry, and fills `items` on first read.
     """
 
+    system: RootSystem
     _items: Optional[Entries]
     dominant: Optional[Entries] = None
-    # Set only on a Weyl character: its root system and the orbit size of
-    # each dominant entry, from which `items` is built on first read.
-    _system: Optional[RootSystem] = field(default=None, init=False)
-    _sizes: Optional[tuple[int, ...]] = field(default=None, init=False)
-
-    @staticmethod
-    def _from_orbits(
-        rs: RootSystem, dominant: Entries, sizes: tuple[int, ...]
-    ) -> "WeightMultiset":
-        """The W-stable multiset with these dominant entries and orbit sizes."""
-        ws = WeightMultiset(None, dominant)
-        object.__setattr__(ws, "_system", rs)
-        object.__setattr__(ws, "_sizes", sizes)
-        return ws
+    _sizes: Optional[tuple[int, ...]] = None
 
     @property
     def items(self) -> Entries:
@@ -69,7 +59,7 @@ class WeightMultiset:
         if self._items is None:
             table = {}
             for mu, m in self.dominant:
-                for coords in _orbit(self._system, mu):
+                for coords in _orbit(self.system, mu):
                     table[coords] = m
             if len(table) != self.support_size:
                 raise OracleError(
@@ -82,32 +72,39 @@ class WeightMultiset:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.items == other.items
+        return self.system is other.system and self.items == other.items
 
     def __hash__(self) -> int:
         return hash((self.items,))
 
     def __repr__(self) -> str:
-        return f"WeightMultiset(items={self.items!r})"
+        return f"WeightMultiset({self.system.name}, items={self.items!r})"
+
+    def check_system(self, rs: RootSystem) -> None:
+        """Raise InputError unless this is a multiset of rs."""
+        if self.system is not rs:
+            raise InputError(f"a weight multiset of {self.system.name} is not one of {rs.name}")
 
     @staticmethod
-    def from_dict(table: Mapping[Coords, int]) -> "WeightMultiset":
-        """The multiset with these integer coordinates and multiplicities."""
+    def from_dict(rs: RootSystem, table: Mapping[WeightLike, int]) -> "WeightMultiset":
+        """The multiset of rs with these weights and integer multiplicities."""
         cleaned = {}
         for coords, mult in table.items():
-            key = Weight.of(coords).coords
+            key = rs.coords_of(coords)
             if not isinstance(mult, int):
-                raise InputError(f"multiplicity of {key} must be an integer, got {mult!r}")
+                raise InputError(
+                    f"multiplicity of {_shown(key)} must be an integer, got {_shown(mult)}"
+                )
             if mult < 0:
-                raise InputError(f"negative multiplicity for {key}")
+                raise InputError(f"negative multiplicity for {_shown(key)}")
             if mult:
                 cleaned[key] = cleaned.get(key, 0) + mult
-        return WeightMultiset(tuple(sorted(cleaned.items())))
+        return WeightMultiset(rs, tuple(sorted(cleaned.items())))
 
     @staticmethod
     def trivial(rs: RootSystem) -> "WeightMultiset":
         entries = (((0,) * rs.rank, 1),)
-        return WeightMultiset(entries, dominant=entries)
+        return WeightMultiset(rs, entries, entries)
 
     def as_dict(self) -> dict[Coords, int]:
         return dict(self.items)
@@ -131,9 +128,7 @@ class WeightMultiset:
 
 def nilradical_dual_weights(rs: RootSystem) -> WeightMultiset:
     """Weights of the dual of the nilradical: every positive root, once."""
-    return WeightMultiset.from_dict(
-        {root.omega_coords: 1 for root in rs.positive_roots}
-    )
+    return WeightMultiset.from_dict(rs, {root.omega_coords: 1 for root in rs.positive_roots})
 
 
 def weyl_dimension(rs: RootSystem, lam: WeightLike) -> int:
@@ -225,7 +220,7 @@ def _freudenthal_multiplicities(
         if mu == lam:
             continue
         total = 0
-        for k, count in _stabilizer_orbits(rs.family, n, _zero_set(mu))[0]:
+        for k, count in _stabilizer_orbits(rs, _zero_set(mu))[0]:
             omega, ip_vec = root_data[k]
             term = 0
             nu = tuple(a + b for a, b in zip(mu, omega))
@@ -244,9 +239,7 @@ def _freudenthal_multiplicities(
 
 
 @lru_cache(maxsize=1024)
-def _stabilizer_orbits(
-    family: str, rank: int, zeros: Coords
-) -> tuple[tuple[tuple[int, int], ...], int]:
+def _stabilizer_orbits(rs: RootSystem, zeros: Coords) -> tuple[tuple[tuple[int, int], ...], int]:
     """The W_J-orbits on the roots, J = zeros, and the index |W| / |W_J|.
 
     Each orbit holding a positive root is given as (index of its first
@@ -260,7 +253,6 @@ def _stabilizer_orbits(
     (ht a + 1) / ht a over the roots a of nonzero shape (Kostant 1959;
     Humphreys, Reflection Groups and Coxeter Groups, 3.20).
     """
-    rs = build_root_system(family, rank)
     component: dict[int, int] = {}  # node of J -> least node of its component
     for start in zeros:
         stack = [] if start in component else [start]
@@ -304,7 +296,7 @@ def _orbit(rs: RootSystem, start: Coords) -> set[Coords]:
 
 def _orbit_size(rs: RootSystem, mu: Coords) -> int:
     """|W mu| = |W| / |W_J| for a dominant mu, without the orbit."""
-    return _stabilizer_orbits(rs.family, rs.rank, _zero_set(mu))[1]
+    return _stabilizer_orbits(rs, _zero_set(mu))[1]
 
 
 def _zero_set(mu: Coords) -> Coords:
@@ -313,18 +305,17 @@ def _zero_set(mu: Coords) -> Coords:
 
 
 @lru_cache(maxsize=256)
-def _character_cached(family: str, rank: int, lam: Coords, cap: int) -> WeightMultiset:
-    rs = build_root_system(family, rank)
+def _character_cached(rs: RootSystem, lam: Coords, cap: int) -> WeightMultiset:
     dim = weyl_dimension(rs, lam)
     if dim > cap:
         raise ResourceLimitError(
-            f"character of {lam} has dimension {dim}, above the cap {cap}; "
+            f"character of {_shown(lam)} has dimension {_shown(dim)}, above the cap {cap}; "
             "raise the cap to allow"
         )
     mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam), cap)
     dominant = tuple(sorted(mult.items()))
-    character = WeightMultiset._from_orbits(
-        rs, dominant, tuple(_orbit_size(rs, mu) for mu, _ in dominant)
+    character = WeightMultiset(
+        rs, None, dominant, tuple(_orbit_size(rs, mu) for mu, _ in dominant)
     )
     if character.total_dimension != dim:
         raise OracleError(
@@ -341,7 +332,7 @@ def weyl_character(
     coords = rs.coords_of(lam)
     if min(coords) < 0:
         raise InputError("weyl_character needs a dominant weight")
-    return _character_cached(rs.family, rs.rank, coords, cap)
+    return _character_cached(rs, coords, cap)
 
 
 def _scale_coords(coords: Coords, k: int) -> Coords:
@@ -354,19 +345,13 @@ def graded_power(
     n: int,
     cap: int = DEFAULT_ENTRY_CAP,
 ) -> WeightMultiset:
-    """Weights of the n-th symmetric or exterior power of a weight multiset."""
+    """Weights of the n-th symmetric or exterior power; degree 0 is the trivial module."""
     if kind not in ("sym", "ext"):
         raise InputError(f"kind must be 'sym' or 'ext', got {kind!r}")
     if n < 0:
         raise InputError(f"power degree must be non-negative, got {n}")
-    if n == 0 and not ws.items:
-        raise InputError("graded_power of an empty multiset needs n > 0")
-    rank = _common_rank(ws)
-    if rank is None or (kind == "ext" and n > ws.total_dimension):
-        return WeightMultiset(())
-    zero = (0,) * rank
-    if n == 0:
-        return WeightMultiset.from_dict({zero: 1})
+    if kind == "ext" and n > ws.total_dimension:
+        return WeightMultiset(ws.system, ())
 
     # A weight of multiplicity c has its k-th multiple comb(c, k) times in the
     # exterior power and comb(c + k - 1, k) times in the symmetric one.
@@ -378,9 +363,9 @@ def graded_power(
         ]
         for coords, mult in ws.items
     )
-    tables = _degree_fold(zero, factors, n, cap, f"graded power {kind}^{n}")
+    tables = _degree_fold((0,) * ws.system.rank, factors, n, cap, f"graded power {kind}^{n}")
     # Keys are coordinate tuples and counts are positive by construction.
-    return WeightMultiset(tuple(sorted(tables[n].items())))
+    return WeightMultiset(ws.system, tuple(sorted(tables[n].items())))
 
 
 def _degree_fold(
@@ -417,17 +402,6 @@ def _degree_fold(
                 _check_cap(stage, size, cap)
         levels = new_levels
     return levels
-
-
-def _common_rank(ws: WeightMultiset) -> Optional[int]:
-    """The rank every weight of the multiset has, or None when it has none.
-
-    Weights of different ranks raise InputError; `zip` would truncate them.
-    """
-    ranks = {len(coords) for coords, _ in ws.items}
-    if len(ranks) > 1:
-        raise InputError(f"weights of different ranks {sorted(ranks)} in one product")
-    return ranks.pop() if ranks else None
 
 
 def _check_cap(stage: str, size: int, cap: int, what: str = "distinct weights") -> None:

@@ -53,10 +53,21 @@ class Weight:
         try:
             return Weight(tuple(w))
         except TypeError:
-            raise InputError(f"a weight is a sequence of integers, got {w!r}") from None
+            raise InputError(f"a weight is a sequence of integers, got {_shown(w)}") from None
 
 
 WeightLike = Union[Weight, Iterable[int]]
+
+
+def _shown(value: object) -> str:
+    """repr(value) for a message; a value too long to print, alone or in a tuple, is named."""
+    if isinstance(value, tuple):
+        parts = [_shown(x) for x in value]
+        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to print>"
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,8 @@ class RootSystem:
         coords = Weight.of(w).coords
         if len(coords) != self.rank:
             raise InputError(
-                f"weight {coords} has {len(coords)} coordinates, {self.name} needs {self.rank}"
+                f"weight {_shown(coords)} has {len(coords)} coordinates, "
+                f"{self.name} needs {self.rank}"
             )
         return coords
 

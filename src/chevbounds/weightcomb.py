@@ -84,13 +84,16 @@ def b_invariant(rs: RootSystem, weights: WeightMultiset) -> BInvariant:
     identity gives the exact value without enumerating the orbit.  A W-stable
     multiset (one with `dominant` entries set, such as a Weyl character)
     attains the maximum at a dominant weight, so only those are scanned.
+    A multiset of another root system raises InputError.
     """
+    weights.check_system(rs)
     if weights.dominant:
         hrp = rs.highest_root_pairing
         return BInvariant(value=max(sum(map(mul, hrp, coords)) for coords, _ in weights.dominant))
     if not weights.items:
         raise InputError("b_invariant needs a non-empty weight multiset")
-    return BInvariant(value=max(b_of_weight(rs, coords) for coords, _ in weights.items))
+    dominant = rs.dominant_representative
+    return BInvariant(value=max(rs.pairing(dominant(coords)) for coords, _ in weights.items))
 
 
 def b_of_weight(rs: RootSystem, w: WeightLike) -> int:

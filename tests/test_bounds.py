@@ -318,7 +318,7 @@ def test_compare_thresholds_trivial_module() -> None:
 
 def test_compare_thresholds_guards() -> None:
     with pytest.raises(InputError):
-        compare_thresholds(A1, 2, 2, WeightMultiset.from_dict({}))
+        compare_thresholds(A1, 2, 2, WeightMultiset.from_dict(A1, {}))
 
 
 def test_threshold_report_validation() -> None:

@@ -3,7 +3,8 @@
 The scan reads the decorators of every function: `functools.cache` and an
 `lru_cache` without a positive integer `maxsize` are unbounded.  The one
 exception is `build_root_system`: its keys are the 48 supported systems, and
-invalid input raises before anything is cached.
+invalid input raises before anything is cached.  Every other cache keys on a
+`RootSystem` object, so only `rootsys` calls `build_root_system`.
 """
 
 from __future__ import annotations
@@ -63,3 +64,23 @@ def test_every_cache_in_src_is_bounded() -> None:
     assert [name for name, bounded in caches.items() if not bounded] == [
         "chevbounds/rootsys.py::build_root_system"
     ]
+
+
+def _calls(source: str, func: str) -> bool:
+    """Whether the source calls `func` by name or as an attribute."""
+    return any(
+        isinstance(node, ast.Call)
+        and func in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_only_rootsys_builds_root_systems() -> None:
+    assert _calls("rs = rootsys.build_root_system('A', 1)", "build_root_system")
+    assert not _calls("from .rootsys import build_root_system", "build_root_system")
+    callers = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if _calls(path.read_text(encoding="utf-8"), "build_root_system")
+    ]
+    assert callers == ["chevbounds/rootsys.py"]

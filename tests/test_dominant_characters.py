@@ -137,7 +137,7 @@ def test_dominant_first_character_matches_full_support(case) -> None:
         sorted((w, m) for w, m in oracle.items() if min(w) >= 0)
     )
 
-    plain = WeightMultiset.from_dict(ch.as_dict())
+    plain = WeightMultiset.from_dict(rs, ch.as_dict())
     assert plain.dominant is None
     assert plain == ch and hash(plain) == hash(ch) and repr(plain) == repr(ch)
     assert b_invariant(rs, plain) == b_invariant(rs, ch)
@@ -157,7 +157,7 @@ def test_trivial_module_carries_its_dominant_entry() -> None:
         triv = WeightMultiset.trivial(rs)
         zero = (0,) * rank
         assert triv.dominant == ((zero, 1),)
-        assert triv == WeightMultiset.from_dict({zero: 1})
+        assert triv == WeightMultiset.from_dict(rs, {zero: 1})
         assert b_invariant(rs, triv).value == 0
         assert _module_stats(rs, triv, 3) == (Q(0), 1)
 
@@ -182,7 +182,7 @@ def test_lazy_character_is_the_eager_orbit_expansion(case) -> None:
     family, rank, lam = case
     rs = build_root_system(family, rank)
     # A fresh character, not the cached one an earlier test may have expanded.
-    fresh = _character_cached.__wrapped__(family, rank, lam, DEFAULT_ENTRY_CAP)
+    fresh = _character_cached.__wrapped__(rs, lam, DEFAULT_ENTRY_CAP)
     dim = weyl_dimension(rs, lam)
     assert fresh.total_dimension == dim
     support = fresh.support_size

@@ -195,7 +195,7 @@ def test_invariant_page_guards() -> None:
     with pytest.raises(InputError):
         invariant_page(A1, 3, 1, 0, Weight((1, 0)), triv, 1)
     with pytest.raises(InputError):
-        invariant_page(A1, 3, 1, 0, A1.zero, WeightMultiset.from_dict({}), 1)
+        invariant_page(A1, 3, 1, 0, A1.zero, WeightMultiset.from_dict(A1, {}), 1)
     with pytest.raises(InputError):
         invariant_page(A1, 4, 1, 0, A1.zero, triv, 1)
 
@@ -353,7 +353,7 @@ def test_bs_vanishing_selected_variant() -> None:
 def test_exact_bound_failure_reasons() -> None:
     trivial = WeightMultiset.trivial(A1)
     omega = A1.fundamental_weight(1)
-    mu = WeightMultiset.from_dict({(4,): 1})  # b = 4, so t(mu) = 2 at p = 3
+    mu = WeightMultiset.from_dict(A1, {(4,): 1})  # b = 4, so t(mu) = 2 at p = 3
     cases = (
         (Weight((-1,)), 1, 0, trivial, "exact bound needs lambda dominant and nonzero"),
         (A1.zero, 1, 0, trivial, "exact bound needs lambda dominant and nonzero"),
@@ -442,7 +442,7 @@ def test_page_level_fold_matches_the_graded_power_products(name: str) -> None:
     grid = [(3, 4)] if name == "F4" else [(p, m) for p in (2, 3, 5) for m in range(6)]
     for p, m in grid:
         for kind in sorted(_LEVEL_SHAPES):
-            modulus, level = _page_level(rs.family, rs.rank, p, m, DEFAULT_ENTRY_CAP, kind)
+            modulus, level = _page_level(rs, p, m, DEFAULT_ENTRY_CAP, kind)
             assert modulus == (1 if kind == "top" else p)
             expected: dict[Coords, list[dict[Coords, int]]] = {}
             for d in range(m + 1):
@@ -453,14 +453,19 @@ def test_page_level_fold_matches_the_graded_power_products(name: str) -> None:
 
 
 def test_page_refuses_mu_of_the_wrong_rank() -> None:
+    # mu_set must be a multiset of the page's system, whatever its rank; one
+    # that mixes ranks cannot be built.
     lam = Weight((1, 1))
     for mu_set in (
-        WeightMultiset.from_dict({(1,): 1}),
+        WeightMultiset.from_dict(A1, {(1,): 1}),
         weyl_character(A1, A1.fundamental_weight(1)),
-        WeightMultiset.from_dict({(0, 0): 1, (1,): 1}),
+        weyl_character(B2, B2.fundamental_weight(2)),
+        WeightMultiset.trivial(B2),
     ):
-        with pytest.raises(InputError, match="wrong rank for A2"):
+        with pytest.raises(InputError, match="weight multiset of (A1|B2) is not one of A2"):
             invariant_page(A2, 3, 1, 0, lam, mu_set, 2)
+    with pytest.raises(InputError, match=r"weight \(1,\) has 1 coordinates, A2 needs 2"):
+        WeightMultiset.from_dict(A2, {(0, 0): 1, (1,): 1})
 
 
 def test_exact_bound_value_refuses_lambda_of_the_wrong_rank() -> None:
@@ -588,7 +593,7 @@ def test_page_lookup_matches_brute_force(data) -> None:
         lam = tuple(p**levels * g - p**s0 * b - c for g, b, c in zip(gamma, u, w))
     else:
         lam = data.draw(coords(0, 3) if how == "dominant" else coords(-4, 6), label="lambda")
-    mu_set = WeightMultiset.from_dict(mu)
+    mu_set = WeightMultiset.from_dict(rs, mu)
     # Every split of s + f in one process shares the page cache.
     for s in range(levels + 1):
         f = levels - s

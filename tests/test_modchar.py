@@ -27,7 +27,7 @@ B2 = build_root_system("B", 2)
 
 
 def test_multiset_construction() -> None:
-    ws = WeightMultiset.from_dict({(1, 0): 2, (0, 1): 1, (2, 2): 0})
+    ws = WeightMultiset.from_dict(A2, {(1, 0): 2, (0, 1): 1, (2, 2): 0})
     assert ws.items == (((0, 1), 1), ((1, 0), 2))
     assert ws.total_dimension == 3
     assert ws.support_size == 2
@@ -35,7 +35,7 @@ def test_multiset_construction() -> None:
     assert ws.as_dict().get((5, 5), 0) == 0
     assert not ws.is_empty()
     assert WeightMultiset.trivial(A2).items == (((0, 0), 1),)
-    assert WeightMultiset.from_dict({A2.fundamental_weight(1): 3}).items == (((1, 0), 3),)
+    assert WeightMultiset.from_dict(A2, {A2.fundamental_weight(1): 3}).items == (((1, 0), 3),)
 
 
 @pytest.mark.parametrize(
@@ -50,7 +50,7 @@ def test_multiset_construction() -> None:
 )
 def test_from_dict_refuses_what_is_not_an_integer(table, message) -> None:
     with pytest.raises(InputError, match=message):
-        WeightMultiset.from_dict(table)
+        WeightMultiset.from_dict(A1, table)
 
 
 def test_a_weight_that_is_not_integers_is_bad_input() -> None:
@@ -58,7 +58,7 @@ def test_a_weight_that_is_not_integers_is_bad_input() -> None:
         with pytest.raises(InputError, match="Weight coordinates must be a tuple of integers"):
             weyl_character(A1, lam)
     with pytest.raises(InputError, match="a weight is a sequence of integers, got 1"):
-        WeightMultiset.from_dict({1: 1})
+        WeightMultiset.from_dict(A1, {1: 1})
 
 
 def test_nilradical_dual_weights() -> None:
@@ -126,14 +126,13 @@ def test_graded_powers() -> None:
 
 
 def test_graded_power_of_the_empty_multiset() -> None:
-    # Every positive power of the zero module is zero; its degree-0 power
-    # has no rank to put the zero weight in.
-    empty = WeightMultiset(())
+    # Every positive power of the zero module is zero; its degree-0 power,
+    # like that of any module, is the trivial module of its system.
+    empty = WeightMultiset(A2, ())
     for kind in ("sym", "ext"):
         for n in (1, 2, 5):
             assert graded_power(kind, empty, n) == empty
-        with pytest.raises(InputError, match="needs n > 0"):
-            graded_power(kind, empty, 0)
+        assert graded_power(kind, empty, 0) == WeightMultiset.trivial(A2)
 
 
 def test_graded_power_dimensions() -> None:
@@ -147,10 +146,14 @@ def test_graded_power_dimensions() -> None:
 
 
 def test_graded_power_refuses_weights_of_different_ranks() -> None:
-    mixed = WeightMultiset.from_dict({(1,): 1, (1, 2): 1})
+    # A multiset holds the weights of one system, so from_dict refuses mixed
+    # ranks before any product could cut one weight short against another.
+    with pytest.raises(InputError, match=r"weight \(1,\) has 1 coordinates, A2 needs 2"):
+        WeightMultiset.from_dict(A2, {(1,): 1, (1, 2): 1})
+    nil = nilradical_dual_weights(A2)
     for kind in ("sym", "ext"):
-        with pytest.raises(InputError, match="different ranks"):
-            graded_power(kind, mixed, 2)
+        for n in (0, 2, 4):
+            assert graded_power(kind, nil, n).system is A2
 
 
 def test_resource_caps() -> None:
@@ -179,7 +182,7 @@ def test_graded_power_cap_is_checked_inside_the_fold() -> None:
     # One weight folds into degrees 0..5 one row at a time, so the cap fires
     # at the third row, not after the whole fold.
     with pytest.raises(ResourceLimitError, match="reached 3 distinct weights"):
-        graded_power("sym", WeightMultiset.from_dict({(1,): 1}), 5, cap=2)
+        graded_power("sym", WeightMultiset.from_dict(A1, {(1,): 1}), 5, cap=2)
 
 
 def test_freudenthal_steps_are_capped() -> None:
@@ -232,7 +235,7 @@ def _check_stabilizer_orbits(rs, zeros, orbit_cap: int = 2000) -> int:
     roots = positive + [tuple(-c for c in w) for w in positive]
     position = {w: k for k, w in enumerate(roots)}
     npos = len(positive)
-    orbits, index = _stabilizer_orbits(rs.family, rs.rank, zeros)
+    orbits, index = _stabilizer_orbits(rs, zeros)
     assert sum(count for _, count in orbits) == npos
     assert [first for first, _ in orbits] == sorted(first for first, _ in orbits)
     covered = set()
@@ -263,8 +266,8 @@ def test_stabilizer_orbits_of_the_roots(family, rank, lengths, weyl_order) -> No
             _check_stabilizer_orbits(rs, zeros)
     npos = len(rs.positive_roots)
     singletons = tuple((k, 1) for k in range(npos))
-    assert _stabilizer_orbits(family, rank, ()) == (singletons, weyl_order)
-    whole, index = _stabilizer_orbits(family, rank, tuple(range(rank)))
+    assert _stabilizer_orbits(rs, ()) == (singletons, weyl_order)
+    whole, index = _stabilizer_orbits(rs, tuple(range(rank)))
     assert len(whole) == lengths and index == 1
 
 

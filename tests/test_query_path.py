@@ -61,18 +61,18 @@ def oracle_gammas(rs, p, s, f, lam, mu_set, m) -> WeightMultiset:
     reduced residue r in [0, q), which every page of the class shares.
     """
     q = p ** (s + f)
-    table = _page_table(rs.family, rs.rank, p, s + f, m, DEFAULT_ENTRY_CAP)
+    table = _page_table(rs, p, s + f, m, DEFAULT_ENTRY_CAP)
     gathered: dict = {}
     for u, mult_u in mu_set.items:
         v = tuple(a + p**s * b for a, b in zip(lam.coords, u))
         r = tuple((-c) % q for c in v)
         shift = tuple((a + b) // q for a, b in zip(v, r))
-        entries = _carry_class(rs.family, rs.rank, p, s + f, m, DEFAULT_ENTRY_CAP, r)
+        entries = _carry_class(rs, p, s + f, m, DEFAULT_ENTRY_CAP, r)
         assert table.get(r) == entries, r
         for gamma0, mult in entries:
             gamma = tuple(map(add, gamma0, shift))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
-    return WeightMultiset.from_dict(gathered)
+    return WeightMultiset.from_dict(rs, gathered)
 
 
 def oracle_check(page, which: str) -> dict:

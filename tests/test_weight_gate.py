@@ -3,7 +3,9 @@
 `RootSystem.coords_of` is the one check: integer (not bool) coordinates, as
 many as the rank.  A weight cut short by `zip` would give a wrong pairing and
 a wrong verdict with no error, so each entry point is called here with a
-weight of the wrong rank, a bool coordinate and a float coordinate.
+weight of the wrong rank, a bool coordinate and a float coordinate.  A weight
+multiset records its system, and `WeightMultiset.check_system` is the one
+check that it is a module of the system it is read against.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ from chevbounds.modchar import WeightMultiset, weyl_character, weyl_dimension
 from chevbounds.rootsys import Weight, apply_w0, build_root_system, dominance_leq, dual_weight
 from chevbounds.weightcomb import b_invariant, b_of_weight, order_in_fundamental_group
 
+A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
+B2 = build_root_system("B", 2)
+G2 = build_root_system("G", 2)
 
 
 def _module(w) -> WeightMultiset:
-    return WeightMultiset.from_dict({w: 1})
+    return WeightMultiset.from_dict(A2, {w: 1})
 
 
 # Each takes a weight of A2 and fixes every other argument to a valid value.
@@ -67,3 +72,57 @@ def test_bool_is_not_an_integer_coordinate() -> None:
     with pytest.raises(InputError, match="Weight coordinates must be a tuple of integers"):
         Weight((True,))
 
+
+
+def test_a_message_names_an_integer_too_long_to_print() -> None:
+    # Formatting one would raise ValueError past the interpreter's digit limit.
+    huge = 10**5000
+    shown = r"\(<int too long to print>,\)"
+    with pytest.raises(InputError, match="got <int too long to print>$"):
+        A1.coords_of(huge)
+    with pytest.raises(
+        InputError, match=r"^weight \(<int too long to print>, 1\) has 2 coordinates, A1 needs 1$"
+    ):
+        A1.coords_of((huge, 1))
+    with pytest.raises(InputError, match=f"^negative multiplicity for {shown}$"):
+        WeightMultiset.from_dict(A1, {(huge,): -1})
+    with pytest.raises(InputError, match=f"^multiplicity of {shown} must be an integer, got 1.5$"):
+        WeightMultiset.from_dict(A1, {(huge,): 1.5})
+
+
+# Multisets of systems other than A2: of another rank, and of the same rank.
+# A character reads its dominant entries and a table its items.
+FOREIGN = {
+    "A1 character": weyl_character(A1, (1,)),
+    "A1 trivial": WeightMultiset.trivial(A1),
+    "A1 table": WeightMultiset.from_dict(A1, {(1,): 1, (-1,): 1}),
+    "B2 character": weyl_character(B2, (0, 1)),
+    "B2 table": WeightMultiset.from_dict(B2, {(0, 1): 2}),
+    "G2 character": weyl_character(G2, (1, 0)),
+    "G2 table": WeightMultiset.from_dict(G2, {(1, 0): 1, (-1, 1): 1}),
+}
+
+# Each reads a multiset against A2 and fixes every other argument.
+MULTISET_TAKERS = {
+    "b_invariant": lambda ws: b_invariant(A2, ws),
+    "compare_thresholds": lambda ws: compare_thresholds(A2, 3, 2, ws),
+    "invariant_page mu_set": lambda ws: invariant_page(A2, 3, 1, 0, (1, 0), ws, 2),
+}
+
+
+@pytest.mark.parametrize("ws", FOREIGN.values(), ids=FOREIGN.keys())
+@pytest.mark.parametrize("taker", MULTISET_TAKERS.values(), ids=MULTISET_TAKERS.keys())
+def test_every_multiset_taker_refuses_a_multiset_of_another_system(taker, ws) -> None:
+    with pytest.raises(InputError, match=f"multiset of {ws.system.name} is not one of A2$"):
+        taker(ws)
+
+
+@pytest.mark.parametrize("taker", MULTISET_TAKERS.values(), ids=MULTISET_TAKERS.keys())
+def test_every_multiset_taker_reads_a_multiset_of_its_system(taker) -> None:
+    for own in (weyl_character(A2, (1, 0)), WeightMultiset.from_dict(A2, {(1, 0): 1})):
+        taker(own)
+
+
+def test_multisets_of_different_systems_differ() -> None:
+    assert WeightMultiset.trivial(A2) != WeightMultiset.trivial(B2)
+    assert WeightMultiset.trivial(A2) == WeightMultiset.from_dict(A2, {(0, 0): 1})

@@ -90,11 +90,11 @@ def test_p_adic_digits() -> None:
 
 def test_b_invariant_single_weights() -> None:
     a1 = build_root_system("A", 1)
-    rep = b_invariant(a1, WeightMultiset.from_dict({(-1,): 1}))
+    rep = b_invariant(a1, WeightMultiset.from_dict(a1, {(-1,): 1}))
     assert rep.value == 1
 
     a2 = build_root_system("A", 2)
-    rep2 = b_invariant(a2, WeightMultiset.from_dict({(1, 1): 1, (-1, 2): 1}))
+    rep2 = b_invariant(a2, WeightMultiset.from_dict(a2, {(1, 1): 1, (-1, 2): 1}))
     assert rep2.value == 2
 
 
@@ -127,7 +127,7 @@ def test_structural_constants_table() -> None:
 
 def _c_and_t_p(rs: RootSystem, coords: tuple[int, ...], p: int) -> tuple[Q, int]:
     """c(lambda) and t_p(lambda): the module statistics of the one weight lambda."""
-    return _module_stats(rs, WeightMultiset.from_dict({coords: 1}), p)
+    return _module_stats(rs, WeightMultiset.from_dict(rs, {coords: 1}), p)
 
 
 def test_lambda_stats_examples() -> None:
