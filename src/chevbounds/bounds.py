@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import ceil, floor
 from typing import Optional, Union
 
-from .errors import InputError, OracleError, ResourceLimitError
+from .errors import InputError, OracleError, ResourceLimitError, _shown, require_int
 from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset
 from .primes import require_prime
 from .rootsys import RootSystem
@@ -52,7 +52,7 @@ def _check_odd_prime(p: int) -> None:
         raise InputError("this clause needs an odd prime")
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     """Smallest admissible tower height s forcing degree-m vanishing.
 
@@ -61,34 +61,30 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     odd-prime clauses.  'c' differs from 'b' by top/(p-2) - 1, top the leading
     base-p digit of d: it is at most 'b' unless top = p - 1, where it is
     1/(p-2) larger (d = 2, p = 3 gives 'b' m + 1 and 'c' m + 2).  A pure
-    function of its arguments with an immutable result, so it is memoized.
+    function of its arguments with an immutable result, so it is memoized;
+    typed, so that d = 2.0 misses the entry of d = 2 and is refused.
     """
-    if d < 1:
-        raise InputError(f"threshold needs d >= 1, got {d}")
-    if m < 0:
-        raise InputError(f"threshold needs m >= 0, got {m}")
-    require_prime(p)
+    require_int(d, "d", 1)
+    require_int(m, "m", 0)
+    if variant is None:
+        raise InputError("a threshold needs one variant, got None")
+    bs_vanish_variants(p, variant)
     t = t_invariant(d, p)
     if variant == "a":
-        if p != 2:
-            raise InputError("variant 'a' applies only to p = 2")
         return Q(m + t)
     if variant == "b":
-        _check_odd_prime(p)
         return Q(m, p - 2) + t
-    if variant == "c":
-        _check_odd_prime(p)
-        top = p_adic_digits(d, p)[-1]
-        return Q(m, p - 2) + t + (Q(top, p - 2) - 1)
-    raise InputError(f"unknown variant {variant!r}; expected 'a', 'b' or 'c'")
+    top = p_adic_digits(d, p)[-1]
+    return Q(m, p - 2) + t + (Q(top, p - 2) - 1)
 
 
 def bs_vanish_variants(p: int, variant: Optional[str] = None) -> tuple[str, ...]:
-    """The threshold variants that apply at p: 'a' at p = 2, 'b' and 'c' at odd p.
+    """The threshold variants that apply at the prime p: 'a' at p = 2, 'b' and 'c' at odd p.
 
     With `variant` given, only that one; a variant that does not apply at p
     is an InputError.
     """
+    require_prime(p)
     variants = ("a",) if p == 2 else ("b", "c")
     if variant is None:
         return variants
@@ -101,12 +97,9 @@ def g_ext_vanishing_holds(d: int, p: int, s: int, m: int) -> bool:
     """Whether s clears the transfer threshold for twisted Ext vanishing.
 
     Same thresholds as variants 'a'/'b' above; a zero coefficient pairing is
-    excluded because the statement fails there.
+    excluded because the statement fails there.  The threshold checks d, p and m.
     """
-    if d < 1:
-        raise InputError(f"vanishing condition needs d >= 1, got {d}")
-    if s < 0 or m < 0:
-        raise InputError("s and m must be non-negative")
+    require_int(s, "s", 0)
     return s >= bs_vanish_threshold(d, p, m, bs_vanish_variants(p)[0])
 
 
@@ -121,8 +114,7 @@ class StabilityConstants:
 
 def stability_constants(rs: RootSystem, p: int, m: int) -> StabilityConstants:
     require_prime(p)
-    if m < 0:
-        raise InputError(f"degree must be non-negative, got {m}")
+    require_int(m, "m", 0)
     h_dual = rs.dual_coxeter_number
     if p == 2:
         c_val = Q(m + ceil_log(2, 2 * (h_dual - 1) + 1) - 1)
@@ -150,10 +142,12 @@ def lemma61(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:
     s >= t.  The hypothesis p^(t-1) <= N / D, with D = p^(s+f) - 1 > 0, is
     decided exactly as p^(t-1) * D <= N.
     """
-    if min(s, f, t) < 1:
-        raise InputError("lemma61 needs s, f, t >= 1")
+    require_int(s, "s", 1)
+    require_int(f, "f", 1)
+    require_int(t, "t", 1)
     total = s + f
     if part == "a":
+        require_prime(p)
         if p != 2:
             raise InputError("part 'a' applies only to p = 2")
         num = 2 ** (total - 1) - 2**s + 2**total * s
@@ -168,27 +162,32 @@ def lemma61(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:
     return (p ** (t - 1) * (p**total - 1) <= num, s >= t)
 
 
+# The primes lemma61_scan runs over.
+LEMMA61_PRIMES = (2, 3, 5, 7)
+
+
 def lemma61_scan(
-    max_value: int = 12,
-    primes: tuple[int, ...] = (2, 3, 5, 7),
-    cap: int = DEFAULT_ENTRY_CAP,
+    max_value: int = 12, cap: int = DEFAULT_ENTRY_CAP
 ) -> list[tuple[int, int, int, int, str]]:
     """All (p, s, f, t, part) in the grid where the hypothesis holds but s < t.
 
-    The grid has len(primes) * max_value**3 cells; above `cap` cells it is
-    refused before the scan starts.  Only t > s can fail the conclusion, and
-    the hypothesis p^(t-1) <= rhs only gets harder as t grows, since rhs does
-    not depend on t.  So for each (p, s, f) the scan starts at t = s + 1 and
-    stops at the first t where no part's hypothesis holds.
+    The grid has len(LEMMA61_PRIMES) * max_value**3 cells, max_value >= 1;
+    above `cap` cells it is refused before the scan starts.  Only t > s can
+    fail the conclusion, and the hypothesis p^(t-1) <= rhs only gets harder as
+    t grows, since rhs does not depend on t.  So for each (p, s, f) the scan
+    starts at t = s + 1 and stops at the first t where no part's hypothesis
+    holds.
     """
-    cells = len(primes) * max_value**3
+    require_int(max_value, "max_value", 1)
+    require_int(cap, "cap", 1)
+    cells = len(LEMMA61_PRIMES) * max_value**3
     if cells > cap:
         raise ResourceLimitError(
             f"lemma61 scan grid has {cells} cells, above the cap {cap}; "
             "raise the cap to allow"
         )
     bad = []
-    for p in primes:
+    for p in LEMMA61_PRIMES:
         parts = ("a",) if p == 2 else ("b", "c")
         for s in range(1, max_value + 1):
             for f in range(1, max_value + 1):
@@ -205,8 +204,8 @@ def lemma61_scan(
 def prop62_vanishing_holds(p: int, m: int, s: int, f: int, b_m: int) -> bool:
     """Tag P621: whether (s, f) clears the untwisting threshold for Ext vanishing."""
     require_prime(p)
-    if min(m, s, f) < 0 or b_m < 0:
-        raise InputError("m, s, f, b_m must be non-negative")
+    for name, value in (("m", m), ("s", s), ("f", f), ("b_m", b_m)):
+        require_int(value, name, 0)
     if p == 2:
         return s >= m and f >= t_invariant(b_m, 2) + 1
     e = Q(m, p - 2)
@@ -216,22 +215,24 @@ def prop62_vanishing_holds(p: int, m: int, s: int, f: int, b_m: int) -> bool:
 def finite_group_vanishing_range(p: int, r: int) -> int:
     """Tag T711: H^m of the finite group vanishes for 0 < m < this value."""
     require_prime(p)
-    if r < 1:
-        raise InputError(f"r must be positive, got {r}")
+    require_int(r, "r", 1)
     return r if p == 2 else r * (p - 2)
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """One theorem's thresholds: twist floor s_min and field-size floor r_min."""
+    """One theorem's thresholds: twist floor s_min = e and field-size floor r_min."""
 
     theorem_tag: str
     e: Q
     f: int
-    s_min: Q
     r_min: int
     conditions: tuple[str, ...]
     inputs_echo: dict = field(default_factory=dict)
+
+    @property
+    def s_min(self) -> Q:
+        return self.e
 
     def __post_init__(self) -> None:
         if self.theorem_tag not in THEOREM_TAGS:
@@ -253,10 +254,8 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
     A1 at odd primes.  Conditions record which rule fired and why.
     """
     require_prime(p)
-    if m < 0:
-        raise InputError(f"degree must be non-negative, got {m}")
-    if b_m < 0:
-        raise InputError(f"b_m must be non-negative, got {b_m}")
+    require_int(m, "m", 0)
+    require_int(b_m, "b_m", 0)
     f_val = t_invariant(b_m, p)
     base_e = Q(m) if p == 2 else Q(m, p - 2)
     improves = f"improves T811 (e = {base_e})"
@@ -292,7 +291,6 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
         theorem_tag=tag,
         e=e,
         f=f_val,
-        s_min=e,
         r_min=floor(e) + f_val + 1 if r_min is None else r_min,
         conditions=tuple(conditions),
         inputs_echo={"p": p, "m": m, "b_m": b_m},
@@ -306,15 +304,14 @@ def cpsvdk_thresholds(
 
     The f reported here is already converted to this package's normalization
     (one less than the source convention); the raw value is echoed in
-    inputs_echo.  c_m may be rational; tpmax must be a power of p.
+    inputs_echo.  c_m is an int or a Fraction; tpmax must be a power of p.
     """
     require_prime(p)
-    if m < 0:
-        raise InputError(f"degree must be non-negative, got {m}")
+    require_int(m, "m", 0)
+    if type(c_m) not in (int, Q) or c_m < 0:
+        raise InputError(f"c_m must be a non-negative int or Fraction, got {_shown(c_m)}")
     c_m = Q(c_m)
-    if c_m < 0:
-        raise InputError(f"c_m must be non-negative, got {c_m}")
-    if tpmax < 1 or _p_part(tpmax, p) != tpmax:
+    if _p_part(require_int(tpmax, "tpmax", 1), p) != tpmax:
         raise InputError(f"tpmax must be a power of {p}, got {tpmax}")
     c, t = structural_constants(rs)
     if p == 2:
@@ -329,7 +326,6 @@ def cpsvdk_thresholds(
         theorem_tag="CPSVDK",
         e=e,
         f=f_val,
-        s_min=e,
         r_min=r_min,
         conditions=(
             "f stated in this package's normalization; the source convention "
@@ -378,8 +374,9 @@ def _module_stats(rs: RootSystem, module: WeightMultiset, p: int) -> tuple[Q, in
 def compare_thresholds(
     rs: RootSystem, p: int, m: int, module: WeightMultiset
 ) -> ComparisonReport:
-    """Compare the generic thresholds against the structural-constant ones."""
+    """Compare the generic thresholds against the structural-constant ones, for m >= 1."""
     require_prime(p)  # before the module scan, which divides by p
+    require_int(m, "m", 1)
     if module.is_empty():
         raise InputError("compare_thresholds needs a non-empty module multiset")
     b_m = b_invariant(rs, module).value

@@ -18,6 +18,7 @@ from fractions import Fraction as Q
 from typing import Any, Optional, Sequence
 
 from ..bounds import (
+    LEMMA61_PRIMES,
     bs_vanish_variants,
     compare_thresholds,
     finite_group_vanishing_range,
@@ -261,8 +262,6 @@ def _cmd_generic(args: argparse.Namespace) -> _Report:
 
 def _cmd_compare(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
-    if args.m < 1:
-        raise InputError("compare needs --m at least 1")
     module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
     report = compare_thresholds(rs, args.p, args.m, module)
     return {
@@ -338,16 +337,13 @@ def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
 
 
 def _cmd_verify_lemma61(args: argparse.Namespace) -> _Report:
-    if args.max < 1:
-        raise InputError("--max must be positive")
-    primes = (2, 3, 5, 7)
-    counterexamples = lemma61_scan(args.max, primes, _cap(args))
+    counterexamples = lemma61_scan(args.max, _cap(args))
     return {
-        "primes": primes,
+        "primes": LEMMA61_PRIMES,
         "max": args.max,
         "counterexamples": len(counterexamples),
         "summary": f"{len(counterexamples)} counterexamples over "
-        f"{len(primes)}×{args.max}³ grid",
+        f"{len(LEMMA61_PRIMES)}×{args.max}³ grid",
     }, bool(counterexamples)
 
 

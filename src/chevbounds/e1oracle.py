@@ -20,7 +20,7 @@ from operator import add, mul
 from typing import Iterator, Optional, Union
 
 from .bounds import bs_vanish_threshold, bs_vanish_variants
-from .errors import InputError
+from .errors import InputError, require_int
 from .modchar import (
     DEFAULT_ENTRY_CAP,
     WeightMultiset,
@@ -70,10 +70,8 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _check_page_shape(levels: int, m: int) -> None:
     """Refuse a page outside 1 <= s + f <= MAX_LEVELS and 0 <= m <= MAX_DEGREE."""
-    if not 1 <= levels <= MAX_LEVELS:
-        raise InputError(f"page levels s + f = {levels} outside 1..{MAX_LEVELS}")
-    if not 0 <= m <= MAX_DEGREE:
-        raise InputError(f"page degree m = {m} outside 0..{MAX_DEGREE}")
+    require_int(levels, "page levels s + f", 1, MAX_LEVELS)
+    require_int(m, "page degree m", 0, MAX_DEGREE)
 
 
 # The (a, b) with S^a (x) Lambda^b of the dual nilradical in each level of
@@ -235,8 +233,9 @@ def invariant_page(
     mu_set must be a non-empty weight multiset of rs.
     """
     require_prime(p)
-    if s < 0 or f < 0 or s + f < 1:
-        raise InputError("need s, f >= 0 with s + f >= 1")
+    require_int(s, "s", 0)
+    require_int(f, "f", 0)
+    require_int(cap, "cap", 1)
     levels = s + f
     _check_page_shape(levels, m)
     lam = Weight.of(lam)
@@ -435,8 +434,8 @@ def dyadic_sharpness(s: int, f: int) -> bool:
     In binary that number is k = s+f ones followed by k - 1 zeros, so this
     holds for every k >= 1; acceptance criterion 6 pins it as a regression check.
     """
-    if s < 0 or f < 0 or s + f < 1:
-        raise InputError("need s, f >= 0 with s + f >= 1")
-    k = s + f
+    require_int(s, "s", 0)
+    require_int(f, "f", 0)
+    k = require_int(s + f, "s + f", 1)
     value = (2**k - 1) << (k - 1)
     return bin(value).count("1") == k

@@ -1,4 +1,4 @@
-"""Exception types shared by every module."""
+"""Exception types shared by every module, and the one check of an integer argument."""
 
 from __future__ import annotations
 
@@ -13,3 +13,27 @@ class ResourceLimitError(RuntimeError):
 
 class OracleError(RuntimeError):
     """Raised when an internal cross-check fails; indicates a bug, not bad input."""
+
+
+def _shown(value: object) -> str:
+    """repr(value) for a message; a value too long to print, alone or in a tuple, is named."""
+    if isinstance(value, tuple):
+        parts = [_shown(x) for x in value]
+        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to print>"
+
+
+def require_int(value: object, what: str, low: int, high: int | None = None) -> int:
+    """value if it is an int (not a bool or 2.0) in low..high, else InputError naming `what`.
+
+    With high None the range has no upper end.
+    """
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {_shown(value)}")
+    if value < low or (high is not None and value > high):
+        bounds = f"below {low}" if high is None else f"outside {low}..{high}"
+        raise InputError(f"{what} = {_shown(value)} {bounds}")
+    return value

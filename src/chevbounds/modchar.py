@@ -28,8 +28,8 @@ from math import comb
 from operator import sub
 from typing import Iterable, Mapping, Optional
 
-from .errors import InputError, OracleError, ResourceLimitError
-from .rootsys import Coords, RootSystem, WeightLike, _shown
+from .errors import InputError, OracleError, ResourceLimitError, _shown, require_int
+from .rootsys import Coords, RootSystem, WeightLike
 
 DEFAULT_ENTRY_CAP = 10**7
 
@@ -91,13 +91,9 @@ class WeightMultiset:
         cleaned = {}
         for coords, mult in table.items():
             key = rs.coords_of(coords)
-            if not isinstance(mult, int):
-                raise InputError(
-                    f"multiplicity of {_shown(key)} must be an integer, got {_shown(mult)}"
-                )
-            if mult < 0:
+            if type(mult) is int and mult < 0:
                 raise InputError(f"negative multiplicity for {_shown(key)}")
-            if mult:
+            if require_int(mult, f"multiplicity of {_shown(key)}", 0):
                 cleaned[key] = cleaned.get(key, 0) + mult
         return WeightMultiset(rs, tuple(sorted(cleaned.items())))
 
@@ -329,6 +325,7 @@ def weyl_character(
     rs: RootSystem, lam: WeightLike, cap: int = DEFAULT_ENTRY_CAP
 ) -> WeightMultiset:
     """Weight multiset of the highest-weight module with highest weight lam."""
+    require_int(cap, "cap", 1)
     coords = rs.coords_of(lam)
     if min(coords) < 0:
         raise InputError("weyl_character needs a dominant weight")
@@ -348,8 +345,8 @@ def graded_power(
     """Weights of the n-th symmetric or exterior power; degree 0 is the trivial module."""
     if kind not in ("sym", "ext"):
         raise InputError(f"kind must be 'sym' or 'ext', got {kind!r}")
-    if n < 0:
-        raise InputError(f"power degree must be non-negative, got {n}")
+    require_int(n, "n", 0)
+    require_int(cap, "cap", 1)
     if kind == "ext" and n > ws.total_dimension:
         return WeightMultiset(ws.system, ())
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .errors import InputError
+from .errors import InputError, _shown
 
 # Miller-Rabin on the first 13 prime bases decides primality exactly below
 # this bound (Sorenson and Webster, 2015); larger inputs are refused.
@@ -43,7 +43,9 @@ def _is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> None:
-    """Raise InputError unless p is prime; exact, with no floating point."""
+    """Raise InputError unless p is a prime int (not a float or bool); exact, with no floats."""
+    if type(p) is not int:
+        raise InputError(f"p must be prime, got {_shown(p)}")
     if p >= PRIME_CERTIFIED_BELOW:
         raise InputError(
             f"p must be below {PRIME_CERTIFIED_BELOW}, the bound up to which "

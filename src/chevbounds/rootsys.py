@@ -15,7 +15,7 @@ from math import gcd, isqrt
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InputError, OracleError
+from .errors import InputError, OracleError, _shown, require_int
 
 Coords = tuple[int, ...]
 
@@ -59,17 +59,6 @@ class Weight:
 WeightLike = Union[Weight, Iterable[int]]
 
 
-def _shown(value: object) -> str:
-    """repr(value) for a message; a value too long to print, alone or in a tuple, is named."""
-    if isinstance(value, tuple):
-        parts = [_shown(x) for x in value]
-        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
-    try:
-        return repr(value)
-    except ValueError:  # an int past sys.get_int_max_str_digits()
-        return f"<{type(value).__name__} too long to print>"
-
-
 @dataclass(frozen=True)
 class Root:
     """A positive root with both coordinate systems precomputed.
@@ -92,8 +81,7 @@ class RootSystem:
 
     family: str
     rank: int
-    cartan_matrix: tuple[Coords, ...]
-    simple_roots: tuple[Weight, ...]
+    cartan_matrix: tuple[Coords, ...]  # row i: alpha_i in fundamental-weight coordinates
     positive_roots: tuple[Root, ...]
     highest_root: Weight
     coxeter_number: int
@@ -116,8 +104,7 @@ class RootSystem:
 
     def fundamental_weight(self, i: int) -> Weight:
         """The i-th fundamental weight, 1-indexed."""
-        if not 1 <= i <= self.rank:
-            raise InputError(f"fundamental weight index out of range: {i}")
+        require_int(i, "fundamental weight index i", 1, self.rank)
         return Weight((0,) * (i - 1) + (1,) + (0,) * (self.rank - i))
 
     def coords_of(self, w: WeightLike) -> Coords:
@@ -152,8 +139,7 @@ class RootSystem:
         c = coords[i]
         if c == 0:
             return coords
-        row = self.simple_roots[i].coords
-        return tuple(x - c * r for x, r in zip(coords, row))
+        return tuple(x - c * r for x, r in zip(coords, self.cartan_matrix[i]))
 
     def dominant_representative(self, coords: Coords) -> Coords:
         """The dominant weight in the Weyl orbit of coords.
@@ -227,11 +213,7 @@ def _validate(family: str, rank: int) -> None:
         raise InputError(f"unknown family {family!r}; expected one of {FAMILIES}")
     low = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}[family]
     high = {"E": 8, "F": 4, "G": 2}.get(family, MAX_CLASSICAL_RANK)
-    if not low <= rank <= high:
-        raise InputError(
-            f"rank {rank} out of range for family {family} "
-            f"(supported: {low}..{high})"
-        )
+    require_int(rank, f"rank of family {family}", low, high)
 
 
 def _positive_root_coords(cartan: list[list[int]]) -> list[Coords]:
@@ -306,8 +288,8 @@ def _fundamental_group_invariants(adj: list[list[int]], det: int) -> tuple[int, 
     return tuple(x for x in (g, det // g) if x > 1) or (1,)
 
 
-# Unbounded: the keys are the 48 supported systems, and bad input raises first.
-@lru_cache(maxsize=None)
+# Unbounded: the keys are the 48 supported systems.  Typed, so ("A", 2.0) misses ("A", 2).
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct (and memoize) the root system of the given family and rank."""
     _validate(family, rank)
@@ -361,7 +343,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         family=family,
         rank=rank,
         cartan_matrix=tuple(alpha_rows),
-        simple_roots=tuple(Weight(row) for row in alpha_rows),
         positive_roots=tuple(roots),
         highest_root=Weight(highest.omega_coords),
         coxeter_number=h,

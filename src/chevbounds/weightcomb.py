@@ -13,17 +13,16 @@ from math import gcd
 from operator import mul
 from typing import Union
 
-from .errors import InputError
+from .errors import InputError, _shown, require_int
 from .modchar import WeightMultiset
 from .rootsys import Coords, RootSystem, WeightLike
 
 
 def ceil_log(p: int, x: Union[int, Q]) -> int:
-    """Smallest t >= 0 with p**t >= x, for x >= 1, by power comparison."""
-    if p < 2:
-        raise InputError(f"base must be at least 2, got {p}")
-    if x < 1:
-        raise InputError(f"ceil_log needs x >= 1, got {x}")
+    """Smallest t >= 0 with p**t >= x, for an int or Fraction x >= 1, by power comparison."""
+    require_int(p, "base p", 2)
+    if type(x) not in (int, Q) or x < 1:
+        raise InputError(f"ceil_log needs an int or Fraction x >= 1, got {_shown(x)}")
     t = 0
     power = 1
     while power < x:
@@ -33,11 +32,10 @@ def ceil_log(p: int, x: Union[int, Q]) -> int:
 
 
 def floor_log(p: int, x: Union[int, Q]) -> int:
-    """Largest t >= 0 with p**t <= x, for x >= 1, by power comparison."""
-    if p < 2:
-        raise InputError(f"base must be at least 2, got {p}")
-    if x < 1:
-        raise InputError(f"floor_log needs x >= 1, got {x}")
+    """Largest t >= 0 with p**t <= x, for an int or Fraction x >= 1, by power comparison."""
+    require_int(p, "base p", 2)
+    if type(x) not in (int, Q) or x < 1:
+        raise InputError(f"floor_log needs an int or Fraction x >= 1, got {_shown(x)}")
     t = 0
     power = p
     while power <= x:
@@ -48,17 +46,13 @@ def floor_log(p: int, x: Union[int, Q]) -> int:
 
 def t_invariant(b: int, p: int) -> int:
     """Digit length of b in base p: smallest t with b < p**t."""
-    if b < 0:
-        raise InputError(f"t_invariant needs b >= 0, got {b}")
-    return ceil_log(p, b + 1)
+    return ceil_log(p, require_int(b, "b", 0) + 1)
 
 
 def p_adic_digits(n: int, p: int) -> tuple[int, ...]:
     """Base-p digits of n, least significant first; empty for n == 0."""
-    if n < 0:
-        raise InputError(f"p_adic_digits needs n >= 0, got {n}")
-    if p < 2:
-        raise InputError(f"base must be at least 2, got {p}")
+    require_int(n, "n", 0)
+    require_int(p, "base p", 2)
     digits = []
     while n:
         n, r = divmod(n, p)

@@ -105,7 +105,7 @@ def test_criterion_01_structural_table() -> None:
 
 def test_criterion_02_lemma61_exhaustive() -> None:
     start = perf_counter()
-    counterexamples = lemma61_scan(12, (2, 3, 5, 7))
+    counterexamples = lemma61_scan(12)
     elapsed = perf_counter() - start
     ok = counterexamples == [] and elapsed < 5.0
     print(f"ACCEPTANCE 2: {_verdict(ok)} lemma61 scan, 0 counterexamples over 4x12^3 grid ({elapsed:.2f}s < 5s)")

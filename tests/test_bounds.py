@@ -327,7 +327,6 @@ def test_threshold_report_validation() -> None:
             theorem_tag="T999",
             e=Q(0),
             f=0,
-            s_min=Q(0),
             r_min=1,
             conditions=(),
         )
@@ -336,7 +335,6 @@ def test_threshold_report_validation() -> None:
             theorem_tag="T811",
             e=Q(-1),
             f=0,
-            s_min=Q(0),
             r_min=1,
             conditions=(),
         )

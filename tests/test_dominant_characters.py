@@ -51,7 +51,7 @@ def _support(rs: RootSystem, lam: Coords) -> set[Coords]:
     reflection through any strictly negative coordinate (which lands on an
     earlier level) is one.
     """
-    alpha_rows = [w.coords for w in rs.simple_roots]
+    alpha_rows = rs.cartan_matrix
     support = {lam}
     frontier = [lam]
     while frontier:

@@ -172,12 +172,12 @@ def test_longest_element_and_duality() -> None:
 def test_pairing_against_cartan_matrix() -> None:
     rs = build_root_system("F", 4)
     simple_as_roots = [
-        next(r for r in rs.positive_roots if r.omega_coords == alpha.coords)
-        for alpha in rs.simple_roots
+        next(r for r in rs.positive_roots if r.omega_coords == alpha)
+        for alpha in rs.cartan_matrix
     ]
     for i in range(rs.rank):
         for j in range(rs.rank):
-            value = rs.pairing(rs.simple_roots[i], simple_as_roots[j].coroot_pairing)
+            value = rs.pairing(rs.cartan_matrix[i], simple_as_roots[j].coroot_pairing)
             assert value == rs.cartan_matrix[i][j]
 
 
