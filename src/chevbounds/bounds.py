@@ -361,12 +361,11 @@ def _module_stats(rs: RootSystem, module: WeightMultiset, p: int) -> tuple[Q, in
 
     Both maxima are attained at a dominant weight of a W-stable module, since
     mu - w(mu) lies in the positive root cone and W fixes each class modulo
-    the root lattice; such a module scans its dominant entries only.
+    the root lattice; such a module scans its dominant entries only.  The
+    caller passes a non-empty module.
     """
     det = rs.cartan_det
     rows = [rs.root_basis_scaled(coords) for coords, _ in module.dominant or module.items]
-    if not rows:
-        return Q(0), 1
     tp_max = max(_p_part(_class_order(scaled, det), p) for scaled in rows)
     return Q(max(map(max, rows)), det), tp_max
 

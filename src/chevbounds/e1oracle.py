@@ -358,9 +358,12 @@ def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Opt
     """Why the P241 vanishing check does not apply, or None when it does.
 
     It needs f = 0, s >= 1 and a positive highest-coroot pairing of lambda.
-    A lambda that is not a weight of rs raises InputError.
+    A lambda that is not a weight of rs, or an s or f that is not an int
+    >= 0, raises InputError.
     """
     coords = rs.coords_of(lam)
+    require_int(s, "s", 0)
+    require_int(f, "f", 0)
     if f != 0:
         return f"vanishing check needs f = 0, got f = {f}"
     if s < 1:

@@ -81,9 +81,17 @@ class WeightMultiset:
         return f"WeightMultiset({self.system.name}, items={self.items!r})"
 
     def check_system(self, rs: RootSystem) -> None:
-        """Raise InputError unless this is a multiset of rs."""
+        """Raise InputError unless this is a multiset of rs.
+
+        The constructor checks nothing, so a multiset not known to be W-stable
+        has each weight read through `rs.coords_of` and each multiplicity
+        checked positive here; one the library built W-stable is trusted.
+        """
         if self.system is not rs:
             raise InputError(f"a weight multiset of {self.system.name} is not one of {rs.name}")
+        if self.dominant is None:
+            for coords, mult in self.items:
+                require_int(mult, f"multiplicity of {_shown(rs.coords_of(coords))}", 1)
 
     @staticmethod
     def from_dict(rs: RootSystem, table: Mapping[WeightLike, int]) -> "WeightMultiset":
@@ -347,6 +355,7 @@ def graded_power(
         raise InputError(f"kind must be 'sym' or 'ext', got {kind!r}")
     require_int(n, "n", 0)
     require_int(cap, "cap", 1)
+    ws.check_system(ws.system)
     if kind == "ext" and n > ws.total_dimension:
         return WeightMultiset(ws.system, ())
 

@@ -77,7 +77,10 @@ class Root:
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable container for one irreducible root system."""
+    """Immutable container for one irreducible root system.
+
+    `positive_roots` run by increasing height, so the highest root comes last.
+    """
 
     family: str
     rank: int
@@ -217,37 +220,29 @@ def _validate(family: str, rank: int) -> None:
 
 
 def _positive_root_coords(cartan: list[list[int]]) -> list[Coords]:
-    """All positive roots in simple-root coordinates, by increasing height."""
+    """All positive roots in simple-root coordinates, by increasing height.
+
+    The simple roots come first in index order, then each height in ascending
+    tuple order.  For a positive root beta with c = <beta, alpha_i-vee> < 0,
+    s_i beta = beta - c alpha_i is a higher positive root, and every positive
+    root that is not simple is reached this way from a lower one (reflect it
+    down through an i with <beta, alpha_i-vee> > 0), so the roots are the
+    closure of the simple roots under these up-reflections.
+    """
     n = len(cartan)
-    roots: set[Coords] = set()
-    level: list[Coords] = []
-    for i in range(n):
-        rc = tuple(1 if j == i else 0 for j in range(n))
-        roots.add(rc)
-        level.append(rc)
-    out = list(level)
-    while level:
-        nxt: list[Coords] = []
-        for rc in level:
-            for i in range(n):
-                pair = sum(rc[j] * cartan[j][i] for j in range(n))
-                back = 0
-                probe = list(rc)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in roots:
-                        break
-                    back += 1
-                if back - pair > 0:
-                    up = list(rc)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        out.extend(sorted(nxt))
-        level = nxt
-    return out
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots = set(simple)
+    stack = list(simple)
+    while stack:
+        rc = stack.pop()
+        for i in range(n):
+            c = sum(rc[j] * cartan[j][i] for j in range(n))
+            if c < 0:
+                up = rc[:i] + (rc[i] - c,) + rc[i + 1 :]
+                if up not in roots:
+                    roots.add(up)
+                    stack.append(up)
+    return simple + sorted(roots.difference(simple), key=lambda rc: (sum(rc), rc))
 
 
 def _adjugate_and_det(mat: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -309,21 +304,14 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             raise OracleError(f"non-integral coroot pairing for root {rc}")
         roots.append(Root(omega, rc, pairing, length2))
 
-    max_len = max(r.length2 for r in roots)
-    min_len = min(r.length2 for r in roots)
-    long_roots = tuple(r for r in roots if r.length2 == max_len)
-    short_roots = tuple(r for r in roots if r.length2 == min_len)
-
-    def dominant_root(candidates: Sequence[Root]) -> Root:
-        best = [r for r in candidates if all(c >= 0 for c in r.omega_coords)]
-        if len(best) != 1:
-            raise OracleError(f"expected one dominant root, found {len(best)}")
-        return best[0]
-
-    highest = dominant_root(long_roots)
-    highest_short = dominant_root(short_roots)
-
-    h = sum(highest_short.coroot_pairing) + 1
+    # A root of greatest height has no up-reflection, so it is dominant; the
+    # highest root is the one such root (Bourbaki, Lie VI, 1.8), and
+    # |Phi| = rank * h (Humphreys, Reflection Groups and Coxeter Groups, ch. 3).
+    highest = roots[-1]
+    tops = sum(1 for rc in pos_rc if sum(rc) == sum(highest.root_coords))
+    if tops != 1:
+        raise OracleError(f"expected one dominant root, found {tops}")
+    h = 2 * len(roots) // n
     h_dual = sum(highest.coroot_pairing) + 1
 
     adj, det = _adjugate_and_det(cartan)

@@ -103,12 +103,7 @@ _STRUCTURAL_T = {"A": None, "B": 2, "C": 2, "D": 2, "E6": 3, "E7": 2, "E8": 1, "
 
 def structural_constants(rs: RootSystem) -> tuple[int, int]:
     """The pair (c, t) used by the comparison thresholds."""
-    c = max(
-        rc
-        for root in rs.positive_roots
-        if root.omega_coords == rs.highest_root.coords
-        for rc in root.root_coords
-    )
+    c = max(rs.positive_roots[-1].root_coords)  # the highest root comes last
     if rs.family == "A":
         t = rs.rank + 1
     elif rs.family == "E":

@@ -94,6 +94,8 @@ def test_lemma61_examples() -> None:
         lemma61(2, 1, 1, 1, "b")
     with pytest.raises(InputError):
         lemma61(2, 0, 1, 1, "a")
+    with pytest.raises(InputError, match="unknown part 'd'"):
+        lemma61(3, 1, 1, 1, "d")
 
 
 def _lemma61_fractions(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:

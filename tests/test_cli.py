@@ -428,36 +428,22 @@ def test_emit_table_unknown_kind() -> None:
 
 
 def test_exit_code_input_errors(capsys) -> None:
-    assert run(["info", "--type", "Z9"]) == 2
-    assert "cannot parse" in capsys.readouterr().err
-
-    assert run(["generic", "--type", "A1", "--p", "4", "--m", "1"]) == 2
-    assert "must be prime" in capsys.readouterr().err
-
-    assert run(["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "1,2"]) == 2
-    capsys.readouterr()
-
-    assert (
-        run(
-            [
-                "verify-e1",
-                "--type",
-                "A1",
-                "--p",
-                "2",
-                "--s",
-                "1",
-                "--m",
-                "1",
-                "--weight",
-                "1",
-                "--variant",
-                "b",
-            ]
-        )
-        == 2
-    )
-    assert "does not apply at p=2" in capsys.readouterr().err
+    generic_a2 = ["generic", "--type", "A2", "--p", "3", "--m", "1"]
+    for argv, message in (
+        (["info", "--type", "Z9"], "cannot parse root system label 'Z9'"),
+        (["info", "--type", "Ax"], "cannot parse rank in label 'Ax'"),
+        (["generic", "--type", "A1", "--p", "4", "--m", "1"], "must be prime"),
+        (["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "1,2"], "A1 needs 1"),
+        (generic_a2 + ["--weight", "1,x"], "bad weight '1,x': "),
+        (generic_a2 + ["--module-weight", "1,0:x"], "bad multiplicity in '1,0:x'"),
+        (
+            ["verify-e1", "--type", "A1", "--p", "2", "--s", "1", "--m", "1", "--weight", "1"]
+            + ["--variant", "b"],
+            "does not apply at p=2",
+        ),
+    ):
+        assert run(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 # Every required flag of each subcommand, with a value that runs.
@@ -553,6 +539,13 @@ def test_cap_env_and_flag(capsys, monkeypatch) -> None:
     capsys.readouterr()
     assert run(argv + ["--cap", "100000"]) == 0
     capsys.readouterr()
+    for env, message in (
+        ("abc", "CHEVBOUNDS_CAP must be an integer, got 'abc'"),
+        ("0", "CHEVBOUNDS_CAP must be positive"),
+    ):
+        monkeypatch.setenv("CHEVBOUNDS_CAP", env)
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_weight_requires_dominant_for_character(capsys) -> None:

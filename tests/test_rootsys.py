@@ -207,6 +207,8 @@ def test_parse_type() -> None:
     for bad in ("Z9", "A0", "B1", "D3", "E9", "F5", "G3", "A", "A13", ""):
         with pytest.raises(InputError):
             parse_type(bad)
+    with pytest.raises(InputError, match="unknown family 'X'"):
+        build_root_system("X", 2)
 
 
 def test_weight_rank_validation() -> None:
@@ -314,3 +316,53 @@ def test_pairing_matches_the_case_formula_for_d() -> None:
             coords = rs.fundamental_weight(i).coords
             rc = tuple(Q(x, rs.cartan_det) for x in rs.root_basis_scaled(coords))
             assert rs.pairing(coords) == _d_from_root_coords(rs, rc), (rs.name, i)
+
+
+def root_string_positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
+    """Positive roots by alpha_i-strings, in the order `positive_roots` keeps.
+
+    alpha + alpha_i is a root exactly when the alpha_i-string through alpha
+    runs q steps down and q - <alpha, alpha_i-vee> > 0 steps up.  Each height
+    is listed in ascending tuple order after the simple roots.
+    """
+    n = len(cartan)
+    level = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots = set(level)
+    out = list(level)
+    while level:
+        nxt = []
+        for rc in level:
+            for i in range(n):
+                pair = sum(rc[j] * cartan[j][i] for j in range(n))
+                down = 0
+                probe = list(rc)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in roots:
+                        break
+                    down += 1
+                if down - pair > 0:
+                    up = rc[:i] + (rc[i] + 1,) + rc[i + 1 :]
+                    if up not in roots:
+                        roots.add(up)
+                        nxt.append(up)
+        out.extend(sorted(nxt))
+        level = nxt
+    return out
+
+
+def test_positive_roots_run_by_height_with_the_highest_root_last() -> None:
+    for family, rank in SUPPORTED_SYSTEMS:
+        rs = build_root_system(family, rank)
+        cartan, _ = _cartan_and_lengths(family, rank)
+        roots = rs.positive_roots
+        assert [r.root_coords for r in roots] == root_string_positive_roots(cartan), rs.name
+        # The highest root is the one dominant long root.  The coroot of the
+        # highest short root is the highest root of the dual system, whose
+        # height is h - 1 (Bourbaki, Lie VI, 1.11).
+        longest, shortest = max(r.length2 for r in roots), min(r.length2 for r in roots)
+        dominant = [r for r in roots if min(r.omega_coords) >= 0]
+        assert [r for r in dominant if r.length2 == longest] == [roots[-1]], rs.name
+        assert rs.highest_root.coords == roots[-1].omega_coords
+        (short,) = [r for r in dominant if r.length2 == shortest]
+        assert rs.coxeter_number == sum(short.coroot_pairing) + 1 == 2 * len(roots) // rank

@@ -5,7 +5,9 @@ many as the rank.  A weight cut short by `zip` would give a wrong pairing and
 a wrong verdict with no error, so each entry point is called here with a
 weight of the wrong rank, a bool coordinate and a float coordinate.  A weight
 multiset records its system, and `WeightMultiset.check_system` is the one
-check that it is a module of the system it is read against.
+check that it is a module of the system it is read against.  The constructor
+checks nothing, so `check_system` also reads every entry of a multiset that
+is not known to be W-stable, as `from_dict` would.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 from chevbounds.bounds import compare_thresholds
 from chevbounds.e1oracle import bs_vanishing_failure, check_bs_vanishing, invariant_page
 from chevbounds.errors import InputError
-from chevbounds.modchar import WeightMultiset, weyl_character, weyl_dimension
+from chevbounds.modchar import WeightMultiset, graded_power, weyl_character, weyl_dimension
 from chevbounds.rootsys import Weight, apply_w0, build_root_system, dominance_leq, dual_weight
 from chevbounds.weightcomb import b_invariant, b_of_weight, order_in_fundamental_group
 
@@ -126,3 +128,34 @@ def test_every_multiset_taker_reads_a_multiset_of_its_system(taker) -> None:
 def test_multisets_of_different_systems_differ() -> None:
     assert WeightMultiset.trivial(A2) != WeightMultiset.trivial(B2)
     assert WeightMultiset.trivial(A2) == WeightMultiset.from_dict(A2, {(0, 0): 1})
+
+
+# Multisets of A2 built with the unchecked constructor, each with one entry
+# that `from_dict` would refuse.
+RAW = {
+    "short weight": ((1,), 1),
+    "bool coordinate": ((True, 0), 1),
+    "zero multiplicity": ((1, 0), 0),
+    "negative multiplicity": ((1, 0), -3),
+    "float multiplicity": ((1, 0), 1.5),
+    "bool multiplicity": ((1, 0), True),
+}
+
+RAW_TAKERS = {
+    **MULTISET_TAKERS,
+    "graded_power sym": lambda ws: graded_power("sym", ws, 2),
+    "graded_power ext": lambda ws: graded_power("ext", ws, 2),
+}
+
+
+@pytest.mark.parametrize("entry", RAW.values(), ids=RAW.keys())
+@pytest.mark.parametrize("taker", RAW_TAKERS.values(), ids=RAW_TAKERS.keys())
+def test_every_multiset_taker_refuses_an_entry_from_dict_refuses(taker, entry) -> None:
+    with pytest.raises(InputError):
+        taker(WeightMultiset(A2, (entry,)))
+
+
+@pytest.mark.parametrize("taker", RAW_TAKERS.values(), ids=RAW_TAKERS.keys())
+def test_every_multiset_taker_reads_a_raw_multiset_of_weights(taker) -> None:
+    raw = WeightMultiset(A2, (((-1, 0), 2), ((1, 0), 1)))
+    assert taker(raw) == taker(WeightMultiset.from_dict(A2, {(1, 0): 1, (-1, 0): 2}))

@@ -96,6 +96,8 @@ def test_b_invariant_single_weights() -> None:
     a2 = build_root_system("A", 2)
     rep2 = b_invariant(a2, WeightMultiset.from_dict(a2, {(1, 1): 1, (-1, 2): 1}))
     assert rep2.value == 2
+    with pytest.raises(InputError, match="needs a non-empty weight multiset"):
+        b_invariant(a2, WeightMultiset(a2, ()))
 
 
 def test_b_of_weight_is_orbit_invariant() -> None:
