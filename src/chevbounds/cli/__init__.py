@@ -3,23 +3,24 @@
 Subcommands cover root-system inspection, the closed-form threshold
 calculators, the brute-force page verifications, and the static reference
 tables, with text, JSON, and CSV output.  All numbers are exact; rationals
-render as "a/b".
+render as "a/b".  `argparse` and `csv` load only when a command runs, so
+`import chevbounds`, which loads this module, does not pay for them.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import os
 import sys
 from fractions import Fraction as Q
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..bounds import (
     LEMMA61_PRIMES,
     bs_vanish_variants,
+    check_compare_inputs,
+    check_generic_inputs,
     compare_thresholds,
     finite_group_vanishing_range,
     generic_thresholds,
@@ -37,6 +38,9 @@ from ..errors import InputError, OracleError, ResourceLimitError
 from ..modchar import DEFAULT_ENTRY_CAP, WeightMultiset, weyl_character
 from ..rootsys import RootSystem, Weight, parse_type
 from ..weightcomb import b_invariant, structural_constants
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA = "chevbounds/1"
 DEFAULT_INT_DIGITS = 4300  # Python's default limit on printing an int
@@ -110,6 +114,16 @@ def _flatten(doc: dict[str, Any], prefix: str = "") -> list[tuple[str, str]]:
     return pairs
 
 
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    import csv
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().rstrip("\n")
+
+
 def _render(doc: dict[str, Any], fmt: str, raw_keys: Sequence[str] = ()) -> str:
     """Render one report document.
 
@@ -122,11 +136,7 @@ def _render(doc: dict[str, Any], fmt: str, raw_keys: Sequence[str] = ()) -> str:
         header = tuple(doc["header"])
         rows = [tuple(row[h] for h in header) for row in doc["rows"]]
         if fmt == "csv":
-            out = io.StringIO()
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-            return out.getvalue().rstrip("\n")
+            return _csv_text(header, rows)
         lines = [f"table={doc['kind']}"]
         if "note" in doc:
             lines.append(f"note={doc['note']}")
@@ -135,11 +145,7 @@ def _render(doc: dict[str, Any], fmt: str, raw_keys: Sequence[str] = ()) -> str:
         return "\n".join(lines)
     pairs = _flatten(doc)
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        writer.writerows(pairs)
-        return out.getvalue().rstrip("\n")
+        return _csv_text(("key", "value"), pairs)
     lines = []
     for key, value in pairs:
         if key in raw_keys:
@@ -255,6 +261,9 @@ def _cmd_vanish_range(args: argparse.Namespace) -> _Report:
 
 def _cmd_generic(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
+    # The library's p and m checks run first: a bad one is bad input (exit 2),
+    # even when the module would hit its cap (exit 3).
+    check_generic_inputs(args.p, args.m)
     module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
     b_m = b_invariant(rs, module).value
     return {**_threshold_doc(generic_thresholds(rs, args.p, args.m, b_m)), "b_M": b_m}, False
@@ -262,6 +271,7 @@ def _cmd_generic(args: argparse.Namespace) -> _Report:
 
 def _cmd_compare(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
+    check_compare_inputs(args.p, args.m)
     module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
     report = compare_thresholds(rs, args.p, args.m, module)
     return {
@@ -423,6 +433,8 @@ _COMMANDS = {
 
 
 def _parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="chevbounds",
         description="Exact root-system bounds, thresholds, and page verifications.",

@@ -84,14 +84,20 @@ class WeightMultiset:
         """Raise InputError unless this is a multiset of rs.
 
         The constructor checks nothing, so a multiset not known to be W-stable
-        has each weight read through `rs.coords_of` and each multiplicity
-        checked positive here; one the library built W-stable is trusted.
+        is scanned here: each weight is read through `rs.coords_of`, each
+        multiplicity must be positive, and the weights must strictly increase,
+        as `from_dict` lists them.  One the library built W-stable is trusted.
         """
         if self.system is not rs:
             raise InputError(f"a weight multiset of {self.system.name} is not one of {rs.name}")
         if self.dominant is None:
+            last = ()  # below every weight, as a weight has at least one coordinate
             for coords, mult in self.items:
-                require_int(mult, f"multiplicity of {_shown(rs.coords_of(coords))}", 1)
+                key = rs.coords_of(coords)
+                require_int(mult, f"multiplicity of {_shown(key)}", 1)
+                if key <= last:
+                    raise InputError(f"weights out of order: {_shown(key)} after {_shown(last)}")
+                last = key
 
     @staticmethod
     def from_dict(rs: RootSystem, table: Mapping[WeightLike, int]) -> "WeightMultiset":

@@ -219,30 +219,33 @@ def _validate(family: str, rank: int) -> None:
     require_int(rank, f"rank of family {family}", low, high)
 
 
-def _positive_root_coords(cartan: list[list[int]]) -> list[Coords]:
-    """All positive roots in simple-root coordinates, by increasing height.
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[Coords, Coords]]:
+    """(simple-root coords, fundamental-weight coords) of every positive root, by height.
 
     The simple roots come first in index order, then each height in ascending
-    tuple order.  For a positive root beta with c = <beta, alpha_i-vee> < 0,
+    tuple order.  A root's i-th fundamental-weight coordinate is its pairing
+    c = <beta, alpha_i-vee>.  For a positive root beta with c < 0,
     s_i beta = beta - c alpha_i is a higher positive root, and every positive
     root that is not simple is reached this way from a lower one (reflect it
-    down through an i with <beta, alpha_i-vee> > 0), so the roots are the
-    closure of the simple roots under these up-reflections.
+    down through an i with c > 0), so the roots are the closure of the simple
+    roots under these up-reflections.  The closure carries both coordinate
+    systems: s_i adds -c to the i-th root coordinate and subtracts c times
+    alpha_i, row i of the Cartan matrix, from the pairings.
     """
     n = len(cartan)
     simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    stack = list(simple)
+    omega = {rc: tuple(row) for rc, row in zip(simple, cartan)}
+    stack = list(omega.items())
     while stack:
-        rc = stack.pop()
-        for i in range(n):
-            c = sum(rc[j] * cartan[j][i] for j in range(n))
+        rc, pairings = stack.pop()
+        for i, c in enumerate(pairings):
             if c < 0:
                 up = rc[:i] + (rc[i] - c,) + rc[i + 1 :]
-                if up not in roots:
-                    roots.add(up)
-                    stack.append(up)
-    return simple + sorted(roots.difference(simple), key=lambda rc: (sum(rc), rc))
+                if up not in omega:
+                    omega[up] = tuple([x - c * r for x, r in zip(pairings, cartan[i])])
+                    stack.append((up, omega[up]))
+    higher = sorted(omega.keys() - set(simple), key=lambda rc: (sum(rc), rc))
+    return [(rc, omega[rc]) for rc in simple + higher]
 
 
 def _adjugate_and_det(mat: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -290,25 +293,19 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     _validate(family, rank)
     cartan, d = _cartan_and_lengths(family, rank)
     n = rank
-    alpha_rows = [tuple(cartan[i]) for i in range(n)]
-
-    pos_rc = _positive_root_coords(cartan)
     roots: list[Root] = []
-    for rc in pos_rc:
-        omega = tuple(
-            sum(rc[i] * cartan[i][j] for i in range(n)) for j in range(n)
-        )
-        length2 = sum(rc[j] * d[j] * omega[j] for j in range(n))
-        pairing = tuple(2 * d[j] * rc[j] // length2 for j in range(n))
-        if any(2 * d[j] * rc[j] % length2 for j in range(n)):
+    for rc, omega in _positive_roots(cartan):
+        scaled = [2 * x * dj for x, dj in zip(rc, d)]  # 2 d_j beta_j
+        length2 = sum(map(mul, scaled, omega)) // 2
+        if any([x % length2 for x in scaled]):
             raise OracleError(f"non-integral coroot pairing for root {rc}")
-        roots.append(Root(omega, rc, pairing, length2))
+        roots.append(Root(omega, rc, tuple([x // length2 for x in scaled]), length2))
 
     # A root of greatest height has no up-reflection, so it is dominant; the
     # highest root is the one such root (Bourbaki, Lie VI, 1.8), and
     # |Phi| = rank * h (Humphreys, Reflection Groups and Coxeter Groups, ch. 3).
     highest = roots[-1]
-    tops = sum(1 for rc in pos_rc if sum(rc) == sum(highest.root_coords))
+    tops = sum(1 for root in roots if sum(root.root_coords) == sum(highest.root_coords))
     if tops != 1:
         raise OracleError(f"expected one dominant root, found {tops}")
     h = 2 * len(roots) // n
@@ -317,20 +314,24 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     adj, det = _adjugate_and_det(cartan)
     invariants = _fundamental_group_invariants(adj, det)
 
-    # Word for the longest Weyl element, found by driving rho to -rho.
+    # Word for the longest Weyl element, found by driving rho to -rho in |Phi+| steps.
     word: list[int] = []
-    cur = (1,) * n
-    target = tuple(-1 for _ in range(n))
-    while cur != target:
-        i = next(k for k, c in enumerate(cur) if c > 0)
+    cur = [1] * n
+    for _ in roots:
+        i = next((k for k, c in enumerate(cur) if c > 0), None)
+        if i is None:
+            break
         c = cur[i]
-        cur = tuple(x - c * r for x, r in zip(cur, alpha_rows[i]))
+        for j, r in enumerate(cartan[i]):
+            cur[j] -= c * r
         word.append(i)
+    if cur != [-1] * n:
+        raise OracleError(f"the w0 word of {family}{rank} drives rho to {cur}, not -rho")
 
     return RootSystem(
         family=family,
         rank=rank,
-        cartan_matrix=tuple(alpha_rows),
+        cartan_matrix=tuple(map(tuple, cartan)),
         positive_roots=tuple(roots),
         highest_root=Weight(highest.omega_coords),
         coxeter_number=h,

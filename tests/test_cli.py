@@ -409,7 +409,27 @@ def _csv_field(value: str) -> str:
         ["verify-lemma61", "--max", "6"],
         ["primes=2,3,5,7", "max=6", "counterexamples=0", "0 counterexamples over 4×6³ grid"],
     ),
-], ids=["compare text", "compare csv", "verify-e1 text", "vanish-range text", "lemma61 text"])
+    (
+        ["info", "--type", "E8", "--format", "csv"],
+        [
+            "key,value", "type,E8", "rank,8", "positive_roots,120", "h,30", "h_dual,30",
+            "det,1", "fundamental_group,1", "c,6", "t,1", "ct,6",
+            'highest_root,"0,0,0,0,0,0,0,1"',
+        ],
+    ),
+    (["table", "--format", "csv"], STRUCTURAL_CSV),
+    (
+        ["table", "comparison-p2", "--format", "csv"],
+        [
+            "source,e_formula,f_formula",
+            'CPSVDK,"max{c*t*m-1, 0}",floor(log_2(t*c(M)+1))+1',
+            "T811,m,ceil(log_2(b(M)+1))",
+        ],
+    ),
+], ids=[
+    "compare text", "compare csv", "verify-e1 text", "vanish-range text", "lemma61 text",
+    "info csv", "table csv", "quoted table csv",
+])
 def test_whole_stdout(argv: list[str], expected: list[str], capsys) -> None:
     assert run(argv) == 0
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
@@ -420,6 +440,40 @@ def test_compare_refuses_a_non_prime_before_it_scans_the_module(p: str, capsys) 
     # p = 1 or -1 once looped forever in the module scan, and p = 0 raised a traceback.
     assert run(["compare", "--type", "A1", "--p", p, "--m", "1"]) == 2
     assert capsys.readouterr().err == f"error: p must be prime, got {p}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--type", "A2", "--p", "4", "--m", "1"], "p must be prime, got 4"),
+    (["generic", "--type", "A2", "--p", "4", "--m", "1"], "p must be prime, got 4"),
+    (["compare", "--type", "A2", "--p", "3", "--m", "0"], "m = 0 below 1"),
+    (["generic", "--type", "A2", "--p", "4", "--m", "0"], "p must be prime, got 4"),
+], ids=["compare p", "generic p", "compare m", "generic p and m"])
+def test_bad_p_or_m_is_bad_input_before_the_module_hits_its_cap(
+    argv: list[str], message: str, capsys
+) -> None:
+    # The character of (9, 9) has dimension 1000, above the cap: the library
+    # checks p and m before the module is built, so the exit code is 2, not 3.
+    assert run(argv + ["--weight", "9,9", "--cap", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_import_loads_no_command_line_only_module() -> None:
+    # argparse and csv load only when a command runs; `import chevbounds`
+    # still loads the CLI module, which perfbench's tracer patches.
+    src = str(Path(chevbounds.__file__).resolve().parents[1])
+    probe = (
+        "import sys, chevbounds; "
+        "print(sorted(m for m in ('argparse', 'csv', 'chevbounds.cli') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['chevbounds.cli']\n"
 
 
 def test_emit_table_unknown_kind() -> None:

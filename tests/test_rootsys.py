@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+from dataclasses import astuple, fields
 from fractions import Fraction as Q
 
 import pytest
@@ -241,6 +243,14 @@ def test_bad_cartan_data_is_an_internal_error(monkeypatch, cartan, d, message) -
         build_root_system.__wrapped__("A", 2)
 
 
+def test_a_w0_word_that_misses_minus_rho_is_an_internal_error(monkeypatch) -> None:
+    # With a root left out, the word stops short of -rho after len(roots) steps.
+    closure = rootsys._positive_roots
+    monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: closure(cartan)[1:])
+    with pytest.raises(OracleError, match=r"drives rho to \[1, -2\], not -rho"):
+        build_root_system.__wrapped__("A", 2)
+
+
 def fraction_adjugate_and_det(mat: list[list[int]]) -> tuple[list[list[int]], int]:
     """Adjugate and determinant by Gauss-Jordan over the rationals, with row swaps."""
     n = len(mat)
@@ -366,3 +376,19 @@ def test_positive_roots_run_by_height_with_the_highest_root_last() -> None:
         assert rs.highest_root.coords == roots[-1].omega_coords
         (short,) = [r for r in dominant if r.length2 == shortest]
         assert rs.coxeter_number == sum(short.coroot_pairing) + 1 == 2 * len(roots) // rank
+
+
+def _build_digest() -> str:
+    """SHA-256 over every field of every supported system, each Root included."""
+    digest = hashlib.sha256()
+    for family, rank in SUPPORTED_SYSTEMS:
+        rs = build_root_system.__wrapped__(family, rank)
+        digest.update(repr([f.name for f in fields(rs)]).encode())
+        digest.update(repr(astuple(rs)).encode())
+    return digest.hexdigest()
+
+
+def test_every_supported_system_builds_the_pinned_data() -> None:
+    # Pinned from the two-pass build, which summed every pairing from the
+    # Cartan matrix: a faster build must give the same systems field for field.
+    assert _build_digest() == "12af1b541acdcbc6a49b5d8ca5bfb2375559a0bd13be7ff86af621e3f649dfe0"

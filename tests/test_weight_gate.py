@@ -17,7 +17,13 @@ import pytest
 from chevbounds.bounds import compare_thresholds
 from chevbounds.e1oracle import bs_vanishing_failure, check_bs_vanishing, invariant_page
 from chevbounds.errors import InputError
-from chevbounds.modchar import WeightMultiset, graded_power, weyl_character, weyl_dimension
+from chevbounds.modchar import (
+    WeightMultiset,
+    graded_power,
+    nilradical_dual_weights,
+    weyl_character,
+    weyl_dimension,
+)
 from chevbounds.rootsys import Weight, apply_w0, build_root_system, dominance_leq, dual_weight
 from chevbounds.weightcomb import b_invariant, b_of_weight, order_in_fundamental_group
 
@@ -159,3 +165,40 @@ def test_every_multiset_taker_refuses_an_entry_from_dict_refuses(taker, entry) -
 def test_every_multiset_taker_reads_a_raw_multiset_of_weights(taker) -> None:
     raw = WeightMultiset(A2, (((-1, 0), 2), ((1, 0), 1)))
     assert taker(raw) == taker(WeightMultiset.from_dict(A2, {(1, 0): 1, (-1, 0): 2}))
+
+
+# Raw multisets of A2 whose entries `from_dict` would never list: it gives each
+# weight once, in increasing order.
+UNORDERED = {
+    "repeated weight": (((1, 0), 1), ((1, 0), 1)),
+    "unsorted weights": (((1, 0), 1), ((0, 1), 1)),
+}
+
+
+@pytest.mark.parametrize("items", UNORDERED.values(), ids=UNORDERED.keys())
+@pytest.mark.parametrize("taker", RAW_TAKERS.values(), ids=RAW_TAKERS.keys())
+def test_every_multiset_taker_refuses_weights_out_of_order(taker, items) -> None:
+    with pytest.raises(InputError, match=r"^weights out of order: \(\d, \d\) after \(1, 0\)$"):
+        taker(WeightMultiset(A2, items))
+
+
+def test_every_multiset_the_library_builds_is_in_order() -> None:
+    nil = nilradical_dual_weights(A2)
+    built = [
+        nil,
+        WeightMultiset.from_dict(A2, {(1, 0): 1, (0, 1): 2, (-1, 1): 1}),
+        graded_power("sym", nil, 3),
+        graded_power("ext", nil, 2),
+        invariant_page(A2, 2, 1, 0, (0, 0), WeightMultiset.trivial(A2), 4).gammas,
+        invariant_page(A2, 2, 1, 1, (0, 0), nil, 4).gammas,
+    ]
+    for ws in built:
+        assert ws.dominant is None and len(ws.items) > 1
+        ws.check_system(A2)
+
+
+def test_a_w_stable_multiset_is_not_scanned() -> None:
+    # A character keeps only its dominant entries until `items` is read.
+    character = weyl_character(A2, (2, 1))
+    character.check_system(A2)
+    assert character._items is None
