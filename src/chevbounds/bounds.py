@@ -33,8 +33,6 @@ THEOREM_TAGS = (
     "P241a",
     "P241b",
     "P241c",
-    "P311",
-    "T321",
     "T511",
     "T521",
     "P621",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import product
 from operator import add, mul
 from typing import Iterator, Optional, Union
 
@@ -144,6 +144,7 @@ def _page_level(rs: RootSystem, p: int, m: int, cap: int, kind: str) -> tuple[in
     return modulus, {key: tuple(map(tuple, rows)) for key, rows in grouped.items()}
 
 
+@lru_cache(maxsize=4096)
 def _carry_class(
     rs: RootSystem, p: int, levels: int, m: int, cap: int, r: Coords
 ) -> tuple[tuple[Coords, int], ...]:
@@ -155,45 +156,29 @@ def _carry_class(
     (w - r) / p^levels.  For odd p the top level, twisted p^levels, adds its
     weights unfiltered; for p = 2 the levels are twisted 0 .. levels - 1 and
     all of them are filtered.  The last level takes the degree still missing.
-    A level is built only when some carry state reaches it.
+    A level is built only when some carry state reaches it.  lambda, mu and
+    the split of levels into s + f only shift a page by one weight and pick
+    one residue class r in [0, p^levels), so every such page shares its class.
     """
     states: dict[tuple[Coords, int], int] = {(tuple([-c for c in r]), 0): 1}
     kinds = _level_kinds(p, levels)
-    left = len(kinds)
-    # Levels of one kind are adjacent, so each table is looked up once.
-    for kind, run in groupby(kinds):
+    last = len(kinds) - 1
+    for n, kind in enumerate(kinds):
         div, level = _page_level(rs, p, m, cap, kind)
-        for _ in run:
-            left -= 1
-            nxt: dict[tuple[Coords, int], int] = {}
-            for (carry, used), mult in states.items():
-                rows = level.get(tuple([-c % div for c in carry]))
-                if rows is None:
-                    continue
-                for d in range(m - used + 1) if left else (m - used,):
-                    for w, mult_w in rows[d]:
-                        key = (tuple([(c + x) // div for c, x in zip(carry, w)]), used + d)
-                        nxt[key] = nxt.get(key, 0) + mult * mult_w
-                _check_cap("page carry", len(nxt), cap, "carry states")
-            if not nxt:
-                return ()
-            states = nxt
+        nxt: dict[tuple[Coords, int], int] = {}
+        for (carry, used), mult in states.items():
+            rows = level.get(tuple([-c % div for c in carry]))
+            if rows is None:
+                continue
+            for d in (m - used,) if n == last else range(m - used + 1):
+                for w, mult_w in rows[d]:
+                    key = (tuple([(c + x) // div for c, x in zip(carry, w)]), used + d)
+                    nxt[key] = nxt.get(key, 0) + mult * mult_w
+            _check_cap("page carry", len(nxt), cap, "carry states")
+        if not nxt:
+            return ()
+        states = nxt
     return tuple((gamma, mult) for (gamma, _), mult in states.items())
-
-
-@lru_cache(maxsize=256)
-def _page_table(
-    rs: RootSystem, p: int, levels: int, m: int, cap: int
-) -> dict[Coords, tuple[tuple[Coords, int], ...]]:
-    """Carries (w - r) / p^levels of the degree-m page by residue r, filled lazily.
-
-    The w are the summand weights w = r (mod p^levels).  lambda, mu and the
-    split of levels into s + f only shift them by one weight and pick one
-    residue class, so every such page shares this table.
-    `invariant_page` stores each class it asks for, empty ones included; the
-    cache bounds the number of tables, not the classes in one.
-    """
-    return {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,18 +230,13 @@ def invariant_page(
         raise InputError("mu_set must be non-empty; use the trivial multiset")
     q = p**levels
     ps = p**s
-    table = _page_table(rs, p, levels, m, cap)
     gathered: dict[Coords, int] = {}
     for u, mult_u in mu_set.items:
         # v = lam + p^s u; a weight w of the class r = -v (mod q) is
         # q * gamma0 + r, and (v + w) / q = gamma0 + ceil(v / q).
         shift = [-((-a - ps * b) // q) for a, b in zip(lam_coords, u)]
         r = tuple([q * c - a - ps * b for c, a, b in zip(shift, lam_coords, u)])
-        entries = table.get(r)
-        if entries is None:
-            entries = _carry_class(rs, p, levels, m, cap, r)
-            table[r] = entries
-        for gamma0, mult in entries:
+        for gamma0, mult in _carry_class(rs, p, levels, m, cap, r):
             gamma = tuple(map(add, gamma0, shift))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
     # Keys are coordinate tuples and counts are positive by construction.

@@ -607,3 +607,52 @@ def test_page_lookup_matches_brute_force(data) -> None:
             assert report.equality_hits == tuple(
                 g for g in sorted(expected) if b_of_weight(rs, g) == bound
             )
+
+
+COSET_SYSTEMS = {
+    name: build_root_system(name[0], int(name[1:]))
+    for name in ("A1", "A2", "B2", "G2", "A3", "B3", "C3")
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_page_weights_lie_in_the_root_lattice_coset(data) -> None:
+    # A summand weight w is a sum of positive roots and q * gamma = v + w with
+    # v = lam + p^s u.  The weights of a character lie in one coset of the
+    # root lattice, so q * gamma - lam - p^s u is in it for every weight u of
+    # mu: cartan_det divides its scaled root-basis coordinates.
+    name = data.draw(st.sampled_from(sorted(COSET_SYSTEMS)), label="system")
+    rs = COSET_SYSTEMS[name]
+    p = data.draw(st.sampled_from((2, 3, 5, 7)), label="p")
+    levels = data.draw(st.integers(1, 3 if rs.rank < 3 else 2), label="s + f")
+    s = data.draw(st.integers(0, levels), label="s")
+    m = data.draw(st.integers(0, 4 if rs.rank < 3 else 3), label="m")
+    i = data.draw(st.integers(0, rs.rank), label="mu index")
+    mu_set = WeightMultiset.trivial(rs) if i == 0 else weyl_character(rs, rs.fundamental_weight(i))
+    q, ps = p**levels, p**s
+
+    def coords(lo: int, hi: int):
+        return st.tuples(*[st.integers(lo, hi)] * rs.rank)
+
+    roots = [root.omega_coords for root in rs.positive_roots]
+    aimed = m <= len(roots) and data.draw(st.booleans(), label="aimed")
+    if aimed:
+        # m distinct positive roots sum to a weight of the untwisted level in
+        # degree m, so this lam puts gamma on the page.
+        picked = data.draw(
+            st.lists(st.sampled_from(roots), min_size=m, max_size=m, unique=True), label="roots"
+        )
+        w = [sum(root[k] for root in picked) for k in range(rs.rank)]
+        u = data.draw(st.sampled_from([c for c, _ in mu_set.items]), label="u")
+        gamma = data.draw(coords(-1, 2), label="gamma")
+        lam = tuple(q * g - ps * b - c for g, b, c in zip(gamma, u, w))
+    else:
+        lam = data.draw(coords(-4, 6), label="lambda")
+    page = invariant_page(rs, p, s, levels - s, lam, mu_set, m)
+    if aimed:
+        assert gamma in page.gammas.as_dict()
+    for g, _ in page.gammas.items:
+        for u, _ in mu_set.items:
+            x = tuple(q * c - a - ps * b for c, a, b in zip(g, lam, u))
+            assert all(c % rs.cartan_det == 0 for c in rs.root_basis_scaled(x)), (g, u)

@@ -5,7 +5,8 @@
 loops they replaced (per-weight tuples, `WeightMultiset.from_dict`, Fraction
 comparison) are kept here as oracles.  The remaining tests pin what a caller
 may rely on: the records stay frozen dataclasses, a repeated query reuses its
-residue classes, and a warm primality cache still refuses pseudoprimes.
+residue classes, the class cache stays bounded, and a warm primality cache
+still refuses pseudoprimes.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevbounds import e1oracle
 from chevbounds.bounds import bs_vanish_threshold, bs_vanish_variants, compare_thresholds
 from chevbounds.e1oracle import (
     _carry_class,
-    _page_table,
     check_bs_vanishing,
     check_weight_bounds,
     exact_bound_failure,
@@ -56,19 +55,19 @@ LAMBDAS = {name: _dominant_upto(rs, MAX_D) for name, rs in SYSTEMS.items()}
 def oracle_gammas(rs, p, s, f, lam, mu_set, m) -> WeightMultiset:
     """The page weights by the per-weight tuples v, r and shift, then from_dict.
 
-    Any integer shift with r = q * shift - v gives the same page, so the
-    oracle also checks that the page table holds each class under the
-    reduced residue r in [0, q), which every page of the class shares.
+    Each class comes from the uncached carry pass.  Any integer shift with
+    r = q * shift - v gives the same page, so the oracle also checks that
+    the class cache answers the reduced residue r in [0, q), which every
+    page of the class shares, with the same tuple.
     """
     q = p ** (s + f)
-    table = _page_table(rs, p, s + f, m, DEFAULT_ENTRY_CAP)
     gathered: dict = {}
     for u, mult_u in mu_set.items:
         v = tuple(a + p**s * b for a, b in zip(lam.coords, u))
         r = tuple((-c) % q for c in v)
         shift = tuple((a + b) // q for a, b in zip(v, r))
-        entries = _carry_class(rs, p, s + f, m, DEFAULT_ENTRY_CAP, r)
-        assert table.get(r) == entries, r
+        entries = _carry_class.__wrapped__(rs, p, s + f, m, DEFAULT_ENTRY_CAP, r)
+        assert _carry_class(rs, p, s + f, m, DEFAULT_ENTRY_CAP, r) == entries, r
         for gamma0, mult in entries:
             gamma = tuple(map(add, gamma0, shift))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
@@ -167,22 +166,40 @@ def test_records_stay_frozen_dataclasses() -> None:
             setattr(record, field, None)
 
 
-def test_repeated_page_query_runs_no_carry_pass(monkeypatch) -> None:
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _carry_class(*args)
-
-    monkeypatch.setattr(e1oracle, "_carry_class", counted)
-    _page_table.cache_clear()
+def test_repeated_page_query_runs_no_carry_pass() -> None:
+    # A carry pass is a miss of the class cache; the repeated query answers
+    # every mu weight from the cache.
+    _carry_class.cache_clear()
     rs = SYSTEMS["A2"]
-    args = (rs, 5, 1, 1, Weight((2, 1)), weyl_character(rs, rs.fundamental_weight(1)), 3)
+    mu = weyl_character(rs, rs.fundamental_weight(1))
+    args = (rs, 5, 1, 1, Weight((2, 1)), mu, 3)
     first = invariant_page(*args)
-    built = len(calls)
-    assert built >= 1
+    before = _carry_class.cache_info()
+    assert before.misses >= 1
     assert invariant_page(*args).gammas == first.gammas
-    assert len(calls) == built
+    after = _carry_class.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(mu.items)
+
+
+def test_carry_class_cache_is_bounded_and_evicts() -> None:
+    # A2 at p = 3 and s + f = 4 has 81^2 = 6 561 residue classes mod 3^4,
+    # and each lambda in [0, 81)^2 selects a different one under trivial mu.
+    # The sweep starts at lambda = (27, 27), whose page is not empty.
+    rs, p, s, f, m = SYSTEMS["A2"], 3, 2, 2, 1
+    trivial = WeightMultiset.trivial(rs)
+    lams = [Weight(((a + 27) % 81, (b + 27) % 81)) for a in range(81) for b in range(81)]
+    _carry_class.cache_clear()
+    first = invariant_page(rs, p, s, f, lams[0], trivial, m)
+    assert first.gammas.as_dict() == {(1, 0): 1, (0, 1): 1}
+    for lam in lams[1:]:
+        invariant_page(rs, p, s, f, lam, trivial, m)
+    info = _carry_class.cache_info()
+    assert info.misses == len(lams) > info.maxsize == 4096
+    assert info.currsize <= 4096
+    # The first class was evicted long ago: asking again recomputes it once.
+    assert invariant_page(rs, p, s, f, lams[0], trivial, m) == first
+    assert _carry_class.cache_info().misses == info.misses + 1
 
 
 def test_warm_primality_cache_still_rejects_pseudoprimes() -> None:
