@@ -44,10 +44,9 @@ THEOREM_TAGS = (
 )
 
 
-def _check_odd_prime(p: int) -> None:
-    require_prime(p)
-    if p == 2:
-        raise InputError("this clause needs an odd prime")
+def _p_minus_2(p: int) -> int:
+    """p - 2, read as 1 at p = 2, where the odd formula m/(p - 2) gives the clause m."""
+    return p - 2 if p > 2 else 1
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -55,25 +54,24 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     """Smallest admissible tower height s forcing degree-m vanishing.
 
     d is the pairing of the coefficient weight against the highest coroot and
-    must be positive.  Variant 'a' is the p=2 clause; 'b' and 'c' are the two
-    odd-prime clauses.  'c' differs from 'b' by top/(p-2) - 1, top the leading
-    base-p digit of d: it is at most 'b' unless top = p - 1, where it is
-    1/(p-2) larger (d = 2, p = 3 gives 'b' m + 1 and 'c' m + 2).  A pure
-    function of its arguments with an immutable result, so it is memoized;
-    typed, so that d = 2.0 misses the entry of d = 2 and is refused.
+    must be positive.  Variant 'a' is the p=2 clause, 'b' with p-2 read as 1;
+    'b' and 'c' are the two odd-prime clauses.  'c' differs from 'b' by
+    top/(p-2) - 1, top the leading base-p digit of d: it is at most 'b' unless
+    top = p - 1, where it is 1/(p-2) larger (d = 2, p = 3 gives 'b' m + 1 and
+    'c' m + 2).  A pure function of its arguments with an immutable result,
+    so it is memoized; typed, so that d = 2.0 misses d = 2's entry and is refused.
     """
     require_int(d, "d", 1)
     require_int(m, "m", 0)
     if variant is None:
         raise InputError("a threshold needs one variant, got None")
     bs_vanish_variants(p, variant)
-    t = t_invariant(d, p)
-    if variant == "a":
-        return Q(m + t)
-    if variant == "b":
-        return Q(m, p - 2) + t
+    c = _p_minus_2(p)
+    base = Q(m, c) + t_invariant(d, p)
+    if variant != "c":
+        return base
     top = p_adic_digits(d, p)[-1]
-    return Q(m, p - 2) + t + (Q(top, p - 2) - 1)
+    return base + (Q(top, c) - 1)
 
 
 def bs_vanish_variants(p: int, variant: Optional[str] = None) -> tuple[str, ...]:
@@ -113,13 +111,9 @@ class StabilityConstants:
 def stability_constants(rs: RootSystem, p: int, m: int) -> StabilityConstants:
     require_prime(p)
     require_int(m, "m", 0)
-    h_dual = rs.dual_coxeter_number
-    if p == 2:
-        c_val = Q(m + ceil_log(2, 2 * (h_dual - 1) + 1) - 1)
-        f_val = Q(m)
-    else:
-        c_val = Q(m, p - 2) + ceil_log(p, 2 * (p - 1) * (h_dual - 1) + 1) - 1
-        f_val = Q(0) if m <= 1 else Q(m, p - 2)
+    e = Q(m, _p_minus_2(p))
+    c_val = e + ceil_log(p, 2 * (p - 1) * (rs.dual_coxeter_number - 1) + 1) - 1
+    f_val = Q(0) if p != 2 and m <= 1 else e
     notes = [
         "T511: H^m(G_s, k)^(-s) is independent of the twist once s >= C",
         "T521: restriction H^m(G, V^(s)) -> H^m(G_s, V)^(-s) is injective for s >= F(m)",
@@ -143,20 +137,18 @@ def lemma61(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:
     require_int(s, "s", 1)
     require_int(f, "f", 1)
     require_int(t, "t", 1)
-    total = s + f
-    if part == "a":
-        require_prime(p)
-        if p != 2:
-            raise InputError("part 'a' applies only to p = 2")
-        num = 2 ** (total - 1) - 2**s + 2**total * s
-    elif part == "b":
-        _check_odd_prime(p)
-        num = p ** (total - 1) - p**s + p**total * s * (p - 2)
-    elif part == "c":
-        _check_odd_prime(p)
-        num = p**total - p**s + p**total * (s * (p - 2) - 1)
-    else:
+    if part not in ("a", "b", "c"):
         raise InputError(f"unknown part {part!r}; expected 'a', 'b' or 'c'")
+    require_prime(p)
+    if (part == "a") != (p == 2):
+        raise InputError("part 'a' applies only to p = 2" if part == "a" else
+                         "this clause needs an odd prime")
+    total = s + f
+    c = _p_minus_2(p)  # part 'a' is part 'b' with p - 2 read as 1
+    if part == "c":
+        num = p**total - p**s + p**total * (s * c - 1)
+    else:
+        num = p ** (total - 1) - p**s + p**total * s * c
     return (p ** (t - 1) * (p**total - 1) <= num, s >= t)
 
 
@@ -181,7 +173,7 @@ def lemma61_scan(
     cells = len(LEMMA61_PRIMES) * max_value**3
     if cells > cap:
         raise ResourceLimitError(
-            f"lemma61 scan grid has {cells} cells, above the cap {cap}; "
+            f"lemma61 scan grid has {_shown(cells)} cells, above the cap {_shown(cap)}; "
             "raise the cap to allow"
         )
     bad = []
@@ -214,7 +206,7 @@ def finite_group_vanishing_range(p: int, r: int) -> int:
     """Tag T711: H^m of the finite group vanishes for 0 < m < this value."""
     require_prime(p)
     require_int(r, "r", 1)
-    return r if p == 2 else r * (p - 2)
+    return r * _p_minus_2(p)
 
 
 @dataclass(frozen=True)
@@ -266,7 +258,7 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
     check_generic_inputs(p, m)
     require_int(b_m, "b_m", 0)
     f_val = t_invariant(b_m, p)
-    base_e = Q(m) if p == 2 else Q(m, p - 2)
+    base_e = Q(m, _p_minus_2(p))
     improves = f"improves T811 (e = {base_e})"
     r_min = None  # set only by the two special forms
     if p == 2:

@@ -76,16 +76,49 @@ COMPARISON_NOTE = (
     "its raw convention, which absorbs the shift into r >= floor(e)+f+1"
 )
 
-TABLE_KINDS = ("structural", "comparison-p2", "comparison-odd")
+_TABLES = {  # kind: (header, rows, note)
+    "structural": (STRUCTURAL_HEADER, STRUCTURAL_ROWS, None),
+    "comparison-p2": (COMPARISON_HEADER, COMPARISON_P2_ROWS, COMPARISON_NOTE),
+    "comparison-odd": (COMPARISON_HEADER, COMPARISON_ODD_ROWS, COMPARISON_NOTE),
+}
+TABLE_KINDS = tuple(_TABLES)
+
+
+def _print_digits() -> int:
+    """The most digits a report prints: the interpreter's limit, or DEFAULT_INT_DIGITS if lifted."""
+    # Python before 3.10.7 has no limit and no getter.
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_INT_DIGITS
+
+
+def _int_text(n: int) -> str:
+    """str(n); every int a report prints passes here, and one past the print limit is bad input."""
+    digits = _print_digits()
+    # 8**digits < 10**digits, so 10**digits is built only when n is about as long.
+    if n.bit_length() > 3 * digits and abs(n) >= 10**digits:
+        raise InputError(f"a report number has more than {digits} digits; use smaller inputs")
+    return str(n)
+
+
+def _coords_text(coords: Sequence[int]) -> str:
+    return ",".join(map(_int_text, coords))
+
+
+def _entries_text(entries: Sequence[tuple[Sequence[int], int]]) -> str:
+    """Multiset entries as space-separated 'coords:multiplicity' words."""
+    return " ".join(f"{_coords_text(c)}:{_int_text(n)}" for c, n in entries)
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
+    if isinstance(value, bool) or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        _int_text(value)  # JSON and text print it as it stands, so refuse it here if too long
         return value
     if isinstance(value, Q):
-        return str(value)
+        text = _int_text(value.numerator)
+        return text if value.denominator == 1 else f"{text}/{_int_text(value.denominator)}"
     if isinstance(value, Weight):
-        return ",".join(str(c) for c in value.coords)
+        return _coords_text(value.coords)
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -240,22 +273,18 @@ def _cmd_info(args: argparse.Namespace) -> _Report:
 
 def _cmd_vanish_range(args: argparse.Namespace) -> _Report:
     upper = finite_group_vanishing_range(args.p, args.r)
-    # Python before 3.10.7 has no limit and no getter.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or DEFAULT_INT_DIGITS
-    # 8**digits < 10**digits < 16**digits and q >= 2**(r * (bit_length(p) - 1)):
-    # a long r is refused before q is built, and 10**digits is built only
-    # when q is about as long.
-    too_long = args.r * (args.p.bit_length() - 1) >= 4 * digits
-    q = 0 if too_long else args.p**args.r
-    if too_long or (q.bit_length() > 3 * digits and q >= 10**digits):
+    digits = _print_digits()
+    # q >= 2**(r * (bit_length(p) - 1)) and 16**digits > 10**digits, so a long
+    # r is refused before q is built; `_jsonable` refuses the q just past it.
+    if args.r * (args.p.bit_length() - 1) >= 4 * digits:
         raise InputError(f"q = p^r has more than {digits} digits; use a smaller --r")
     return {
         "theorem": "T711",
         "p": args.p,
         "r": args.r,
-        "q": q,
+        "q": args.p**args.r,
         "upper": upper,
-        "statement": f"H^m(G(F_q),k)=0 for 0<m<{upper}",
+        "statement": f"H^m(G(F_q),k)=0 for 0<m<{_int_text(upper)}",
     }, False
 
 
@@ -313,9 +342,9 @@ def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
         "f": args.f,
         "m": args.m,
         "lambda": lam,
-        "mu": " ".join(f"{','.join(map(str, c))}:{n}" for c, n in mu_set.items),
+        "mu": _entries_text(mu_set.items),
         "page_size": page.gammas.total_dimension,
-        "gammas": " ".join(f"{','.join(map(str, c))}:{n}" for c, n in page.gammas.items),
+        "gammas": _entries_text(page.gammas.items),
         "rough_bound": rough.bound,
         "rough_pass": rough.passed,
     }
@@ -360,12 +389,7 @@ def _cmd_verify_lemma61(args: argparse.Namespace) -> _Report:
 def _table_body(kind: str) -> dict[str, Any]:
     if kind not in TABLE_KINDS:
         raise InputError(f"unknown table kind {kind!r}; expected one of {TABLE_KINDS}")
-    if kind == "structural":
-        header, rows, note = STRUCTURAL_HEADER, STRUCTURAL_ROWS, None
-    elif kind == "comparison-p2":
-        header, rows, note = COMPARISON_HEADER, COMPARISON_P2_ROWS, COMPARISON_NOTE
-    else:
-        header, rows, note = COMPARISON_HEADER, COMPARISON_ODD_ROWS, COMPARISON_NOTE
+    header, rows, note = _TABLES[kind]
     body: dict[str, Any] = {"kind": kind}
     if note:
         body["note"] = note

@@ -19,7 +19,7 @@ from itertools import product
 from operator import add, mul
 from typing import Iterator, Optional, Union
 
-from .bounds import bs_vanish_threshold, bs_vanish_variants
+from .bounds import _p_minus_2, bs_vanish_threshold, bs_vanish_variants
 from .errors import InputError, require_int
 from .modchar import (
     DEFAULT_ENTRY_CAP,
@@ -197,10 +197,10 @@ class InvariantPage:
 
 def _exact_bound(p: int, s: int, m: int, d: int, t: int) -> int:
     """The exact bound for <lambda, theta-vee> = d >= 1 with t = t(d)."""
-    if p == 2:
-        return m - (s - t)
+    # At p = 2, c = 1 and d's leading binary digit is 1: both terms are m - (s - t).
+    c = _p_minus_2(p)
     top = p_adic_digits(d, p)[-1]
-    return min(m - (s - t + 1) * (p - 2) + top, m - (s - t) * (p - 2))
+    return min(m - (s - t + 1) * c + top, m - (s - t) * c)
 
 
 def invariant_page(

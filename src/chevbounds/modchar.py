@@ -44,14 +44,13 @@ class WeightMultiset:
     holds the sorted dominant entries of a W-stable multiset and is None when
     stability is not known.  It takes no part in equality, hashing or repr:
     two multisets of the same system with the same items are the same.  A
-    Weyl character is made from `dominant` and `_sizes`, the orbit size of
-    each dominant entry, and fills `items` on first read.
+    Weyl character is made from `dominant` alone and fills `items` on first
+    read; with `dominant` set, the two sizes sum its entries' orbit sizes.
     """
 
     system: RootSystem
     _items: Optional[Entries]
     dominant: Optional[Entries] = None
-    _sizes: Optional[tuple[int, ...]] = None
 
     @property
     def items(self) -> Entries:
@@ -121,14 +120,14 @@ class WeightMultiset:
 
     @property
     def total_dimension(self) -> int:
-        if self._sizes is not None:
-            return sum(m * n for (_, m), n in zip(self.dominant, self._sizes))
+        if self.dominant is not None:
+            return sum(m * _orbit_size(self.system, mu) for mu, m in self.dominant)
         return sum(m for _, m in self.items)
 
     @property
     def support_size(self) -> int:
-        if self._sizes is not None:
-            return sum(self._sizes)
+        if self.dominant is not None:
+            return sum(_orbit_size(self.system, mu) for mu, _ in self.dominant)
         return len(self.items)
 
     def is_empty(self) -> bool:
@@ -324,9 +323,7 @@ def _character_cached(rs: RootSystem, lam: Coords, cap: int) -> WeightMultiset:
         )
     mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam), cap)
     dominant = tuple(sorted(mult.items()))
-    character = WeightMultiset(
-        rs, None, dominant, tuple(_orbit_size(rs, mu) for mu, _ in dominant)
-    )
+    character = WeightMultiset(rs, None, dominant)
     if character.total_dimension != dim:
         raise OracleError(
             f"character of {lam}: built dimension {character.total_dimension}, "

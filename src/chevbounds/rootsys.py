@@ -350,10 +350,13 @@ def parse_type(label: str) -> RootSystem:
     text = label.strip()
     if len(text) < 2 or text[0].upper() not in FAMILIES:
         raise InputError(f"cannot parse root system label {label!r}")
-    family = text[0].upper()
+    family, digits = text[0].upper(), text[1:]
     try:
-        rank = int(text[1:])
-    except ValueError as exc:
+        # int() alone would also read '1_0', ' 1', '+1' and non-ASCII digits.
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError("not ASCII digits")
+        rank = int(digits)
+    except ValueError as exc:  # also past the interpreter's int-digit limit
         raise InputError(f"cannot parse rank in label {label!r}") from exc
     return build_root_system(family, rank)
 

@@ -36,12 +36,8 @@ def floor_log(p: int, x: Union[int, Q]) -> int:
     require_int(p, "base p", 2)
     if type(x) not in (int, Q) or x < 1:
         raise InputError(f"floor_log needs an int or Fraction x >= 1, got {_shown(x)}")
-    t = 0
-    power = p
-    while power <= x:
-        power *= p
-        t += 1
-    return t
+    # The integer p**t is <= x exactly when it is < floor(x) + 1.
+    return ceil_log(p, x // 1 + 1) - 1
 
 
 def t_invariant(b: int, p: int) -> int:

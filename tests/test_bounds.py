@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevbounds import bounds
+from chevbounds import bounds, e1oracle
 from chevbounds.bounds import (
     ComparisonReport,
     ThresholdReport,
@@ -25,7 +25,7 @@ from chevbounds.bounds import (
 )
 from chevbounds.errors import InputError, OracleError, ResourceLimitError
 from chevbounds.modchar import WeightMultiset, weyl_character
-from chevbounds.rootsys import build_root_system
+from chevbounds.rootsys import MAX_CLASSICAL_RANK, build_root_system
 
 A1 = build_root_system("A", 1)
 A5 = build_root_system("A", 5)
@@ -98,6 +98,20 @@ def test_lemma61_examples() -> None:
         lemma61(3, 1, 1, 1, "d")
 
 
+def test_lemma61_checks_in_order() -> None:
+    # s, f and t first, then the part, then p, then the part against p.
+    for args, message in (
+        ((4, 0, 1, 1, "d"), "s = 0 below 1"),
+        ((4, 1, 1, 1, "d"), "unknown part 'd'; expected 'a', 'b' or 'c'"),
+        ((4, 1, 1, 1, "a"), "p must be prime, got 4"),
+        ((3, 1, 1, 1, "a"), "part 'a' applies only to p = 2"),
+        ((2, 1, 1, 1, "c"), "this clause needs an odd prime"),
+    ):
+        with pytest.raises(InputError) as caught:
+            lemma61(*args)
+        assert str(caught.value) == message
+
+
 def _lemma61_fractions(p: int, s: int, f: int, t: int, part: str) -> tuple[bool, bool]:
     """The hypothesis p^(t-1) <= rhs with rhs built as a Fraction: the oracle."""
     total = s + f
@@ -166,6 +180,9 @@ def test_lemma61_scan_is_capped_before_it_starts() -> None:
         match=r"^lemma61 scan grid has 500 cells, above the cap 499; raise the cap",
     ):
         lemma61_scan(5, cap=499)
+    # A grid too large to print is named, not a ValueError from str().
+    with pytest.raises(ResourceLimitError, match=r"^lemma61 scan grid has <int too long"):
+        lemma61_scan(10**1500)
 
 
 def test_prop62_vanishing() -> None:
@@ -183,6 +200,43 @@ def test_finite_group_vanishing_range() -> None:
         finite_group_vanishing_range(4, 2)
     with pytest.raises(InputError):
         finite_group_vanishing_range(2, 0)
+
+
+ALL_SYSTEMS = [
+    build_root_system(family, rank)
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+    for rank in range(low, MAX_CLASSICAL_RANK + 1)
+] + [build_root_system(*fr) for fr in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+
+
+def test_p2_clauses_match_their_closed_forms() -> None:
+    # The p = 2 clauses as the paper states them, written out on their own:
+    # the code reads each as its odd-prime formula with p - 2 read as 1.
+    def digits2(n: int) -> int:  # t(n): the number of binary digits of n
+        return n.bit_length()
+
+    def ceil_log2(x: int) -> int:
+        return (x - 1).bit_length()
+
+    assert len(ALL_SYSTEMS) == 48
+    for m in range(11):
+        for rs in ALL_SYSTEMS:
+            rep = stability_constants(rs, 2, m)
+            assert rep.c_stability == m + ceil_log2(2 * (rs.dual_coxeter_number - 1) + 1) - 1
+            assert rep.f_stability == m
+        for d in range(1, 41):
+            t = digits2(d)
+            assert bs_vanish_threshold(d, 2, m, "a") == m + t
+            for s in range(6):
+                assert e1oracle._exact_bound(2, s, m, d, t) == m - (s - t)
+        for b_m in range(41):
+            rep = generic_thresholds(B2, 2, m, b_m)
+            assert (rep.theorem_tag, rep.e, rep.r_min) == ("T811", m, m + digits2(b_m) + 1)
+    for r in range(1, 41):
+        assert finite_group_vanishing_range(2, r) == r
+    for s, f, t in itertools.product(range(1, 11), repeat=3):
+        num = 2 ** (s + f - 1) - 2**s + 2 ** (s + f) * s
+        assert lemma61(2, s, f, t, "a") == (2 ** (t - 1) * (2 ** (s + f) - 1) <= num, s >= t)
 
 
 def test_generic_thresholds_base_rule() -> None:

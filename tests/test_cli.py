@@ -141,9 +141,39 @@ def test_vanish_range_follows_the_int_digit_limit(limit: str, digits: int) -> No
             continue
         assert done.returncode == 2
         assert done.stdout == b""
-        assert done.stderr.decode() == (
-            f"error: q = p^r has more than {digits} digits; use a smaller --r\n"
+        # r_max + 1 builds q and meets the report's print limit; a longer r is
+        # refused before q is built.
+        message = (
+            f"a report number has more than {digits} digits; use smaller inputs"
+            if r == r_max + 1
+            else f"q = p^r has more than {digits} digits; use a smaller --r"
         )
+        assert done.stderr.decode() == f"error: {message}\n"
+
+
+_NINES = "9" * DEFAULT_INT_DIGITS  # as long as an int may be read, so its report outgrows it
+
+
+@pytest.mark.parametrize("limit", ["4300", "0"])
+@pytest.mark.parametrize("argv", [
+    ["stability", "--type", "A1", "--p", "3", "--m", _NINES],
+    ["generic", "--type", "A1", "--p", "2", "--m", _NINES],
+    ["compare", "--type", "A1", "--p", "2", "--m", _NINES],
+    # the rough bound's numerator outgrows the limit
+    ["verify-e1", "--type", "A2", "--p", "2", "--s", "1", "--m", "1",
+     "--weight", f"{_NINES},{_NINES}"],
+    # a gamma multiplicity outgrows the limit
+    ["verify-e1", "--type", "A2", "--p", "2", "--s", "1", "--m", "2",
+     "--module-weight", f"0,0:{_NINES}"],
+], ids=["stability", "generic", "compare", "verify-e1-weight", "verify-e1-module"])
+def test_a_report_number_past_the_print_limit_is_bad_input(argv: list[str], limit: str) -> None:
+    # A limit of 0 lifts the interpreter's check; the report keeps DEFAULT_INT_DIGITS.
+    done = run_module(argv, {"PYTHONINTMAXSTRDIGITS": limit})
+    assert b"Traceback" not in done.stderr
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == (
+        f"error: a report number has more than {DEFAULT_INT_DIGITS} digits; use smaller inputs\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
