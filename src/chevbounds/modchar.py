@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb
-from operator import sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, OracleError, ResourceLimitError, _shown, require_int
@@ -140,17 +140,43 @@ def nilradical_dual_weights(rs: RootSystem) -> WeightMultiset:
     return WeightMultiset.from_dict(rs, {root.omega_coords: 1 for root in rs.positive_roots})
 
 
+@lru_cache(maxsize=64)
+def _root_tables(rs: RootSystem) -> tuple:
+    """What the character layer reads of each positive root, built once per system.
+
+    In the order of `rs.positive_roots`: (omega-coordinates, height, positive
+    omega-coordinates (i, c), root coordinates times d) for the dominant
+    search and Freudenthal's inner products; (root coordinates, squared
+    length, height) for W_J-orbit shapes; the coroot pairings; and the Weyl
+    denominator, the product of <rho, alpha-vee>.  Every character of a
+    system reads them, so they are built on its first one and shared; the
+    bound is above the 48 supported systems.
+    """
+    d = rs.d_symmetrizer
+    steps = []
+    shapes = []
+    denominator = 1
+    for root in rs.positive_roots:
+        omega, coeffs = root.omega_coords, root.root_coords
+        height = sum(coeffs)
+        need = tuple([(i, c) for i, c in enumerate(omega) if c > 0])
+        steps.append((omega, height, need, tuple(map(mul, coeffs, d))))
+        shapes.append((coeffs, root.length2, height))
+        denominator *= sum(root.coroot_pairing)
+    coroots = tuple([root.coroot_pairing for root in rs.positive_roots])
+    return tuple(steps), tuple(shapes), coroots, denominator
+
+
 def weyl_dimension(rs: RootSystem, lam: WeightLike) -> int:
     """Dimension of the highest-weight module, by the Weyl product formula."""
     coords = rs.coords_of(lam)
     if any(c < 0 for c in coords):
         raise InputError("weyl_dimension needs a dominant weight")
     shifted = tuple(c + 1 for c in coords)
+    _, _, coroots, den = _root_tables(rs)
     num = 1
-    den = 1
-    for root in rs.positive_roots:
-        num *= rs.pairing(shifted, root.coroot_pairing)
-        den *= sum(root.coroot_pairing)
+    for coroot in coroots:
+        num *= sum(map(mul, shifted, coroot))
     if num % den:
         raise OracleError("Weyl dimension formula did not give an integer")
     return num // den
@@ -166,16 +192,13 @@ def _dominant_levels(rs: RootSystem, lam: Coords) -> dict[Coords, int]:
     dominant mu, mu - alpha is dominant exactly when mu_i >= c at each positive
     omega-coordinate c of alpha; a root that fails this builds no candidate.
     """
-    steps = []
-    for root in rs.positive_roots:
-        need = [(i, c) for i, c in enumerate(root.omega_coords) if c > 0]
-        steps.append((root.omega_coords, sum(root.root_coords), need))
+    steps = _root_tables(rs)[0]
     level = {lam: 0}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for omega, height, need in steps:
+            for omega, height, need, _ in steps:
                 for i, c in need:
                     if mu[i] < c:
                         break
@@ -213,15 +236,7 @@ def _freudenthal_multiplicities(
         d = rs.d_symmetrizer
         return sum(scaled[j] * d[j] * v[j] for j in range(n))
 
-    # Integer vectors giving det-free inner products <v, alpha>.
-    root_data = [
-        (
-            root.omega_coords,
-            tuple(root.root_coords[j] * rs.d_symmetrizer[j] for j in range(n)),
-        )
-        for root in rs.positive_roots
-    ]
-
+    roots = _root_tables(rs)[0]  # ip_vec gives det-free inner products <v, alpha>
     top_norm = scaled_norm(lam)
     mult: dict[Coords, int] = {lam: 1}
     steps = 0
@@ -230,12 +245,12 @@ def _freudenthal_multiplicities(
             continue
         total = 0
         for k, count in _stabilizer_orbits(rs, _zero_set(mu))[0]:
-            omega, ip_vec = root_data[k]
+            omega, _, _, ip_vec = roots[k]
             term = 0
-            nu = tuple(a + b for a, b in zip(mu, omega))
+            nu = tuple(map(add, mu, omega))
             while (dom := rs.dominant_representative(nu)) in level:
-                term += mult[dom] * sum(v * c for v, c in zip(ip_vec, nu))
-                nu = tuple(a + b for a, b in zip(nu, omega))
+                term += mult[dom] * sum(map(mul, ip_vec, nu))
+                nu = tuple(map(add, nu, omega))
                 steps += 1
             total += count * term
         _check_cap(f"character of {lam}", steps, cap, "Freudenthal steps")
@@ -269,18 +284,20 @@ def _stabilizer_orbits(rs: RootSystem, zeros: Coords) -> tuple[tuple[tuple[int, 
             i = stack.pop()
             component[i] = start
             stack += [j for j in zeros if j not in component and rs.cartan_matrix[i][j]]
+    off = [i for i in range(rs.rank) if i not in component]
+    shape_of = itemgetter(*off) if off else lambda coeffs: ()
+    flat = shape_of((0,) * rs.rank)  # the shape of a root of Phi_J
     orbits: dict[tuple, list[int]] = {}
     num = den = 1
-    for k, root in enumerate(rs.positive_roots):
-        coeffs = root.root_coords
-        shape = tuple(c for i, c in enumerate(coeffs) if i not in component)
-        if any(shape):
-            height = sum(coeffs)
+    for k, (coeffs, length2, height) in enumerate(_root_tables(rs)[1]):
+        shape = shape_of(coeffs)
+        if shape == flat:
+            label = component[next(i for i, c in enumerate(coeffs) if c)]
+        else:
+            label = None
             num *= height + 1
             den *= height
-        else:
-            shape = component[next(i for i, c in enumerate(coeffs) if c)]
-        orbit = orbits.setdefault((shape, root.length2), [k, 0])
+        orbit = orbits.setdefault((shape, length2, label), [k, 0])
         orbit[1] += 1
     return tuple(map(tuple, orbits.values())), num // den
 

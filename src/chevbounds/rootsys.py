@@ -352,9 +352,10 @@ def parse_type(label: str) -> RootSystem:
         raise InputError(f"cannot parse root system label {label!r}")
     family, digits = text[0].upper(), text[1:]
     try:
-        # int() alone would also read '1_0', ' 1', '+1' and non-ASCII digits.
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError("not ASCII digits")
+        # int() alone would also read '1_0', ' 1', '+1', '01' and non-ASCII
+        # digits; a leading zero would give one system a second label.
+        if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+            raise ValueError("not an ASCII numeral without a leading zero")
         rank = int(digits)
     except ValueError as exc:  # also past the interpreter's int-digit limit
         raise InputError(f"cannot parse rank in label {label!r}") from exc

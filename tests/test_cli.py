@@ -516,6 +516,10 @@ def test_exit_code_input_errors(capsys) -> None:
     for argv, message in (
         (["info", "--type", "Z9"], "cannot parse root system label 'Z9'"),
         (["info", "--type", "Ax"], "cannot parse rank in label 'Ax'"),
+        # A leading zero would give one system a second label.
+        (["info", "--type", "A01"], "cannot parse rank in label 'A01'"),
+        (["info", "--type", "A010"], "cannot parse rank in label 'A010'"),
+        (["info", "--type", "E0008"], "cannot parse rank in label 'E0008'"),
         (["generic", "--type", "A1", "--p", "4", "--m", "1"], "must be prime"),
         (["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "1,2"], "A1 needs 1"),
         (generic_a2 + ["--weight", "1,x"], "bad weight '1,x': "),
@@ -528,6 +532,12 @@ def test_exit_code_input_errors(capsys) -> None:
     ):
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
+
+
+def test_a_rank_of_two_digits_still_parses(capsys) -> None:
+    for label in ("A10", "B12"):
+        assert run(["info", "--type", label]) == 0
+        assert lines_of(capsys)[0] == f"type={label}"
 
 
 # Every required flag of each subcommand, with a value that runs.

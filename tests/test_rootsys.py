@@ -207,8 +207,11 @@ def test_parse_type() -> None:
     assert parse_type("A5") is build_root_system("A", 5)
     assert parse_type("g2") is build_root_system("G", 2)
     assert parse_type(" e8\n") is build_root_system("E", 8)
+    assert parse_type("A10") is build_root_system("A", 10)
+    assert parse_type("B12") is build_root_system("B", 12)
     for bad in ("Z9", "A0", "B1", "D3", "E9", "F5", "G3", "A", "A13", "",
-                "A1_0", "A\u0663", "A+1", "A 1", "E\uff108", "A-1", "A1.0", "A" + "9" * 5000):
+                "A1_0", "A\u0663", "A+1", "A 1", "E\uff108", "A-1", "A1.0", "A" + "9" * 5000,
+                "A01", "A010", "E0008", "A00"):
         with pytest.raises(InputError):
             parse_type(bad)
     with pytest.raises(InputError, match="unknown family 'X'"):
