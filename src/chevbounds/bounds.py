@@ -58,8 +58,11 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     'b' and 'c' are the two odd-prime clauses.  'c' differs from 'b' by
     top/(p-2) - 1, top the leading base-p digit of d: it is at most 'b' unless
     top = p - 1, where it is 1/(p-2) larger (d = 2, p = 3 gives 'b' m + 1 and
-    'c' m + 2).  A pure function of its arguments with an immutable result,
-    so it is memoized; typed, so that d = 2.0 misses d = 2's entry and is refused.
+    'c' m + 2).  'a'/'b' is the s at which the exact bound's second term
+    m - (s - t)(p - 2) reaches 0, and 'c' the s at which its first term
+    does, so P241 is met exactly when the exact bound is <= 0.  A pure
+    function of its arguments with an immutable result, so it is memoized;
+    typed, so that d = 2.0 misses d = 2's entry and is refused.
     """
     require_int(d, "d", 1)
     require_int(m, "m", 0)

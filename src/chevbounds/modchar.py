@@ -406,27 +406,22 @@ def _degree_fold(
     final tables exceed it.
     """
     levels: list[dict[Coords, int]] = [{zero: 1}] + [dict() for _ in range(n)]
+    size = 1
     for factor in factors:
-        new_levels: list[dict[Coords, int]] = [dict() for _ in range(n + 1)]
-        size = 0
-        # From the top degree down, no lower degree has reached
-        # new_levels[deg] yet, so the degree-0 term is a copy of levels[deg].
+        # Every term has k >= 1 and deg runs top down, so levels[deg] is read
+        # before a lower degree adds to it: it still holds the earlier product.
         for deg in range(n, -1, -1):
             src = levels[deg]
-            new_levels[deg] = dict(src)
-            size += len(src)
-            _check_cap(stage, size, cap)
             for k, shift, count in factor:
                 if deg + k > n:
                     break
-                dst = new_levels[deg + k]
+                dst = levels[deg + k]
                 size -= len(dst)
                 for w, m in src.items():
                     key = tuple(a + b for a, b in zip(w, shift))
                     dst[key] = dst.get(key, 0) + m * count
                 size += len(dst)
                 _check_cap(stage, size, cap)
-        levels = new_levels
     return levels
 
 

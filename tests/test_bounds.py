@@ -202,6 +202,45 @@ def test_finite_group_vanishing_range() -> None:
         finite_group_vanishing_range(2, 0)
 
 
+IDENTITY_SYSTEMS = tuple(
+    build_root_system(family, rank)
+    for family, rank in (
+        ("A", 1), ("A", 2), ("B", 2), ("C", 3), ("D", 4), ("E", 6), ("E", 8), ("F", 4), ("G", 2)
+    )
+)
+
+
+def test_t811_field_size_floor_is_the_finite_group_range() -> None:
+    # With b_M = 0, T811's r_min = floor(m/(p-2)) + 1, and r > m/(p-2) is
+    # m < r(p - 2), T711's range (p - 2 read as 1 at p = 2).
+    cells = 0
+    for rs in IDENTITY_SYSTEMS:
+        for p in (2, 3, 5, 7, 11, 13):
+            for m in range(1, 25):
+                rep = generic_thresholds(rs, p, m, 0)
+                if rep.theorem_tag != "T811":
+                    continue
+                for r in range(1, 30):
+                    vanishes = m < finite_group_vanishing_range(p, r)
+                    assert (r >= rep.r_min) == vanishes, (rs, p, m, r)
+                    cells += 1
+    # Every system at p = 2; at odd p all but A1, where m = 1 is T821 and the rest T831.
+    assert cells == (9 * 24 + 8 * 5 * 23) * 29
+
+
+def test_prop62_is_the_t811_report_at_odd_p() -> None:
+    # P621 at odd p: s >= e and s + f >= floor(e) + t(b) + 1, T811's s_min and
+    # r_min.  B2 is not A1, so m != 1 is tagged T811.
+    for p in (3, 5, 7, 11, 13):
+        for b in sorted({0, 1, 2, p - 1, p, p * p - 1, p * p}):
+            for m in (0, *range(2, 13)):
+                rep = generic_thresholds(B2, p, m, b)
+                assert rep.theorem_tag == "T811"
+                for s, f in itertools.product(range(15), range(7)):
+                    expected = s >= rep.e and s + f >= rep.r_min
+                    assert prop62_vanishing_holds(p, m, s, f, b) == expected, (p, m, s, f, b)
+
+
 ALL_SYSTEMS = [
     build_root_system(family, rank)
     for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))

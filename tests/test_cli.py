@@ -432,6 +432,19 @@ def _csv_field(value: str) -> str:
         ],
     ),
     (
+        # The exact bound's first term (the 'c' form) is 1 and its second
+        # (the 'b' form) is 3; the page attains 1, the smaller.
+        ["verify-e1", "--type", "A1", "--p", "5", "--s", "2", "--m", "3", "--weight", "5"],
+        [
+            "type=A1", "p=5", "s=2", "f=0", "m=3", "lambda=5", "mu=0:1", "page_size=1",
+            "gammas=1:1", "rough_bound=16/5", "rough_pass=true", "exact_applicable=true",
+            "exact_bound=1", "exact_pass=true", "equality_hits=1",
+            "equality_consistent=true", "vanish_theorems=P241b,P241c",
+            "vanish_thresholds=3,7/3", "vanish_met=false", "vanish_page_empty=false",
+            "vanish_consistent=true", "verdict=ok",
+        ],
+    ),
+    (
         ["vanish-range", "--p", "7", "--r", "2"],
         ["theorem=T711", "p=7", "r=2", "q=49", "upper=10", "H^m(G(F_q),k)=0 for 0<m<10"],
     ),
@@ -457,7 +470,8 @@ def _csv_field(value: str) -> str:
         ],
     ),
 ], ids=[
-    "compare text", "compare csv", "verify-e1 text", "vanish-range text", "lemma61 text",
+    "compare text", "compare csv", "verify-e1 text", "verify-e1 c form attained",
+    "vanish-range text", "lemma61 text",
     "info csv", "table csv", "quoted table csv",
 ])
 def test_whole_stdout(argv: list[str], expected: list[str], capsys) -> None:

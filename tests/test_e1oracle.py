@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevbounds.bounds import bs_vanish_threshold
+from chevbounds.bounds import bs_vanish_threshold, bs_vanish_variants
 from chevbounds.e1oracle import (
     _LEVEL_SHAPES,
     MAX_DEGREE,
@@ -52,6 +52,21 @@ def paper_exact_bound(p: int, s: int, m: int, d: int) -> int:
     if p == 2:
         return m - (s - t)
     return min(m - (s - t + 1) * (p - 2) + top, m - (s - t) * (p - 2))
+
+
+def test_exact_bound_is_the_vanishing_threshold_less_s() -> None:
+    """The exact bound is (p - 2)(s0 - s), s0 the smallest variant's threshold.
+
+    p - 2 is read as 1 at p = 2.  d < 180 gives every p <= 13 three base-p
+    digits.
+    """
+    for p in (2, 3, 5, 7, 11, 13):
+        c = p - 2 if p > 2 else 1
+        for d in range(1, 180):
+            for m in range(13):
+                s0 = min(bs_vanish_threshold(d, p, m, v) for v in bs_vanish_variants(p))
+                for s in range(15):
+                    assert paper_exact_bound(p, s, m, d) == c * (s0 - s), (p, d, m, s)
 
 
 def test_enumerate_tuples_odd_degree_one() -> None:

@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chevbounds.errors import InputError, ResourceLimitError
 from chevbounds.modchar import (
     WeightMultiset,
+    _degree_fold,
     _orbit,
     _orbit_size,
     _stabilizer_orbits,
@@ -306,3 +307,42 @@ def test_character_cache_returns_consistent_objects() -> None:
     first = weyl_character(A2, Weight((1, 1)))
     second = weyl_character(A2, Weight((1, 1)))
     assert first.items == second.items
+
+
+def _naive_fold(zero, factors, n):
+    """Pick the zero or one term from each factor; keep the picks of degree <= n."""
+    levels = [dict() for _ in range(n + 1)]
+    for picks in itertools.product(*([(0, zero, 1)] + list(factor) for factor in factors)):
+        deg = sum(k for k, _, _ in picks)
+        if deg > n:
+            continue
+        key = tuple(map(sum, zip(zero, *(shift for _, shift, _ in picks))))
+        levels[deg][key] = levels[deg].get(key, 0) + prod(c for _, _, c in picks)
+    return levels
+
+
+@st.composite
+def _fold_factors(draw):
+    n = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, 3))
+    shift = st.tuples(*[st.integers(-2, 2)] * rank)
+    factor = st.lists(
+        st.integers(1, n), min_size=1, max_size=min(4, n), unique=True
+    ).flatmap(lambda ks: st.tuples(
+        *[st.tuples(st.just(k), shift, st.integers(1, 3)) for k in sorted(ks)]
+    ))
+    return (0,) * rank, draw(st.lists(factor, min_size=1, max_size=4)), n
+
+
+# A factor with terms of degree 1 and 2 after one of degree 1: degree 2 is
+# reached from degree 1 and from degree 0 within one factor.
+@example(((0, 0), [((1, (1, 0), 1),), ((1, (0, 1), 2), (2, (1, -1), 3))], 3))
+@settings(max_examples=300, deadline=None)
+@given(_fold_factors())
+def test_degree_fold_matches_the_naive_expansion(drawn) -> None:
+    zero, factors, n = drawn
+    expected = _naive_fold(zero, factors, n)
+    total = sum(len(table) for table in expected)
+    assert _degree_fold(zero, factors, n, total, "fold test") == expected
+    with pytest.raises(ResourceLimitError, match=f"^fold test working set reached {total} "):
+        _degree_fold(zero, factors, n, total - 1, "fold test")
