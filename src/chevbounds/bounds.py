@@ -25,7 +25,6 @@ from .weightcomb import (
     p_adic_digits,
     structural_constants,
     t_invariant,
-    _class_order,
     _p_part,
 )
 
@@ -262,7 +261,6 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
     require_int(b_m, "b_m", 0)
     f_val = t_invariant(b_m, p)
     base_e = Q(m, _p_minus_2(p))
-    improves = f"improves T811 (e = {base_e})"
     r_min = None  # set only by the two special forms
     if p == 2:
         tag, e, conditions = "T811", base_e, ("base rule: e = m at p = 2",)
@@ -274,14 +272,14 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
             conditions.append("type A1 with p = 3 additionally needs r >= 2")
         elif _is_a1(rs):
             conditions.append("type A1 needs p >= 5: satisfied")
-        conditions.append(improves)
+        conditions.append(f"improves T811 (e = {base_e})")
     elif not _is_a1(rs):
         tag, e, conditions = "T811", base_e, ("base rule: e = m/(p-2) at an odd prime",)
     elif p >= 5:
         tag, e = "T831", Q(ceil(Q(m - 1, p - 2)))
         conditions = (
             "T831 override, part a: type A1 with p >= 5 gives e = ceil((m-1)/(p-2))",
-            improves,
+            f"improves T811 (e = {base_e})",
         )
     else:
         tag, e = "T831", Q(max(m - 1, 0))
@@ -321,8 +319,8 @@ def cpsvdk_thresholds(
     if p == 2:
         e = Q(max(c * t * m - 1, 0))
     else:
-        first = floor(Q(c * t * m - 1, p - 1))
-        second = floor(Q(c * tpmax * (m - 1) - 1, p - 1)) + 1
+        first = (c * t * m - 1) // (p - 1)
+        second = (c * tpmax * (m - 1) - 1) // (p - 1) + 1
         e = Q(max(first, second, 0))
     f_val = floor_log(p, t * c_m + 1) + 1
     r_min = floor(e) + f_val + 1
@@ -365,13 +363,12 @@ def _module_stats(rs: RootSystem, module: WeightMultiset, p: int) -> tuple[Q, in
 
     Both maxima are attained at a dominant weight of a W-stable module, since
     mu - w(mu) lies in the positive root cone and W fixes each class modulo
-    the root lattice; such a module scans its dominant entries only.  The
-    caller passes a non-empty module.
+    the root lattice; such a module scans its dominant entries only.  Both
+    come from `module.summary`, scanned once per multiset; only the p-part
+    is taken here.  The caller passes a non-empty module of rs.
     """
-    det = rs.cartan_det
-    rows = [rs.root_basis_scaled(coords) for coords, _ in module.dominant or module.items]
-    tp_max = max(_p_part(_class_order(scaled, det), p) for scaled in rows)
-    return Q(max(map(max, rows)), det), tp_max
+    _, c, orders = module.summary
+    return Q(c, rs.cartan_det), max(_p_part(order, p) for order in orders)
 
 
 def compare_thresholds(

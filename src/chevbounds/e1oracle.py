@@ -386,23 +386,29 @@ def check_bs_vanishing(
 
     The thresholds are those of `bs_vanish_variants(p, variant)`.  Raises
     InputError with the reason from `bs_vanishing_failure` when the check
-    does not apply.
+    does not apply.  The page is the f = 0, trivial-mu page of
+    `invariant_page`, but no page is built: it is empty exactly when the one
+    residue class it reads, -lambda mod p^s, is empty, and that class comes
+    from the `_carry_class` cache after the same checks of cap, s and m.
     """
     reason = bs_vanishing_failure(rs, lam, s, 0)
     if reason is not None:
         raise InputError(reason)
+    lam = Weight.of(lam)
     d = rs.pairing(lam)
     thresholds = tuple(
         (v, bs_vanish_threshold(d, p, m, v)) for v in bs_vanish_variants(p, variant)
     )
     met = any(s >= value for _, value in thresholds)
-    page = invariant_page(rs, p, s, 0, lam, WeightMultiset.trivial(rs), m, cap)
-    empty = page.gammas.is_empty()
+    require_int(cap, "cap", 1)
+    _check_page_shape(s, m)
+    q = p**s
+    empty = not _carry_class(rs, p, s, m, cap, tuple([-c % q for c in lam.coords]))
     return VanishReport(
         p=p,
         s=s,
         m=m,
-        lam=page.lam,
+        lam=lam,
         d=d,
         thresholds=thresholds,
         met=met,

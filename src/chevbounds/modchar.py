@@ -14,7 +14,7 @@ A multiset known to be W-stable (a Weyl character, or the trivial module)
 also carries its dominant entries in `dominant`.  Every orbit invariant of
 the module (the highest-coroot pairing b, the largest root-basis coefficient,
 the class modulo the root lattice) is attained at a dominant weight, so
-readers of those invariants scan `dominant` instead of the full `items`.  A
+`summary` scans `dominant` instead of the full `items`, once per multiset.  A
 character stores only its dominant entries; the first read of `items`
 spreads them along their Weyl orbits and keeps the result.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Mapping, Optional
 
@@ -34,6 +34,9 @@ from .rootsys import Coords, RootSystem, WeightLike
 DEFAULT_ENTRY_CAP = 10**7
 
 Entries = tuple[tuple[Coords, int], ...]
+
+# (b, c, class orders) of a multiset; see `WeightMultiset.summary`.
+Summary = tuple[int, int, frozenset[int]]
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -46,11 +49,14 @@ class WeightMultiset:
     two multisets of the same system with the same items are the same.  A
     Weyl character is made from `dominant` alone and fills `items` on first
     read; with `dominant` set, the two sizes sum its entries' orbit sizes.
+    `summary` is likewise scanned on first read and kept; `trivial` passes
+    the zero weight's to the constructor.
     """
 
     system: RootSystem
     _items: Optional[Entries]
     dominant: Optional[Entries] = None
+    _summary: Optional[Summary] = None
 
     @property
     def items(self) -> Entries:
@@ -67,6 +73,31 @@ class WeightMultiset:
                 )
             object.__setattr__(self, "_items", tuple(sorted(table.items())))
         return self._items
+
+    @property
+    def summary(self) -> Summary:
+        """(b, c, orders) over `dominant or items`, scanned on first read and kept.
+
+        b is the largest pairing of a weight's dominant representative with
+        the highest coroot, that is the largest long-root pairing; c is the
+        largest root-basis coefficient times `cartan_det`; orders is the set
+        of the weights' orders in X(T) modulo the root lattice.  The caller
+        checks the system and that the multiset is not empty.
+        """
+        if self._summary is None:
+            rs = self.system
+            det = rs.cartan_det
+            hrp = rs.highest_root_pairing
+            weights = [coords for coords, _ in self.dominant or self.items]
+            reps = weights if self.dominant else map(rs.dominant_representative, weights)
+            rows = list(map(rs.root_basis_scaled, weights))
+            summary = (
+                max([sum(map(mul, hrp, w)) for w in reps]),
+                max(map(max, rows)),
+                frozenset([_class_order(row, det) for row in rows]),
+            )
+            object.__setattr__(self, "_summary", summary)
+        return self._summary
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -113,7 +144,9 @@ class WeightMultiset:
     @staticmethod
     def trivial(rs: RootSystem) -> "WeightMultiset":
         entries = (((0,) * rs.rank, 1),)
-        return WeightMultiset(rs, entries, entries)
+        # Callers build one per page query, so its summary is given, not scanned:
+        # the zero weight pairs to 0, has coefficients 0 and lies in the root lattice.
+        return WeightMultiset(rs, entries, entries, (0, 0, frozenset((1,))))
 
     def as_dict(self) -> dict[Coords, int]:
         return dict(self.items)
@@ -133,6 +166,14 @@ class WeightMultiset:
     def is_empty(self) -> bool:
         # A W-stable multiset is empty exactly when it has no dominant entry.
         return not (self.items if self.dominant is None else self.dominant)
+
+
+def _class_order(scaled: Coords, det: int) -> int:
+    """Order modulo the root lattice of a weight with root coordinates scaled / det."""
+    g = det
+    for x in scaled:
+        g = gcd(g, x % det)
+    return det // g
 
 
 def nilradical_dual_weights(rs: RootSystem) -> WeightMultiset:

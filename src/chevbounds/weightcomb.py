@@ -9,13 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
-from operator import mul
 from typing import Union
 
 from .errors import InputError, _shown, require_int
-from .modchar import WeightMultiset
-from .rootsys import Coords, RootSystem, WeightLike
+from .modchar import WeightMultiset, _class_order
+from .rootsys import RootSystem, WeightLike
 
 
 def ceil_log(p: int, x: Union[int, Q]) -> int:
@@ -74,16 +72,13 @@ def b_invariant(rs: RootSystem, weights: WeightMultiset) -> BInvariant:
     identity gives the exact value without enumerating the orbit.  A W-stable
     multiset (one with `dominant` entries set, such as a Weyl character)
     attains the maximum at a dominant weight, so only those are scanned.
+    The value is the b of `weights.summary`, scanned once per multiset.
     A multiset of another root system raises InputError.
     """
     weights.check_system(rs)
-    if weights.dominant:
-        hrp = rs.highest_root_pairing
-        return BInvariant(value=max(sum(map(mul, hrp, coords)) for coords, _ in weights.dominant))
-    if not weights.items:
+    if weights.is_empty():
         raise InputError("b_invariant needs a non-empty weight multiset")
-    dominant = rs.dominant_representative
-    return BInvariant(value=max(rs.pairing(dominant(coords)) for coords, _ in weights.items))
+    return BInvariant(value=weights.summary[0])
 
 
 def b_of_weight(rs: RootSystem, w: WeightLike) -> int:
@@ -112,14 +107,6 @@ def structural_constants(rs: RootSystem) -> tuple[int, int]:
 def order_in_fundamental_group(rs: RootSystem, w: WeightLike) -> int:
     """Order of the image of w in X(T) modulo the root lattice."""
     return _class_order(rs.root_basis_scaled(rs.coords_of(w)), rs.cartan_det)
-
-
-def _class_order(scaled: Coords, det: int) -> int:
-    """Order modulo the root lattice of a weight with root coordinates scaled / det."""
-    g = det
-    for x in scaled:
-        g = gcd(g, x % det)
-    return det // g
 
 
 def _p_part(n: int, p: int) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -363,6 +364,70 @@ def test_bs_vanishing_selected_variant() -> None:
         for v in sorted({"a", "b", "c"} - set(chosen)):
             with pytest.raises(InputError, match=f"variant '{v}' does not apply at p={p}"):
                 check_bs_vanishing(A1, p, omega, s, m, variant=v)
+
+
+def _dominant_upto(rs, hi: int) -> list[Weight]:
+    """Dominant weights with highest-coroot pairing in 1..hi, as in ACCEPTANCE 4."""
+    return [
+        Weight(coords)
+        for coords in itertools.product(range(hi + 1), repeat=rs.rank)
+        if 1 <= rs.pairing(coords) <= hi
+    ]
+
+
+def test_vanishing_check_reads_the_page_it_predicts_empty() -> None:
+    """On the ACCEPTANCE 4 grid, page_empty is the emptiness of the built page."""
+    checked = 0
+    for rs in (A1, A2, B2):
+        trivial = WeightMultiset.trivial(rs)
+        for lam in _dominant_upto(rs, 8):
+            for p in (2, 3, 5):
+                for s in (1, 2, 3):
+                    for m in range(5):
+                        report = check_bs_vanishing(rs, p, lam, s, m)
+                        page = invariant_page(rs, p, s, 0, lam, trivial, m)
+                        assert report.page_empty == page.gammas.is_empty(), (rs.name, lam, p, s, m)
+                        assert report.lam == lam
+                        checked += 1
+    assert checked == 4320
+
+
+# Each refused input of the vanishing check, with the error the check raised
+# while it built its page through invariant_page.
+VANISH_REFUSALS = {
+    "p=4": ((A2, 4, (1, 0), 1, 2), {}, InputError, "p must be prime, got 4"),
+    "s=0": ((A2, 3, (1, 0), 0, 2), {}, InputError, "kernel height s must be at least 1, got 0"),
+    "s=5": ((A2, 3, (1, 0), 5, 2), {}, InputError, "page levels s + f = 5 outside 1..4"),
+    "m=9": ((A2, 3, (1, 0), 1, 9), {}, InputError, "page degree m = 9 outside 0..8"),
+    "m=-1": ((A2, 3, (1, 0), 1, -1), {}, InputError, "m = -1 below 0"),
+    "cap=0": ((A2, 3, (1, 0), 1, 2), {"cap": 0}, InputError, "cap = 0 below 1"),
+    "wrong rank": (
+        (A2, 3, (1, 0, 0), 1, 2), {}, InputError, "weight (1, 0, 0) has 3 coordinates, A2 needs 2"
+    ),
+    "bool s": ((A2, 3, (1, 0), True, 2), {}, InputError, "s must be an integer, got True"),
+    "p=4 and m=9": ((A2, 4, (1, 0), 1, 9), {}, InputError, "p must be prime, got 4"),
+    "s=5, m=9, cap=0": ((A2, 3, (1, 0), 5, 9), {"cap": 0}, InputError, "cap = 0 below 1"),
+    "s=5 and m=9": ((A2, 3, (1, 0), 5, 9), {}, InputError, "page levels s + f = 5 outside 1..4"),
+    "level cap": (
+        (A2, 3, (1, 0), 1, 4), {"cap": 3}, ResourceLimitError,
+        "page level working set reached 4 distinct weights, above the cap 3; "
+        "raise the cap to allow",
+    ),
+    "carry cap": (
+        (A1, 2, (16,), 4, 8), {"cap": 20}, ResourceLimitError,
+        "page carry working set reached 21 carry states, above the cap 20; "
+        "raise the cap to allow",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VANISH_REFUSALS))
+def test_vanishing_check_refuses_as_the_page_build_did(name: str) -> None:
+    args, kwargs, error, message = VANISH_REFUSALS[name]
+    with pytest.raises(error) as info:
+        check_bs_vanishing(*args, **kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_exact_bound_failure_reasons() -> None:

@@ -1,6 +1,6 @@
 """Time fixed CLI runs on one or more source trees, one JSON line per run.
 
-    python3 tools/probe.py                          # the three probes, this checkout
+    python3 tools/probe.py                          # the five probes, this checkout
     python3 tools/probe.py --tree A --tree B --rounds 3
     python3 tools/probe.py --rounds 1 -- info --type A1
 
@@ -27,6 +27,8 @@ from time import monotonic
 ADDRESS_SPACE_CAP = 2 * 2**30
 
 # The fold-bound probes: most of their time is spent building page levels.
+# The F4 page has four p = 2 levels, and its carry pass reads all 16 residue
+# classes of the level, so a level built class by class gains nothing there.
 PROBES = (
     ["verify-e1", "--type", "E8", "--p", "2", "--s", "2", "--f", "0", "--m", "4",
      "--weight", "0,0,0,0,0,0,0,1"],
@@ -34,6 +36,10 @@ PROBES = (
      "--weight", "0,0,0,0,0,0,0,1"],
     ["verify-e1", "--type", "A8", "--p", "3", "--s", "1", "--f", "1", "--m", "8",
      "--weight", "0,0,0,0,0,0,0,0"],
+    ["verify-e1", "--type", "E7", "--p", "3", "--s", "1", "--f", "1", "--m", "6",
+     "--weight", "0,0,0,0,0,0,1"],
+    ["verify-e1", "--type", "F4", "--p", "2", "--s", "4", "--f", "0", "--m", "8",
+     "--weight", "0,0,0,1"],
 )
 
 
