@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..bounds import (
     LEMMA61_PRIMES,
-    bs_vanish_variants,
     check_compare_inputs,
     check_generic_inputs,
     compare_thresholds,
@@ -27,13 +26,7 @@ from ..bounds import (
     lemma61_scan,
     stability_constants,
 )
-from ..e1oracle import (
-    bs_vanishing_failure,
-    check_bs_vanishing,
-    check_weight_bounds,
-    exact_bound_failure,
-    invariant_page,
-)
+from ..e1oracle import invariant_page, verify_e1
 from ..errors import InputError, OracleError, ResourceLimitError
 from ..modchar import DEFAULT_ENTRY_CAP, WeightMultiset, weyl_character
 from ..rootsys import RootSystem, Weight, parse_type
@@ -203,13 +196,11 @@ def _resolve_module(
     if module_weight:
         table: dict[tuple[int, ...], int] = {}
         for entry in module_weight:
-            body, _, mult_text = entry.partition(":")
-            mult = 1
-            if mult_text:
-                try:
-                    mult = int(mult_text)
-                except ValueError:
-                    raise InputError(f"bad multiplicity in {entry!r}") from None
+            body, colon, mult_text = entry.partition(":")
+            try:
+                mult = int(mult_text) if colon else 1
+            except ValueError:
+                raise InputError(f"bad multiplicity in {entry!r}") from None
             if mult < 1:
                 raise InputError(f"multiplicity must be positive in {entry!r}")
             coords = _parse_coords(body)
@@ -333,8 +324,8 @@ def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
     lam = rs.zero if args.weight is None else Weight(_parse_coords(args.weight))
     mu_set = _resolve_module(rs, args.module_weight, None, cap)
     page = invariant_page(rs, args.p, args.s, args.f, lam, mu_set, args.m, cap=cap)
-    bs_vanish_variants(args.p, args.variant)  # refuse the variant even if unused
-    rough = check_weight_bounds(page, "rough")
+    report = verify_e1(page, cap, args.variant)
+    rough, exact, vanish = report.rough, report.exact, report.vanish
     body: dict[str, Any] = {
         "type": rs.name,
         "p": args.p,
@@ -347,32 +338,21 @@ def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
         "gammas": _entries_text(page.gammas.items),
         "rough_bound": rough.bound,
         "rough_pass": rough.passed,
+        "exact_applicable": not isinstance(exact, str),
     }
-    failed = not rough.passed
-
-    exact_ok = exact_bound_failure(page) is None
-    body["exact_applicable"] = exact_ok
-    if exact_ok:
-        exact = check_weight_bounds(page, "exact")
+    if not isinstance(exact, str):
         body["exact_bound"] = exact.bound
         body["exact_pass"] = exact.passed
         body["equality_hits"] = len(exact.equality_hits)
         body["equality_consistent"] = exact.equality_consistent
-        failed = failed or not exact.passed
-
-    if bs_vanishing_failure(rs, lam, args.s, args.f) is None:
-        vanish = check_bs_vanishing(
-            rs, args.p, lam, args.s, args.m, cap=cap, variant=args.variant
-        )
+    if not isinstance(vanish, str):
         body["vanish_theorems"] = vanish.theorems
         body["vanish_thresholds"] = [thr for _, thr in vanish.thresholds]
         body["vanish_met"] = vanish.met
         body["vanish_page_empty"] = vanish.page_empty
         body["vanish_consistent"] = vanish.consistent
-        failed = failed or not vanish.consistent
-
-    body["verdict"] = "fail" if failed else "ok"
-    return body, failed
+    body["verdict"] = "fail" if report.failed else "ok"
+    return body, report.failed
 
 
 def _cmd_verify_lemma61(args: argparse.Namespace) -> _Report:

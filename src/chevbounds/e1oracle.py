@@ -256,13 +256,11 @@ def invariant_page(
 class BoundCheckReport:
     """Outcome of checking every page weight against one bound."""
 
-    which: str
     passed: bool
     bound: Union[int, Q]
     details: tuple[tuple[Coords, int, bool], ...]  # (gamma, b(gamma), within)
     equality_hits: tuple[Coords, ...]
     equality_consistent: bool
-    t_lambda: Optional[int]
     t_mu: int
 
 
@@ -271,21 +269,16 @@ def exact_bound_failure(page: InvariantPage) -> Optional[str]:
 
     It needs lambda dominant and nonzero, s >= t(lambda) and f >= t(mu_set).
     """
-    t_mu = t_invariant(b_invariant(page.system, page.mu_set).value, page.p)
-    return _exact_failure(page, t_mu)[0]
-
-
-def _exact_failure(page: InvariantPage, t_mu: int) -> tuple[Optional[str], Optional[int]]:
-    """The exact bound's failed hypothesis or None, and t(lambda) if it is defined."""
     lam = page.lam
     if not lam.is_dominant() or lam.is_zero():
-        return "exact bound needs lambda dominant and nonzero", None
+        return "exact bound needs lambda dominant and nonzero"
     t_lam = t_invariant(page.system.pairing(lam), page.p)
     if page.s < t_lam:
-        return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}", t_lam
+        return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}"
+    t_mu = t_invariant(b_invariant(page.system, page.mu_set).value, page.p)
     if page.f < t_mu:
-        return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}", t_lam
-    return None, t_lam
+        return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}"
+    return None
 
 
 def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
@@ -301,16 +294,16 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     b_mu = b_invariant(rs, page.mu_set).value
     t_mu = t_invariant(b_mu, p)
     if which == "exact":
-        reason, t_lam = _exact_failure(page, t_mu)
+        reason = exact_bound_failure(page)
         if reason is not None:
             raise InputError(reason)
-        bound = num = _exact_bound(p, page.s, page.m, rs.pairing(page.lam), t_lam)
+        d = rs.pairing(page.lam)
+        bound = num = _exact_bound(p, page.s, page.m, d, t_invariant(d, p))
         den = 1
     elif which == "rough":
         den = p ** (page.s + page.f)
         num = p**page.s * b_mu + b_of_weight(rs, page.lam) + page.m * den
         bound = Q(num, den)
-        t_lam = None
     else:
         raise InputError(f"unknown check {which!r}; expected 'exact' or 'rough'")
     # b(gamma) <= bound as b * den <= num, in integers.
@@ -323,13 +316,11 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     hits = tuple(c for c, bg, _ in details if bg == bound) if which == "exact" else ()
     equality_consistent = not hits or page.f == t_mu
     return BoundCheckReport(
-        which=which,
         passed=all(within for _, _, within in details) and equality_consistent,
         bound=bound,
         details=tuple(details),
         equality_hits=hits,
         equality_consistent=equality_consistent,
-        t_lambda=t_lam,
         t_mu=t_mu,
     )
 
@@ -357,11 +348,7 @@ def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Opt
 class VanishReport:
     """Threshold evaluation next to the page it predicts empty."""
 
-    p: int
-    s: int
-    m: int
     lam: Weight
-    d: int
     thresholds: tuple[tuple[str, Q], ...]
     met: bool
     page_empty: bool
@@ -405,16 +392,44 @@ def check_bs_vanishing(
     q = p**s
     empty = not _carry_class(rs, p, s, m, cap, tuple([-c % q for c in lam.coords]))
     return VanishReport(
-        p=p,
-        s=s,
-        m=m,
         lam=lam,
-        d=d,
         thresholds=thresholds,
         met=met,
         page_empty=empty,
         consistent=(not met) or empty,
     )
+
+
+@dataclass(frozen=True, slots=True)
+class E1Report:
+    """The checks of one page: each report, or the reason its check does not apply."""
+
+    rough: BoundCheckReport
+    exact: Union[BoundCheckReport, str]
+    vanish: Union[VanishReport, str]
+    failed: bool
+
+
+def verify_e1(
+    page: InvariantPage, cap: int = DEFAULT_ENTRY_CAP, variant: Optional[str] = None
+) -> E1Report:
+    """Run each check that applies to the page and decide whether a check fails.
+
+    The exact and P241 checks hold the reason from `exact_bound_failure` or
+    `bs_vanishing_failure` when they do not apply; a variant that does not
+    apply at p is refused even then.  Pass the cap the page was built with.
+    """
+    rs, p, lam, s = page.system, page.p, page.lam, page.s
+    bs_vanish_variants(p, variant)
+    rough = check_weight_bounds(page, "rough")
+    exact = exact_bound_failure(page) or check_weight_bounds(page, "exact")
+    vanish = bs_vanishing_failure(rs, lam, s, page.f) or check_bs_vanishing(
+        rs, p, lam, s, page.m, cap, variant
+    )
+    failed = not rough.passed
+    failed |= not isinstance(exact, str) and not exact.passed
+    failed |= not isinstance(vanish, str) and not vanish.consistent
+    return E1Report(rough, exact, vanish, failed)
 
 
 def dyadic_sharpness(s: int, f: int) -> bool:

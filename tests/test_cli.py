@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -16,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chevbounds
-from chevbounds.bounds import bs_vanish_threshold
+from chevbounds.bounds import bs_vanish_threshold, bs_vanish_variants
 from chevbounds.cli import DEFAULT_INT_DIGITS, _parser, emit_table, run
+from chevbounds.e1oracle import invariant_page, verify_e1
 from chevbounds.errors import InputError
+from chevbounds.modchar import WeightMultiset, weyl_character
 from chevbounds.rootsys import build_root_system
 from chevbounds.weightcomb import b_of_weight, t_invariant
 
@@ -538,6 +541,7 @@ def test_exit_code_input_errors(capsys) -> None:
         (["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "1,2"], "A1 needs 1"),
         (generic_a2 + ["--weight", "1,x"], "bad weight '1,x': "),
         (generic_a2 + ["--module-weight", "1,0:x"], "bad multiplicity in '1,0:x'"),
+        (generic_a2 + ["--module-weight", "1,0:"], "bad multiplicity in '1,0:'"),
         (
             ["verify-e1", "--type", "A1", "--p", "2", "--s", "1", "--m", "1", "--weight", "1"]
             + ["--variant", "b"],
@@ -748,6 +752,75 @@ def test_verify_e1_decisions_match_the_paper(capsys) -> None:
     assert seen == {
         ("variant refused", True), ("exact", True), ("exact", False), ("met", True), ("met", False)
     }
+
+
+REPORT_SYSTEMS = {name: build_root_system(name[0], int(name[1])) for name in ("A1", "A2", "B2")}
+# verify-e1 fields that echo the input or print the page, not a check.
+ECHO_FIELDS = (
+    "schema", "command", "type", "p", "s", "f", "m", "lambda", "mu", "page_size", "gammas"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_e1_prints_the_library_report(data) -> None:
+    # Cells of the ACCEPTANCE 3 and 4 grids; the CLI takes L(omega_1) as its weight entries.
+    name = data.draw(st.sampled_from(sorted(REPORT_SYSTEMS)), label="system")
+    rs = REPORT_SYSTEMS[name]
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    levels = data.draw(st.integers(1, 3), label="s + f")
+    s = data.draw(st.integers(0, levels), label="s")
+    m = data.draw(st.integers(0, 4), label="m")
+    dominant = [c for c in itertools.product(range(9), repeat=rs.rank) if rs.pairing(c) <= 8]
+    lam = data.draw(st.sampled_from(dominant), label="lambda")
+    omega_1 = data.draw(st.booleans(), label="mu = L(omega_1)")
+    variant = data.draw(st.sampled_from((None,) + bs_vanish_variants(p)), label="variant")
+    argv = ["verify-e1", "--type", name, "--p", str(p), "--s", str(s), "--f", str(levels - s),
+            "--m", str(m), "--weight", ",".join(map(str, lam)), "--format", "json"]
+    mu_set = WeightMultiset.trivial(rs)
+    if omega_1:
+        mu_set = weyl_character(rs, rs.fundamental_weight(1))
+        argv += [f"--module-weight={','.join(map(str, c))}:{n}" for c, n in mu_set.items]
+    if variant is not None:
+        argv += ["--variant", variant]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run(argv)
+    doc = json.loads(out.getvalue())
+
+    page = invariant_page(rs, p, s, levels - s, lam, mu_set, m)
+    report = verify_e1(page, variant=variant)
+    rough, exact, vanish = report.rough, report.exact, report.vanish
+    want = {
+        "rough_bound": str(rough.bound),
+        "rough_pass": rough.passed,
+        "exact_applicable": not isinstance(exact, str),
+        "verdict": "fail" if report.failed else "ok",
+    }
+    if not isinstance(exact, str):
+        want["exact_bound"] = exact.bound
+        want["exact_pass"] = exact.passed
+        want["equality_hits"] = len(exact.equality_hits)
+        want["equality_consistent"] = exact.equality_consistent
+    if not isinstance(vanish, str):
+        want["vanish_theorems"] = list(vanish.theorems)
+        want["vanish_thresholds"] = [str(thr) for _, thr in vanish.thresholds]
+        want["vanish_met"] = vanish.met
+        want["vanish_page_empty"] = vanish.page_empty
+        want["vanish_consistent"] = vanish.consistent
+    assert {k: v for k, v in doc.items() if k not in ECHO_FIELDS} == want, argv
+    assert doc["page_size"] == page.gammas.total_dimension, argv
+    assert code == (1 if report.failed else 0), argv
+
+
+def test_verify_e1_renders_a_failed_report_as_exit_1(monkeypatch, capsys) -> None:
+    # No page in range breaks a bound, so the library's report is made to fail.
+    real = chevbounds.cli.verify_e1
+    monkeypatch.setattr(
+        chevbounds.cli, "verify_e1", lambda *args: dataclasses.replace(real(*args), failed=True)
+    )
+    argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "1", "--weight", "1"]
+    assert run(argv) == 1
+    assert lines_of(capsys)[-1] == "verdict=fail"
 
 
 # Every subcommand with the options it takes, for the argv fuzzer.

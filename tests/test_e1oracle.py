@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevbounds import e1oracle
 from chevbounds.bounds import bs_vanish_threshold, bs_vanish_variants
 from chevbounds.e1oracle import (
     _LEVEL_SHAPES,
@@ -22,6 +24,7 @@ from chevbounds.e1oracle import (
     enumerate_tuples,
     exact_bound_failure,
     invariant_page,
+    verify_e1,
 )
 from chevbounds.errors import InputError, ResourceLimitError
 from chevbounds.modchar import (
@@ -327,6 +330,10 @@ def test_bs_vanishing_failure_is_the_guard_of_the_check() -> None:
     assert bs_vanishing_failure(A1, omega, 1, 0) is None
     failure = bs_vanishing_failure(A1, omega, 2, 1)
     assert failure == "vanishing check needs f = 0, got f = 1"
+    trivial = WeightMultiset.trivial(A1)
+    assert verify_e1(invariant_page(A1, 3, 2, 1, omega, trivial, 1)).vanish == failure
+    ran = verify_e1(invariant_page(A1, 3, 1, 0, omega, trivial, 1)).vanish
+    assert ran == check_bs_vanishing(A1, 3, omega, 1, 1)
     for lam, s in ((omega, 0), (A1.zero, 1), (Weight((-1,)), 2)):
         reason = bs_vanishing_failure(A1, lam, s, 0)
         assert reason is not None
@@ -444,6 +451,7 @@ def test_exact_bound_failure_reasons() -> None:
     for lam, s, f, mu_set, reason in cases:
         page = invariant_page(A1, 3, s, f, lam, mu_set, 2)
         assert exact_bound_failure(page) == reason
+        assert verify_e1(page).exact == (reason or check_weight_bounds(page, "exact"))
         if reason is None:
             bound = paper_exact_bound(3, s, 2, A1.pairing(lam))
             report = check_weight_bounds(page, "exact")
@@ -455,6 +463,25 @@ def test_exact_bound_failure_reasons() -> None:
             with pytest.raises(InputError) as info:
                 check_weight_bounds(page, "exact")
             assert str(info.value) == reason
+
+
+def test_verify_e1_fails_when_one_check_that_ran_fails(monkeypatch) -> None:
+    # No page in range breaks a bound, so each check in turn is made to fail.
+    page = invariant_page(A1, 3, 1, 0, A1.fundamental_weight(1), WeightMultiset.trivial(A1), 1)
+    bounds, vanish = check_weight_bounds, check_bs_vanishing
+    assert not verify_e1(page).failed
+    for broken in ("rough", "exact", "vanish"):
+        monkeypatch.setattr(
+            e1oracle,
+            "check_weight_bounds",
+            lambda page, which: dataclasses.replace(bounds(page, which), passed=which != broken),
+        )
+        monkeypatch.setattr(
+            e1oracle,
+            "check_bs_vanishing",
+            lambda *args: dataclasses.replace(vanish(*args), consistent=broken != "vanish"),
+        )
+        assert verify_e1(page).failed, broken
 
 
 def test_page_cap_is_checked_on_the_carry_states() -> None:

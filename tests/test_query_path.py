@@ -27,6 +27,7 @@ from chevbounds.e1oracle import (
     check_weight_bounds,
     exact_bound_failure,
     invariant_page,
+    verify_e1,
 )
 from chevbounds.errors import InputError
 from chevbounds.modchar import DEFAULT_ENTRY_CAP, WeightMultiset, weyl_character
@@ -152,12 +153,15 @@ def test_records_stay_frozen_dataclasses() -> None:
     cmp = compare_thresholds(rs, 3, 2, module)
     assert dataclasses.replace(cmp, f_delta=cmp.f_delta + 1).f_delta == cmp.f_delta + 1
     vanish = check_bs_vanishing(rs, 3, lam, 1, 2)
+    e1 = verify_e1(page)
+    assert dataclasses.replace(e1, failed=True).failed is True
     slotted = (
         (lam, "coords"),
         (page.gammas, "dominant"),
         (page, "m"),
         (report, "passed"),
         (vanish, "met"),
+        (e1, "failed"),
         (BInvariant(1), "value"),
     )
     for record, field in slotted:
