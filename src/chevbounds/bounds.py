@@ -1,6 +1,8 @@
 """Closed-form vanishing, stability, and comparison thresholds.
 
-Every bound is carried as an exact Fraction; adjacent floors and ceilings of
+Everything is exact.  The generic and comparison rules compute in integers,
+on numerators and denominators, and build a Fraction only for a value a
+report holds (e, s_min, e_delta and the echoed c_m); floors and ceilings of
 base-p logarithms go through the integer power comparisons in weightcomb.
 Reports carry a theorem tag from THEOREM_TAGS so output formats can name the
 rule that produced each number.
@@ -11,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import ceil, floor
-from typing import Optional, Union
+from math import floor
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 from .errors import InputError, OracleError, ResourceLimitError, _shown, require_int
 from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset
@@ -213,14 +216,17 @@ def finite_group_vanishing_range(p: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """One theorem's thresholds: twist floor s_min = e and field-size floor r_min."""
+    """One theorem's thresholds: twist floor s_min = e and field-size floor r_min.
+
+    inputs_echo is a read-only copy of the mapping given, left out of the hash.
+    """
 
     theorem_tag: str
     e: Q
     f: int
     r_min: int
     conditions: tuple[str, ...]
-    inputs_echo: dict = field(default_factory=dict)
+    inputs_echo: Mapping = field(default_factory=dict, hash=False)
 
     @property
     def s_min(self) -> Q:
@@ -229,8 +235,14 @@ class ThresholdReport:
     def __post_init__(self) -> None:
         if self.theorem_tag not in THEOREM_TAGS:
             raise OracleError(f"unknown theorem tag {self.theorem_tag!r}")
-        if self.e < 0 or self.f < 0:
-            raise OracleError("thresholds must be non-negative")
+        # Each type check comes before its sign test, which reads e.numerator.
+        if type(self.e) not in (int, Q) or self.e.numerator < 0:
+            raise OracleError(f"e must be a non-negative int or Fraction, got {_shown(self.e)}")
+        if type(self.f) is not int or self.f < 0:
+            raise OracleError(f"f must be a non-negative int, got {_shown(self.f)}")
+        if type(self.r_min) is not int or self.r_min < 1:
+            raise OracleError(f"r_min must be an int >= 1, got {_shown(self.r_min)}")
+        object.__setattr__(self, "inputs_echo", MappingProxyType(dict(self.inputs_echo)))
 
 
 def _is_a1(rs: RootSystem) -> bool:
@@ -276,7 +288,7 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
     elif not _is_a1(rs):
         tag, e, conditions = "T811", base_e, ("base rule: e = m/(p-2) at an odd prime",)
     elif p >= 5:
-        tag, e = "T831", Q(ceil(Q(m - 1, p - 2)))
+        tag, e = "T831", Q(-((1 - m) // (p - 2)))  # ceil((m-1)/(p-2))
         conditions = (
             "T831 override, part a: type A1 with p >= 5 gives e = ceil((m-1)/(p-2))",
             f"improves T811 (e = {base_e})",
@@ -293,7 +305,7 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
         theorem_tag=tag,
         e=e,
         f=f_val,
-        r_min=floor(e) + f_val + 1 if r_min is None else r_min,
+        r_min=e.numerator // e.denominator + f_val + 1 if r_min is None else r_min,
         conditions=tuple(conditions),
         inputs_echo={"p": p, "m": m, "b_m": b_m},
     )
@@ -310,25 +322,24 @@ def cpsvdk_thresholds(
     """
     require_prime(p)
     require_int(m, "m", 0)
-    if type(c_m) not in (int, Q) or c_m < 0:
+    if type(c_m) not in (int, Q) or c_m.numerator < 0:
         raise InputError(f"c_m must be a non-negative int or Fraction, got {_shown(c_m)}")
-    c_m = Q(c_m)
     if _p_part(require_int(tpmax, "tpmax", 1), p) != tpmax:
         raise InputError(f"tpmax must be a power of {p}, got {tpmax}")
     c, t = structural_constants(rs)
     if p == 2:
-        e = Q(max(c * t * m - 1, 0))
+        e = max(c * t * m - 1, 0)
     else:
         first = (c * t * m - 1) // (p - 1)
         second = (c * tpmax * (m - 1) - 1) // (p - 1) + 1
-        e = Q(max(first, second, 0))
-    f_val = floor_log(p, t * c_m + 1) + 1
-    r_min = floor(e) + f_val + 1
+        e = max(first, second, 0)
+    # floor(t * c_m + 1), from c_m's numerator and denominator
+    f_val = floor_log(p, t * c_m.numerator // c_m.denominator + 1) + 1
     return ThresholdReport(
         theorem_tag="CPSVDK",
-        e=e,
+        e=Q(e),
         f=f_val,
-        r_min=r_min,
+        r_min=e + f_val + 1,
         conditions=(
             "f stated in this package's normalization; the source convention "
             "is one larger (echoed as raw_f)",
@@ -339,7 +350,7 @@ def cpsvdk_thresholds(
             "m": m,
             "c": c,
             "t": t,
-            "c_m": c_m,
+            "c_m": c_m if type(c_m) is Q else Q(c_m),
             "tpmax": tpmax,
             "raw_f": f_val + 1,
         },
@@ -380,7 +391,8 @@ def compare_thresholds(
         raise InputError("compare_thresholds needs a non-empty module multiset")
     b_m = b_invariant(rs, module).value
     c_m, tpmax = _module_stats(rs, module, p)
-    c_m = max(c_m, Q(0))
+    if c_m.numerator < 0:
+        c_m = Q(0)
     bnp = generic_thresholds(rs, p, m, b_m)
     cpsvdk = cpsvdk_thresholds(rs, p, m, c_m, tpmax)
     f_delta = cpsvdk.f - bnp.f
@@ -388,10 +400,11 @@ def compare_thresholds(
         raise OracleError(
             f"f comparison violated: cpsvdk f {cpsvdk.f} < bnp f {bnp.f}"
         )
-    e_delta = cpsvdk.e - bnp.e
+    ec, eb = cpsvdk.e, bnp.e
+    delta_num = ec.numerator * eb.denominator - eb.numerator * ec.denominator
     exception = p != 2 and (m == 1 or _is_a1(rs))
     notes = []
-    if e_delta < 0:
+    if delta_num < 0:
         notes.append(
             "e comparison reversed; expected only for odd p with m = 1 or type A1"
         )
@@ -401,7 +414,7 @@ def compare_thresholds(
         bnp=bnp,
         cpsvdk=cpsvdk,
         f_delta=f_delta,
-        e_delta=e_delta,
+        e_delta=Q(delta_num, ec.denominator * eb.denominator),
         exception_flag=exception,
         notes=tuple(notes),
     )

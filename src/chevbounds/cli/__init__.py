@@ -240,7 +240,7 @@ def _threshold_doc(report) -> dict[str, Any]:
         "s_min": report.s_min,
         "r_min": report.r_min,
         "conditions": report.conditions,
-        "echo": report.inputs_echo,
+        "echo": dict(report.inputs_echo),
     }
 
 

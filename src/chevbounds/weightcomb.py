@@ -17,9 +17,15 @@ from .rootsys import RootSystem, WeightLike
 
 
 def ceil_log(p: int, x: Union[int, Q]) -> int:
-    """Smallest t >= 0 with p**t >= x, for an int or Fraction x >= 1, by power comparison."""
+    """Smallest t >= 0 with p**t >= x, for an int or Fraction x >= 1, by power comparison.
+
+    A Fraction x is first replaced by its ceiling: p**t is an integer, so
+    p**t >= x holds exactly when p**t >= ceil(x).  The loop then compares ints.
+    """
     require_int(p, "base p", 2)
-    if type(x) not in (int, Q) or x < 1:
+    if type(x) is Q and x.numerator >= x.denominator:
+        x = -(-x.numerator // x.denominator)
+    if type(x) is not int or x < 1:
         raise InputError(f"ceil_log needs an int or Fraction x >= 1, got {_shown(x)}")
     t = 0
     power = 1
@@ -32,10 +38,11 @@ def ceil_log(p: int, x: Union[int, Q]) -> int:
 def floor_log(p: int, x: Union[int, Q]) -> int:
     """Largest t >= 0 with p**t <= x, for an int or Fraction x >= 1, by power comparison."""
     require_int(p, "base p", 2)
-    if type(x) not in (int, Q) or x < 1:
+    # The integer p**t is <= x exactly when it is <= floor(x); floor(x) >= 1 exactly when x >= 1.
+    n = x.numerator // x.denominator if type(x) is Q else x
+    if type(n) is not int or n < 1:
         raise InputError(f"floor_log needs an int or Fraction x >= 1, got {_shown(x)}")
-    # The integer p**t is <= x exactly when it is < floor(x) + 1.
-    return ceil_log(p, x // 1 + 1) - 1
+    return ceil_log(p, n + 1) - 1
 
 
 def t_invariant(b: int, p: int) -> int:

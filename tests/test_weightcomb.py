@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevbounds.bounds import _module_stats
 from chevbounds.errors import InputError
@@ -64,6 +66,53 @@ def test_log_functions_agree_with_powers() -> None:
                 assert p ** (f + 1) > x
             if c:
                 assert p ** (c - 1) < x
+
+
+def _power_loop_logs(p: int, x: Q) -> tuple[int, int]:
+    """(ceil, floor) of log_p x by comparing the Fraction x itself with powers of p."""
+    c = 0
+    while p**c < x:
+        c += 1
+    f = 0
+    while p ** (f + 1) <= x:
+        f += 1
+    return c, f
+
+
+BIG = 2**200 + 2**100 + 1
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_logs_of_fractions_at_powers_of_p(p) -> None:
+    """x = 1 and x = p**k exactly, and p**k -/+ 1/D, against the power loop.
+
+    p**130 is past 2**200 for every p here, so those numerators are too.
+    """
+    for k in (0, 1, 2, 5, 40, 130):
+        power = Q(p**k)
+        for d in (1, 2, 3, 10, 999_983, 10**6):
+            xs = [power, power + Q(1, d), Q(BIG, d) + power]
+            if k:
+                xs.append(power - Q(1, d))
+            for x in xs:
+                assert (ceil_log(p, x), floor_log(p, x)) == _power_loop_logs(p, x), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from((2, 3, 5, 7, 11, 13)),
+    n=st.integers(1, 2**230),
+    d=st.integers(1, 10**6),
+)
+def test_logs_of_fractions_match_the_power_loop(p, n, d) -> None:
+    x = Q(n, d)
+    if x < 1:
+        with pytest.raises(InputError):
+            ceil_log(p, x)
+        with pytest.raises(InputError):
+            floor_log(p, x)
+    else:
+        assert (ceil_log(p, x), floor_log(p, x)) == _power_loop_logs(p, x)
 
 
 def test_t_invariant() -> None:
