@@ -370,13 +370,14 @@ class ComparisonReport:
 
 
 def _module_stats(rs: RootSystem, module: WeightMultiset, p: int) -> tuple[Q, int]:
-    """(max coefficient over entries, max p-part of fundamental-group order).
+    """(max coefficient over the weights' orbits, max p-part of fundamental-group order).
 
-    Both maxima are attained at a dominant weight of a W-stable module, since
+    Both maxima over a Weyl orbit are attained at its dominant weight, since
     mu - w(mu) lies in the positive root cone and W fixes each class modulo
-    the root lattice; such a module scans its dominant entries only.  Both
-    come from `module.summary`, scanned once per multiset; only the p-part
-    is taken here.  The caller passes a non-empty module of rs.
+    the root lattice, so `module.summary` reads the dominant representatives
+    only, as b_M does.  A dominant weight has non-negative root-basis
+    coefficients, so c_M >= 0.  Only the p-part is taken here.  The caller
+    passes a non-empty module of rs.
     """
     _, c, orders = module.summary
     return Q(c, rs.cartan_det), max(_p_part(order, p) for order in orders)
@@ -391,8 +392,6 @@ def compare_thresholds(
         raise InputError("compare_thresholds needs a non-empty module multiset")
     b_m = b_invariant(rs, module).value
     c_m, tpmax = _module_stats(rs, module, p)
-    if c_m.numerator < 0:
-        c_m = Q(0)
     bnp = generic_thresholds(rs, p, m, b_m)
     cpsvdk = cpsvdk_thresholds(rs, p, m, c_m, tpmax)
     f_delta = cpsvdk.f - bnp.f

@@ -7,16 +7,22 @@ root before building mu - alpha when that weight cannot be dominant, and the
 Freudenthal recursion gives their multiplicities.  At a dominant mu with
 J = {i : mu_i = 0}, the recursion takes one root per orbit of the stabilizer
 W_J, and each root's orbit is read off its shape: its length and its
-coefficients off J.  Orbit sizes, not orbits, check the result against the
-Weyl dimension formula: the orbit of mu has |W| / |W_J| weights.
+coefficients off J.  Each alpha-string walk of the recursion ends at the
+norm bound |nu| <= |lam|, which every weight of the module meets, before it
+builds or reflects a weight past it; such a weight would have failed the
+membership test, so the step count that the cap checks is unchanged.
+Orbit sizes, not orbits, check the result against the Weyl dimension
+formula: the orbit of mu has |W| / |W_J| weights.
 
 A multiset known to be W-stable (a Weyl character, or the trivial module)
 also carries its dominant entries in `dominant`.  Every orbit invariant of
 the module (the highest-coroot pairing b, the largest root-basis coefficient,
 the class modulo the root lattice) is attained at a dominant weight, so
-`summary` scans `dominant` instead of the full `items`, once per multiset.  A
-character stores only its dominant entries; the first read of `items`
-spreads them along their Weyl orbits and keeps the result.
+`summary` scans `dominant` instead of the full `items`, once per multiset.
+Any other multiset is read at its weights' dominant representatives, so its
+summary is that of the orbits its weights meet.  A character stores only its
+dominant entries; the first read of `items` spreads them along their Weyl
+orbits and keeps the result.
 """
 
 from __future__ import annotations
@@ -76,21 +82,26 @@ class WeightMultiset:
 
     @property
     def summary(self) -> Summary:
-        """(b, c, orders) over `dominant or items`, scanned on first read and kept.
+        """(b, c, orders) over the dominant representatives of the weights, kept.
 
-        b is the largest pairing of a weight's dominant representative with
-        the highest coroot, that is the largest long-root pairing; c is the
-        largest root-basis coefficient times `cartan_det`; orders is the set
-        of the weights' orders in X(T) modulo the root lattice.  The caller
-        checks the system and that the multiset is not empty.
+        b is the largest pairing of a dominant representative with the
+        highest coroot, that is the largest long-root pairing; c is the
+        largest root-basis coefficient of one times `cartan_det`, so the
+        largest over the weights' Weyl orbits; orders is the set of their
+        orders in X(T) modulo the root lattice.  So the summary depends only
+        on which Weyl orbits the weights meet.  `dominant` lists them; a
+        multiset without it reflects its weights.  Scanned on first read; the
+        caller checks the system and that the multiset is not empty.
         """
         if self._summary is None:
             rs = self.system
             det = rs.cartan_det
             hrp = rs.highest_root_pairing
-            weights = [coords for coords, _ in self.dominant or self.items]
-            reps = weights if self.dominant else map(rs.dominant_representative, weights)
-            rows = list(map(rs.root_basis_scaled, weights))
+            if self.dominant:
+                reps = [coords for coords, _ in self.dominant]
+            else:
+                reps = {rs.dominant_representative(coords) for coords, _ in self.items}
+            rows = list(map(rs.root_basis_scaled, reps))
             summary = (
                 max([sum(map(mul, hrp, w)) for w in reps]),
                 max(map(max, rows)),
@@ -186,9 +197,9 @@ def _root_tables(rs: RootSystem) -> tuple:
     """What the character layer reads of each positive root, built once per system.
 
     In the order of `rs.positive_roots`: (omega-coordinates, height, positive
-    omega-coordinates (i, c), root coordinates times d) for the dominant
-    search and Freudenthal's inner products; (root coordinates, squared
-    length, height) for W_J-orbit shapes; the coroot pairings; and the Weyl
+    omega-coordinates (i, c), root coordinates times d, squared length) for
+    the dominant search and Freudenthal's inner products and norms; (root
+    coordinates, squared length, height) for W_J-orbit shapes; the coroot pairings; and the Weyl
     denominator, the product of <rho, alpha-vee>.  Every character of a
     system reads them, so they are built on its first one and shared; the
     bound is above the 48 supported systems.
@@ -201,7 +212,7 @@ def _root_tables(rs: RootSystem) -> tuple:
         omega, coeffs = root.omega_coords, root.root_coords
         height = sum(coeffs)
         need = tuple([(i, c) for i, c in enumerate(omega) if c > 0])
-        steps.append((omega, height, need, tuple(map(mul, coeffs, d))))
+        steps.append((omega, height, need, tuple(map(mul, coeffs, d)), root.length2))
         shapes.append((coeffs, root.length2, height))
         denominator *= sum(root.coroot_pairing)
     coroots = tuple([root.coroot_pairing for root in rs.positive_roots])
@@ -239,7 +250,7 @@ def _dominant_levels(rs: RootSystem, lam: Coords) -> dict[Coords, int]:
     while frontier:
         nxt = []
         for mu in frontier:
-            for omega, height, need, _ in steps:
+            for omega, height, need, _, _ in steps:
                 for i, c in need:
                     if mu[i] < c:
                         break
@@ -266,36 +277,49 @@ def _freudenthal_multiplicities(
     "Fast recursion formula for weight multiplicities", 1982).  The work is
     the number of steps nu -> nu + alpha over these representatives; it is
     checked against `cap` after each mu.
+
+    Every weight of the module lies in the convex hull of W lam, so it has
+    |nu| <= |lam| (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 21.3).  Each alpha-string walk keeps
+    det |nu|^2 in integers, det |nu + alpha|^2 = det |nu|^2 +
+    det (2 (nu, alpha) + |alpha|^2), and ends once that passes det |lam|^2,
+    before it builds nu + alpha or reflects it.  Such a weight would have
+    failed the membership test and ended the walk there anyway, so the
+    multiplicities, the step count and the cap check are those of the walk
+    without the bound.
     """
-    n = rs.rank
     det = rs.cartan_det
-
-    def scaled_norm(coords: Coords) -> int:
-        # det * <v, v> where v = coords + rho, as an integer.
-        v = tuple(c + 1 for c in coords)
-        scaled = rs.root_basis_scaled(v)
-        d = rs.d_symmetrizer
-        return sum(scaled[j] * d[j] * v[j] for j in range(n))
-
+    d = rs.d_symmetrizer
     roots = _root_tables(rs)[0]  # ip_vec gives det-free inner products <v, alpha>
-    top_norm = scaled_norm(lam)
+    # det (v, omega_j) is det times v's j-th root coordinate times d_j: summed
+    # against v it gives det |v|^2, summed alone det (v, rho).  The denominator
+    # det (|lam + rho|^2 - |mu + rho|^2) then needs no det |rho|^2.
+    lam_omega = list(map(mul, rs.root_basis_scaled(lam), d))
+    top = sum(map(mul, lam_omega, lam))
+    top_shifted = top + 2 * sum(lam_omega)
     mult: dict[Coords, int] = {lam: 1}
     steps = 0
     for mu in sorted(level, key=level.__getitem__):
         if mu == lam:
             continue
+        mu_omega = list(map(mul, rs.root_basis_scaled(mu), d))
+        mu_norm = sum(map(mul, mu_omega, mu))
         total = 0
         for k, count in _stabilizer_orbits(rs, _zero_set(mu))[0]:
-            omega, _, _, ip_vec = roots[k]
+            omega, _, _, ip_vec, length2 = roots[k]
             term = 0
-            nu = tuple(map(add, mu, omega))
-            while (dom := rs.dominant_representative(nu)) in level:
-                term += mult[dom] * sum(map(mul, ip_vec, nu))
+            nu, norm, ip = mu, mu_norm, sum(map(mul, ip_vec, mu))
+            # norm is det |nu|^2 and ip is (nu, alpha) as nu runs up the string.
+            while (norm := norm + det * (2 * ip + length2)) <= top:
                 nu = tuple(map(add, nu, omega))
+                if (dom := rs.dominant_representative(nu)) not in level:
+                    break
+                ip += length2
+                term += mult[dom] * ip
                 steps += 1
             total += count * term
         _check_cap(f"character of {lam}", steps, cap, "Freudenthal steps")
-        denom = top_norm - scaled_norm(mu)
+        denom = top_shifted - mu_norm - 2 * sum(mu_omega)
         value = Q(2 * det * total, denom)
         if value.denominator != 1 or value <= 0:
             raise OracleError(f"bad multiplicity {value} at {mu}")

@@ -148,22 +148,40 @@ class RootSystem:
         """The dominant weight in the Weyl orbit of coords.
 
         Reflects a list in place through the first negative coordinate and
-        starts over; a dominant input is returned as it came.  The caller
-        passes coordinates of this system's rank; they are not checked.
+        starts over; a dominant input is returned as it came.  A reflection
+        s_i negates coordinate i and changes only the nodes joined to i in
+        the Cartan matrix, so it updates those alone.  The caller passes
+        coordinates of this system's rank; they are not checked.
         """
         if min(coords) >= 0:
             return coords
+        links = _cartan_links(self)
         cur = list(coords)
+        n = len(cur)
         i = 0
-        while i < len(cur):
+        while i < n:
             c = cur[i]
             if c < 0:
-                for j, r in enumerate(self.cartan_matrix[i]):
+                cur[i] = -c
+                for j, r in links[i]:
                     cur[j] -= c * r
                 i = 0
             else:
                 i += 1
         return tuple(cur)
+
+
+@lru_cache(maxsize=64)
+def _cartan_links(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per node i, the (j, a_ij) with j != i and a_ij != 0: the nodes s_i changes besides i.
+
+    Built on a system's first non-dominant reflection; the bound is above
+    the 48 supported systems.
+    """
+    return tuple(
+        tuple([(j, r) for j, r in enumerate(row) if r and j != i])
+        for i, row in enumerate(rs.cartan_matrix)
+    )
 
 
 def _cartan_and_lengths(family: str, rank: int) -> tuple[list[list[int]], list[int]]:

@@ -221,6 +221,17 @@ def test_compare_text_has_both_tags(capsys) -> None:
     assert "f_delta=1" in out
 
 
+def test_compare_reads_a_weight_and_its_dominant_representative_alike(capsys) -> None:
+    # (-2, 0) on G2 lies in the orbit of (2, 0); read raw, its c_m once fell below b_M's.
+    base = ["compare", "--type", "G2", "--p", "2", "--m", "3"]
+    assert run(base + ["--module-weight=2,0"]) == 0
+    expected = capsys.readouterr()
+    assert run(base + ["--module-weight=-2,0"]) == 0
+    got = capsys.readouterr()
+    assert got.out == expected.out and not got.err
+    assert "f_delta=1" in got.out.splitlines()
+
+
 def test_compare_json_round_trip(capsys) -> None:
     code = run(
         [

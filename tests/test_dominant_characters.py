@@ -12,7 +12,9 @@ A character spreads its dominant entries along their orbits only when
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from chevbounds import modchar
 from chevbounds.bounds import _module_stats, compare_thresholds, generic_thresholds
 from chevbounds.cli import run
+from chevbounds.errors import ResourceLimitError
 from chevbounds.modchar import (
     DEFAULT_ENTRY_CAP,
     WeightMultiset,
@@ -273,6 +276,50 @@ def all_roots_freudenthal(
     return mult, steps
 
 
+def uncut_freudenthal(
+    rs: RootSystem, lam: Coords, level: dict[Coords, int]
+) -> tuple[dict[Coords, int], int, list[Coords]]:
+    """The library's W_J-orbit recursion without the norm bound: its
+    multiplicities, its steps and the weights it reflects, in order.
+
+    Each alpha-string walk reflects every weight it builds, one reflection
+    at a time, and ends at the first one outside the module.
+    """
+    n, det, d = rs.rank, rs.cartan_det, rs.d_symmetrizer
+
+    def scaled_norm(coords: Coords) -> int:
+        v = tuple(c + 1 for c in coords)
+        scaled = rs.root_basis_scaled(v)
+        return sum(scaled[j] * d[j] * v[j] for j in range(n))
+
+    roots = modchar._root_tables(rs)[0]
+    top_norm = scaled_norm(lam)
+    mult = {lam: 1}
+    steps = 0
+    built = []
+    for mu in sorted(level, key=level.__getitem__):
+        if mu == lam:
+            continue
+        total = 0
+        for k, count in modchar._stabilizer_orbits(rs, modchar._zero_set(mu))[0]:
+            omega, ip_vec = roots[k][0], roots[k][3]
+            term = 0
+            nu = tuple(a + b for a, b in zip(mu, omega))
+            while True:
+                built.append(nu)
+                dom = _dominant_by_reflection(rs, nu)
+                if dom not in level:
+                    break
+                term += mult[dom] * sum(v * c for v, c in zip(ip_vec, nu))
+                nu = tuple(a + b for a, b in zip(nu, omega))
+                steps += 1
+            total += count * term
+        value = Q(2 * det * total, top_norm - scaled_norm(mu))
+        assert value.denominator == 1 and value > 0
+        mult[mu] = int(value)
+    return mult, steps, built
+
+
 def _orbit_sum_freudenthal(monkeypatch, rs: RootSystem, lam: Coords, level) -> tuple:
     """The library's recursion and the last step count it checked against the cap."""
     checked = [0]
@@ -319,6 +366,8 @@ def test_orbit_sum_matches_every_root_on_the_fundamental_characters(monkeypatch)
         got, steps = _orbit_sum_freudenthal(monkeypatch, rs, lam, level)
         assert got == expected, (rs.name, i)
         assert steps <= old_steps
+        # The norm bound cuts only steps that would fail.
+        assert (got, steps) == uncut_freudenthal(rs, lam, level)[:2], (rs.name, i)
 
 
 def test_orbit_sum_matches_every_root_on_the_case_pool(monkeypatch) -> None:
@@ -330,8 +379,63 @@ def test_orbit_sum_matches_every_root_on_the_case_pool(monkeypatch) -> None:
         got, steps = _orbit_sum_freudenthal(monkeypatch, rs, lam, level)
         assert got == expected, (family, rank, lam)
         assert steps <= old_steps
+        assert (got, steps) == uncut_freudenthal(rs, lam, level)[:2], (family, rank, lam)
         fewer += steps < old_steps
     assert fewer > len(CASES) // 2
+
+
+@pytest.mark.parametrize(
+    "family, rank, lam",
+    [("G", 2, (2, 2)), ("B", 3, (2, 2, 2)), ("F", 4, (1, 1, 1, 1)), ("E", 6, (1, 0, 0, 0, 0, 1))],
+)
+def test_the_step_cap_fires_one_below_the_uncut_count(family, rank, lam) -> None:
+    rs = build_root_system(family, rank)
+    level = modchar._dominant_levels(rs, lam)
+    mult, steps, _ = uncut_freudenthal(rs, lam, level)
+    assert modchar._freudenthal_multiplicities(rs, lam, level, steps) == mult
+    message = (
+        rf"^character of {re.escape(str(lam))} working set reached {steps} Freudenthal steps, "
+        rf"above the cap {steps - 1}; raise the cap to allow$"
+    )
+    with pytest.raises(ResourceLimitError, match=message):
+        modchar._freudenthal_multiplicities(rs, lam, level, steps - 1)
+
+
+def _norm(rs: RootSystem, coords: Coords) -> int:
+    """det |coords|^2, from the root-basis coordinates scaled by det."""
+    return sum(map(mul, rs.root_basis_scaled(coords), map(mul, rs.d_symmetrizer, coords)))
+
+
+def test_the_walk_reflects_only_the_uncut_walks_weights_inside_the_ball(monkeypatch) -> None:
+    reflected = []
+    real = RootSystem.dominant_representative
+
+    def record(self, coords):
+        reflected.append(coords)
+        return real(self, coords)
+
+    monkeypatch.setattr(RootSystem, "dominant_representative", record)
+    cut = 0
+    for family, rank, i, lam in FUNDAMENTAL_CASES:
+        rs = build_root_system(family, rank)
+        level = modchar._dominant_levels(rs, lam)
+        reflected.clear()
+        modchar._freudenthal_multiplicities(rs, lam, level, DEFAULT_ENTRY_CAP)
+        top = _norm(rs, lam)
+        built = uncut_freudenthal(rs, lam, level)[2]
+        assert reflected == [nu for nu in built if _norm(rs, nu) <= top], (rs.name, i)
+        cut += len(built) - len(reflected)
+    # 582 of the 995 weights the uncut walks reflect lie outside the ball.
+    assert cut == 582
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(LAZY_CASES))
+def test_every_weight_of_a_character_lies_in_the_ball_of_its_highest_weight(case) -> None:
+    family, rank, lam = case
+    rs = build_root_system(family, rank)
+    top = _norm(rs, lam)
+    assert all(_norm(rs, nu) <= top for nu, _ in weyl_character(rs, lam).items)
 
 
 def unpruned_dominant_levels(rs: RootSystem, lam: Coords) -> dict[Coords, int]:

@@ -1,15 +1,18 @@
 """The module summary against direct scans of every weight.
 
 `WeightMultiset.summary` holds b, the largest root-basis coefficient and the
-class orders modulo the root lattice, scanned once per multiset; a W-stable
-multiset scans its dominant entries only.  `b_invariant` and
-`bounds._module_stats` read it.  The oracle here expands every weight and
-takes each maximum over all of them, the root-basis coordinates through an
-inverse of the Cartan matrix built here with fractions, not through the
-library's adjugate.  b is the largest pairing with a long coroot: the oracle
-pairs every weight of a plain multiset with every long coroot, and every
-weight of a character with the highest coroot, whose Weyl orbit is the long
-coroots while the character's weights are one union of Weyl orbits.
+class orders modulo the root lattice over the Weyl orbits of the weights,
+scanned once per multiset; a W-stable multiset scans its dominant entries
+only, any other one its weights' dominant representatives.  `b_invariant`
+and `bounds._module_stats` read it.  The oracle here expands every weight
+and takes each maximum over all of them, the root-basis coordinates through
+an inverse of the Cartan matrix built here with fractions, not through the
+library's adjugate.  A plain multiset's weights are first closed under the
+simple reflections, so the oracle scans each one's whole Weyl orbit.  b is
+the largest pairing with a long coroot: the oracle pairs every weight of a
+plain multiset's orbits with every long coroot, and every weight of a
+character with the highest coroot, whose Weyl orbit is the long coroots
+while the character's weights are one union of Weyl orbits.
 """
 
 from __future__ import annotations
@@ -87,6 +90,20 @@ def _direct_scan(
     return b, coefficient, tuple(sorted(orders))
 
 
+def _orbit_closure(rs: RootSystem, weights: list[Coords]) -> list[Coords]:
+    """Every weight of the Weyl orbits of these weights, by closing under the simple reflections."""
+    seen = set(weights)
+    stack = list(seen)
+    while stack:
+        w = stack.pop()
+        for i, row in enumerate(rs.cartan_matrix):
+            image = tuple(x - w[i] * r for x, r in zip(w, row))
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return sorted(seen)
+
+
 def _p_part(n: int, p: int) -> int:
     part = 1
     while n % p == 0:
@@ -95,9 +112,13 @@ def _p_part(n: int, p: int) -> int:
 
 
 def _assert_summary_matches(
-    rs: RootSystem, module: WeightMultiset, coroots: list[Coords]
+    rs: RootSystem, module: WeightMultiset, coroots: list[Coords], orbits: bool = False
 ) -> None:
-    b, coefficient, orders = _direct_scan(rs, [w for w, _ in module.items], coroots)
+    """The summary of module against a direct scan of its weights, or of their orbits."""
+    weights = [w for w, _ in module.items]
+    if orbits:
+        weights = _orbit_closure(rs, weights)
+    b, coefficient, orders = _direct_scan(rs, weights, coroots)
     assert b_invariant(rs, module).value == b
     for p in PRIMES:
         assert _module_stats(rs, module, p) == (coefficient, max(_p_part(o, p) for o in orders))
@@ -136,7 +157,11 @@ weight_tables = st.sampled_from(RANK_TWO).flatmap(
 @given(weight_tables)
 def test_summary_of_a_plain_multiset_is_a_scan_of_its_weights(case) -> None:
     rs, table = case
-    _assert_summary_matches(rs, WeightMultiset.from_dict(rs, table), _long_coroots(rs))
+    module = WeightMultiset.from_dict(rs, table)
+    _assert_summary_matches(rs, module, _long_coroots(rs), orbits=True)
+    # Only the orbits count: the dominant representatives give the same summary.
+    reps = {rs.dominant_representative(w): 1 for w in table}
+    assert module.summary == WeightMultiset.from_dict(rs, reps).summary
 
 
 def test_the_trivial_module_is_given_the_summary_a_scan_finds() -> None:

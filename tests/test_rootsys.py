@@ -147,7 +147,12 @@ def test_dominant_representative() -> None:
 
 
 @pytest.mark.parametrize(
-    "family, rank, span", (("A", 4, 2), ("B", 3, 3), ("C", 4, 2), ("F", 4, 2), ("E", 6, 1))
+    "family, rank, span",
+    (
+        ("A", 4, 2), ("B", 3, 3), ("C", 4, 2), ("F", 4, 2), ("E", 6, 1),
+        # Branch nodes and the triple edge.
+        ("D", 5, 1), ("E", 8, 1), ("G", 2, 4),
+    ),
 )
 def test_dominant_representative_matches_one_reflection_at_a_time(family, rank, span) -> None:
     rs = build_root_system(family, rank)

@@ -127,10 +127,9 @@ def oracle_cpsvdk(rs, p: int, m: int, c_m, tpmax: int) -> dict:
 
 
 def oracle_compare(rs, p: int, m: int, module: WeightMultiset) -> dict:
-    """compare_thresholds' fields by max(c_m, 0), Fraction subtraction and comparison."""
+    """compare_thresholds' fields by Fraction subtraction and comparison."""
     b_m = b_invariant(rs, module).value
     c_m, tpmax = _module_stats(rs, module, p)
-    c_m = max(c_m, Q(0))
     bnp = oracle_generic(rs, p, m, b_m)
     cpsvdk = oracle_cpsvdk(rs, p, m, c_m, tpmax)
     f_delta = cpsvdk["f"] - bnp["f"]
@@ -180,7 +179,8 @@ def _outcome(fn, *args):
 @st.composite
 def modules(draw, rs) -> WeightMultiset:
     """A fundamental character under the cap, or a from_dict module whose
-    weights may all have negative coefficients, so that the clamp fires."""
+    weights may all have negative coefficients, so that c_m is read at
+    dominant representatives that are not among them."""
     i = draw(st.integers(1, rs.rank))
     if draw(st.booleans()) and weyl_dimension(rs, rs.fundamental_weight(i)) <= DIMENSION_CAP:
         return weyl_character(rs, rs.fundamental_weight(i))
@@ -220,21 +220,26 @@ def test_threshold_rules_match_the_fraction_formulas(name, p, m, b_m, c_m, k, da
     assert _outcome(_compare_fields, rs, p, m, module) == _outcome(oracle_compare, rs, p, m, module)
 
 
-def test_the_clamp_reports_a_zero_c_m() -> None:
-    """A module whose largest coefficient is negative echoes c_m = 0, a Fraction.
+def test_negative_weights_read_c_m_at_their_dominant_representatives() -> None:
+    """A module whose largest coefficient is negative reads c_m on its orbits.
 
-    {(-1)} on A1 has c_m = -1/2 before the clamp; `_module_stats` stays unclamped.
+    {(-1)} on A1 has root coefficient -1/2, its orbit {(-1), (1)} has 1/2;
+    (0, -1) on A2 lies in the orbit of (1, 0), whose coefficients are 2/3 and 1/3.
     """
-    for name, table in (("A1", {(-1,): 1}), ("A2", {(0, -1): 2})):
+    for name, table, reps, c_m in (
+        ("A1", {(-1,): 1}, {(1,): 1}, Q(1, 2)),
+        ("A2", {(0, -1): 2}, {(1, 0): 2}, Q(2, 3)),
+    ):
         rs = SYSTEMS[name]
         module = WeightMultiset.from_dict(rs, table)
-        assert _module_stats(rs, module, 5)[0] < 0
+        dominant = WeightMultiset.from_dict(rs, reps)
         for p in PRIMES:
+            assert _module_stats(rs, module, p) == _module_stats(rs, dominant, p)
+            assert _module_stats(rs, module, p)[0] == c_m
             rep = _outcome(_compare_fields, rs, p, 3, module)
             assert rep == _outcome(oracle_compare, rs, p, 3, module)
-            assert rep["cpsvdk"]["inputs_echo"]["c_m"] == 0
-    a1 = SYSTEMS["A1"]
-    assert _module_stats(a1, WeightMultiset.from_dict(a1, {(-1,): 1}), 3)[0] == Q(-1, 2)
+            assert rep == _compare_fields(rs, p, 3, dominant)
+            assert rep["cpsvdk"]["inputs_echo"]["c_m"] == c_m
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Time fixed CLI runs on one or more source trees, one JSON line per run.
 
-    python3 tools/probe.py                          # the five probes, this checkout
+    python3 tools/probe.py                          # the seven probes, this checkout
     python3 tools/probe.py --tree A --tree B --rounds 3
     python3 tools/probe.py --rounds 1 -- info --type A1
 
@@ -40,6 +40,12 @@ PROBES = (
      "--weight", "0,0,0,0,0,0,1"],
     ["verify-e1", "--type", "F4", "--p", "2", "--s", "4", "--f", "0", "--m", "8",
      "--weight", "0,0,0,1"],
+    # The character probes: most of their time is one Freudenthal build, far
+    # above the default cap, so the cap is raised past both dimensions.
+    ["compare", "--type", "E7", "--p", "7", "--m", "6", "--weight", "1,1,1,1,1,1,1",
+     "--cap", "100000000000000000000000000"],
+    ["compare", "--type", "F4", "--p", "7", "--m", "6", "--weight", "3,3,3,3",
+     "--cap", "100000000000000000000000000"],
 )
 
 
