@@ -17,7 +17,7 @@ from math import floor
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
-from .errors import InputError, OracleError, ResourceLimitError, _shown, require_int
+from .errors import InputError, OracleError, _check_cap, _shown, require_int
 from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset
 from .primes import require_prime
 from .rootsys import RootSystem
@@ -175,12 +175,7 @@ def lemma61_scan(
     """
     require_int(max_value, "max_value", 1)
     require_int(cap, "cap", 1)
-    cells = len(LEMMA61_PRIMES) * max_value**3
-    if cells > cap:
-        raise ResourceLimitError(
-            f"lemma61 scan grid has {_shown(cells)} cells, above the cap {_shown(cap)}; "
-            "raise the cap to allow"
-        )
+    _check_cap("lemma61 scan", len(LEMMA61_PRIMES) * max_value**3, cap, "grid cells")
     bad = []
     for p in LEMMA61_PRIMES:
         parts = ("a",) if p == 2 else ("b", "c")
@@ -343,7 +338,8 @@ def cpsvdk_thresholds(
         conditions=(
             "f stated in this package's normalization; the source convention "
             "is one larger (echoed as raw_f)",
-            "per-weight constants c and t_p taken as maxima over the module's weights",
+            "per-weight constants c and t_p taken as maxima over the Weyl orbits "
+            "of the module's weights",
         ),
         inputs_echo={
             "p": p,

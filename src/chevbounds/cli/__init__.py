@@ -27,7 +27,7 @@ from ..bounds import (
     stability_constants,
 )
 from ..e1oracle import invariant_page, verify_e1
-from ..errors import InputError, OracleError, ResourceLimitError
+from ..errors import InputError, OracleError, ResourceLimitError, require_int
 from ..modchar import DEFAULT_ENTRY_CAP, WeightMultiset, weyl_character
 from ..rootsys import RootSystem, Weight, parse_type
 from ..weightcomb import b_invariant, structural_constants
@@ -212,20 +212,7 @@ def _resolve_module(
 
 
 def _cap(args: argparse.Namespace) -> int:
-    if getattr(args, "cap", None) is not None:
-        if args.cap < 1:
-            raise InputError("--cap must be positive")
-        return args.cap
-    env = os.environ.get("CHEVBOUNDS_CAP")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InputError(f"CHEVBOUNDS_CAP must be an integer, got {env!r}") from None
-        if value < 1:
-            raise InputError("CHEVBOUNDS_CAP must be positive")
-        return value
-    return DEFAULT_ENTRY_CAP
+    return DEFAULT_ENTRY_CAP if args.cap is None else require_int(args.cap, "--cap", 1)
 
 
 # A handler's report body and whether it found a violation (exit 1).
@@ -404,7 +391,12 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--module-weight": dict(action="append", help="module weight entry coords[:mult], repeatable"),
     "--variant": dict(choices=("a", "b", "c"), help="threshold clause"),
     "--max": dict(type=int, default=12, help="scan bound (default 12)"),
-    "--cap": dict(type=int, help="size cap: multiset entries, or lemma61 grid cells"),
+    "--cap": dict(
+        type=int,
+        help="size cap (default 10^7): generic and compare count a character's dimension "
+        "and Freudenthal steps, verify-e1 a page's distinct weights and carry states, "
+        "verify-lemma61 grid cells",
+    ),
     "kind": dict(nargs="?", default="structural", choices=TABLE_KINDS),
     "--format": dict(
         choices=("text", "json", "csv"), default="text", help="output format (default text)"
@@ -464,10 +456,7 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
-        print(
-            f"resource limit: {exc} (on the command line: --cap or CHEVBOUNDS_CAP)",
-            file=sys.stderr,
-        )
+        print(f"resource limit: {exc} (on the command line: --cap)", file=sys.stderr)
         return 3
     except OracleError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

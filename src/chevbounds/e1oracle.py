@@ -20,14 +20,8 @@ from operator import add, mul
 from typing import Iterator, Optional, Union
 
 from .bounds import _p_minus_2, bs_vanish_threshold, bs_vanish_variants
-from .errors import InputError, require_int
-from .modchar import (
-    DEFAULT_ENTRY_CAP,
-    WeightMultiset,
-    _check_cap,
-    _degree_fold,
-    _scale_coords,
-)
+from .errors import InputError, _check_cap, require_int
+from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset, _degree_fold, _scale_coords
 from .primes import require_prime
 from .rootsys import Coords, RootSystem, Weight, WeightLike
 from .weightcomb import b_invariant, b_of_weight, p_adic_digits, t_invariant
@@ -258,10 +252,8 @@ class BoundCheckReport:
 
     passed: bool
     bound: Union[int, Q]
-    details: tuple[tuple[Coords, int, bool], ...]  # (gamma, b(gamma), within)
     equality_hits: tuple[Coords, ...]
     equality_consistent: bool
-    t_mu: int
 
 
 def exact_bound_failure(page: InvariantPage) -> Optional[str]:
@@ -291,8 +283,6 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     """
     rs = page.system
     p = page.p
-    b_mu = b_invariant(rs, page.mu_set).value
-    t_mu = t_invariant(b_mu, p)
     if which == "exact":
         reason = exact_bound_failure(page)
         if reason is not None:
@@ -302,26 +292,25 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
         den = 1
     elif which == "rough":
         den = p ** (page.s + page.f)
+        b_mu = b_invariant(rs, page.mu_set).value
         num = p**page.s * b_mu + b_of_weight(rs, page.lam) + page.m * den
         bound = Q(num, den)
     else:
         raise InputError(f"unknown check {which!r}; expected 'exact' or 'rough'")
-    # b(gamma) <= bound as b * den <= num, in integers.
     hrp = rs.highest_root_pairing
     dominant = rs.dominant_representative
-    details = []
-    for coords, _ in page.gammas.items:
-        bg = sum(map(mul, hrp, dominant(coords)))
-        details.append((coords, bg, bg * den <= num))
-    hits = tuple(c for c, bg, _ in details if bg == bound) if which == "exact" else ()
-    equality_consistent = not hits or page.f == t_mu
+    items = page.gammas.items
+    bs = [sum(map(mul, hrp, dominant(coords))) for coords, _ in items]
+    hits: tuple[Coords, ...] = ()
+    if which == "exact":
+        hits = tuple(coords for (coords, _), bg in zip(items, bs) if bg == bound)
+    consistent = not hits or page.f == t_invariant(b_invariant(rs, page.mu_set).value, p)
     return BoundCheckReport(
-        passed=all(within for _, _, within in details) and equality_consistent,
+        # b(gamma) <= bound as b * den <= num, in integers.
+        passed=consistent and all(bg * den <= num for bg in bs),
         bound=bound,
-        details=tuple(details),
         equality_hits=hits,
-        equality_consistent=equality_consistent,
-        t_mu=t_mu,
+        equality_consistent=consistent,
     )
 
 

@@ -1,4 +1,9 @@
-"""Exception types shared by every module, and the one check of an integer argument."""
+"""Exception types shared by every module, and the two gates that raise them.
+
+`require_int` is the one check of an integer argument.  `_check_cap` is the
+one place that builds a ResourceLimitError: each stage that a cap bounds
+passes it the count it reached, so every exit-3 message has one form.
+"""
 
 from __future__ import annotations
 
@@ -17,13 +22,13 @@ class OracleError(RuntimeError):
 
 def _shown(value: object) -> str:
     """repr(value) for a message; a value too long to print, alone or in a tuple, is named."""
-    if isinstance(value, tuple):
-        parts = [_shown(x) for x in value]
-        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
     try:
         return repr(value)
     except ValueError:  # an int past sys.get_int_max_str_digits()
-        return f"<{type(value).__name__} too long to print>"
+        if not isinstance(value, tuple):
+            return f"<{type(value).__name__} too long to print>"
+    parts = [_shown(x) for x in value]
+    return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
 
 
 def require_int(value: object, what: str, low: int, high: int | None = None) -> int:
@@ -37,3 +42,11 @@ def require_int(value: object, what: str, low: int, high: int | None = None) -> 
         bounds = f"below {low}" if high is None else f"outside {low}..{high}"
         raise InputError(f"{what} = {_shown(value)} {bounds}")
     return value
+
+
+def _check_cap(stage: str, size: int, cap: int, what: str) -> None:
+    """Raise ResourceLimitError naming the stage, its size and the cap when size passes cap."""
+    if size > cap:
+        raise ResourceLimitError(
+            f"{stage}: {what} {_shown(size)}, above the cap {_shown(cap)}; raise the cap to allow"
+        )

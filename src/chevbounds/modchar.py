@@ -11,6 +11,9 @@ coefficients off J.  Each alpha-string walk of the recursion ends at the
 norm bound |nu| <= |lam|, which every weight of the module meets, before it
 builds or reflects a weight past it; such a weight would have failed the
 membership test, so the step count that the cap checks is unchanged.
+The cap bounds three counts here, each through `errors._check_cap`: a
+character's dimension, checked before it is built, its Freudenthal steps,
+and the distinct weights a degree fold holds.
 Orbit sizes, not orbits, check the result against the Weyl dimension
 formula: the orbit of mu has |W| / |W_J| weights.
 
@@ -34,7 +37,7 @@ from math import comb, gcd
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Mapping, Optional
 
-from .errors import InputError, OracleError, ResourceLimitError, _shown, require_int
+from .errors import InputError, OracleError, _check_cap, _shown, require_int
 from .rootsys import Coords, RootSystem, WeightLike
 
 DEFAULT_ENTRY_CAP = 10**7
@@ -299,6 +302,7 @@ def _freudenthal_multiplicities(
     top_shifted = top + 2 * sum(lam_omega)
     mult: dict[Coords, int] = {lam: 1}
     steps = 0
+    stage = f"character of {_shown(lam)}"
     for mu in sorted(level, key=level.__getitem__):
         if mu == lam:
             continue
@@ -318,7 +322,7 @@ def _freudenthal_multiplicities(
                 term += mult[dom] * ip
                 steps += 1
             total += count * term
-        _check_cap(f"character of {lam}", steps, cap, "Freudenthal steps")
+        _check_cap(stage, steps, cap, "Freudenthal steps")
         denom = top_shifted - mu_norm - 2 * sum(mu_omega)
         value = Q(2 * det * total, denom)
         if value.denominator != 1 or value <= 0:
@@ -398,11 +402,7 @@ def _zero_set(mu: Coords) -> Coords:
 @lru_cache(maxsize=256)
 def _character_cached(rs: RootSystem, lam: Coords, cap: int) -> WeightMultiset:
     dim = weyl_dimension(rs, lam)
-    if dim > cap:
-        raise ResourceLimitError(
-            f"character of {_shown(lam)} has dimension {_shown(dim)}, above the cap {cap}; "
-            "raise the cap to allow"
-        )
+    _check_cap(f"character of {_shown(lam)}", dim, cap, "dimension")
     mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam), cap)
     dominant = tuple(sorted(mult.items()))
     character = WeightMultiset(rs, None, dominant)
@@ -486,14 +486,5 @@ def _degree_fold(
                     key = tuple(a + b for a, b in zip(w, shift))
                     dst[key] = dst.get(key, 0) + m * count
                 size += len(dst)
-                _check_cap(stage, size, cap)
+                _check_cap(stage, size, cap, "distinct weights")
     return levels
-
-
-def _check_cap(stage: str, size: int, cap: int, what: str = "distinct weights") -> None:
-    """Raise ResourceLimitError naming the stage when its working set passes cap."""
-    if size > cap:
-        raise ResourceLimitError(
-            f"{stage} working set reached {size} {what}, above the cap {cap}; "
-            "raise the cap to allow"
-        )

@@ -177,11 +177,11 @@ def test_lemma61_scan_is_capped_before_it_starts() -> None:
     assert lemma61_scan(5, cap=4 * 5**3) == []
     with pytest.raises(
         ResourceLimitError,
-        match=r"^lemma61 scan grid has 500 cells, above the cap 499; raise the cap",
+        match=r"^lemma61 scan: grid cells 500, above the cap 499; raise the cap",
     ):
         lemma61_scan(5, cap=499)
     # A grid too large to print is named, not a ValueError from str().
-    with pytest.raises(ResourceLimitError, match=r"^lemma61 scan grid has <int too long"):
+    with pytest.raises(ResourceLimitError, match=r"^lemma61 scan: grid cells <int too long"):
         lemma61_scan(10**1500)
 
 

@@ -406,7 +406,7 @@ _COMPARE_A1_P3 = (
     ("cpsvdk.r_min", "3"),
     ("cpsvdk.conditions", "f stated in this package's normalization; the source convention "
      "is one larger (echoed as raw_f),per-weight constants c and t_p taken as maxima over "
-     "the module's weights"),
+     "the Weyl orbits of the module's weights"),
     ("cpsvdk.echo.p", "3"),
     ("cpsvdk.echo.m", "2"),
     ("cpsvdk.echo.c", "1"),
@@ -621,16 +621,40 @@ def test_exit_code_resource_limit(capsys) -> None:
     assert "resource limit" in capsys.readouterr().err
 
 
-def test_exit_3_names_the_knob_of_its_cap(capsys) -> None:
-    # The entry cap is set with --cap or CHEVBOUNDS_CAP.
-    argv = ["verify-e1", "--type", "B2", "--p", "2", "--s", "2", "--f", "1", "--m", "4"]
-    assert run(argv + ["--cap", "10"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit: ")
-    assert err.endswith(
-        "above the cap 10; raise the cap to allow "
-        "(on the command line: --cap or CHEVBOUNDS_CAP)\n"
-    )
+@pytest.mark.parametrize("argv, reached", [
+    (["verify-e1", "--type", "B2", "--p", "2", "--s", "2", "--f", "1", "--m", "4", "--cap", "10"],
+     "page level: distinct weights 11"),
+    (["verify-e1", "--type", "A1", "--p", "2", "--s", "4", "--m", "8", "--weight", "16",
+      "--cap", "20"],
+     "page carry: carry states 21"),
+    (["generic", "--type", "A2", "--p", "3", "--m", "1", "--weight", "9,9", "--cap", "10"],
+     "character of (9, 9): dimension 1000"),
+    (["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "10", "--cap", "14"],
+     "character of (10,): Freudenthal steps 15"),
+    (["verify-lemma61", "--max", "5", "--cap", "499"], "lemma61 scan: grid cells 500"),
+], ids=["page level", "page carry", "dimension", "Freudenthal steps", "grid"])
+def test_every_capped_stage_exits_3_with_one_message(
+    argv: list[str], reached: str, capsys
+) -> None:
+    # Each message names the stage, the size it reached, the cap and its one knob.
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", (
+        f"resource limit: {reached}, above the cap {argv[-1]}; raise the cap to allow "
+        "(on the command line: --cap)\n"
+    ))
+    # The default cap lets each of them run.
+    assert run(argv[:-2]) in (0, 1)
+
+
+def test_cap_goes_through_the_integer_gate(capsys) -> None:
+    argv = ["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "10", "--cap"]
+    assert run(argv + ["15"]) == 0
+    capsys.readouterr()
+    assert run(argv + ["0"]) == 2
+    assert capsys.readouterr().err == "error: --cap = 0 below 1\n"
+
+
+def test_page_shape_is_an_input_range_not_a_cap(capsys) -> None:
     # The page shape is a fixed input range: outside it the input is refused.
     argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "3", "--f", "2", "--m", "1"]
     assert run(argv + ["--weight", "1"]) == 2
@@ -640,35 +664,18 @@ def test_exit_3_names_the_knob_of_its_cap(capsys) -> None:
     assert capsys.readouterr().err == "error: page degree m = 9 outside 0..8\n"
 
 
-def test_verify_lemma61_cap(capsys, monkeypatch) -> None:
+def test_verify_lemma61_cap(capsys) -> None:
     start = perf_counter()
     assert run(["verify-lemma61", "--max", "10000", "--cap", "1000"]) == 3
     assert perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        "resource limit: lemma61 scan grid has 4000000000000 cells, above the cap 1000; "
-        "raise the cap to allow (on the command line: --cap or CHEVBOUNDS_CAP)\n"
+        "resource limit: lemma61 scan: grid cells 4000000000000, above the cap 1000; "
+        "raise the cap to allow (on the command line: --cap)\n"
     )
-    monkeypatch.setenv("CHEVBOUNDS_CAP", str(4 * 6**3 - 1))
-    assert run(["verify-lemma61", "--max", "6"]) == 3
+    assert run(["verify-lemma61", "--max", "6", "--cap", str(4 * 6**3 - 1)]) == 3
     capsys.readouterr()
     assert run(["verify-lemma61", "--max", "6", "--cap", str(4 * 6**3)]) == 0
     assert "0 counterexamples over 4×6³ grid" in lines_of(capsys)
-
-
-def test_cap_env_and_flag(capsys, monkeypatch) -> None:
-    monkeypatch.setenv("CHEVBOUNDS_CAP", "10")
-    argv = ["verify-e1", "--type", "B2", "--p", "2", "--s", "2", "--f", "1", "--m", "4"]
-    assert run(argv) == 3
-    capsys.readouterr()
-    assert run(argv + ["--cap", "100000"]) == 0
-    capsys.readouterr()
-    for env, message in (
-        ("abc", "CHEVBOUNDS_CAP must be an integer, got 'abc'"),
-        ("0", "CHEVBOUNDS_CAP must be positive"),
-    ):
-        monkeypatch.setenv("CHEVBOUNDS_CAP", env)
-        assert run(argv) == 2
-        assert message in capsys.readouterr().err
 
 
 def test_weight_requires_dominant_for_character(capsys) -> None:

@@ -394,7 +394,7 @@ def test_the_step_cap_fires_one_below_the_uncut_count(family, rank, lam) -> None
     mult, steps, _ = uncut_freudenthal(rs, lam, level)
     assert modchar._freudenthal_multiplicities(rs, lam, level, steps) == mult
     message = (
-        rf"^character of {re.escape(str(lam))} working set reached {steps} Freudenthal steps, "
+        rf"^character of {re.escape(str(lam))}: Freudenthal steps {steps}, "
         rf"above the cap {steps - 1}; raise the cap to allow$"
     )
     with pytest.raises(ResourceLimitError, match=message):

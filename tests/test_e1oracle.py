@@ -240,7 +240,6 @@ def test_check_exact_bound_on_hit_page() -> None:
     assert report.bound == 1
     assert report.equality_hits == ((1,),)
     assert report.equality_consistent
-    assert report.t_mu == 0
 
 
 def test_check_exact_bound_vacuous_on_empty_page() -> None:
@@ -249,7 +248,7 @@ def test_check_exact_bound_vacuous_on_empty_page() -> None:
     )
     report = check_weight_bounds(page, "exact")
     assert report.passed
-    assert report.details == ()
+    assert report.equality_hits == ()
 
 
 def test_check_exact_bound_a2_sweep() -> None:
@@ -417,12 +416,12 @@ VANISH_REFUSALS = {
     "s=5 and m=9": ((A2, 3, (1, 0), 5, 9), {}, InputError, "page levels s + f = 5 outside 1..4"),
     "level cap": (
         (A2, 3, (1, 0), 1, 4), {"cap": 3}, ResourceLimitError,
-        "page level working set reached 4 distinct weights, above the cap 3; "
+        "page level: distinct weights 4, above the cap 3; "
         "raise the cap to allow",
     ),
     "carry cap": (
         (A1, 2, (16,), 4, 8), {"cap": 20}, ResourceLimitError,
-        "page carry working set reached 21 carry states, above the cap 20; "
+        "page carry: carry states 21, above the cap 20; "
         "raise the cap to allow",
     ),
 }

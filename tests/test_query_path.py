@@ -101,7 +101,6 @@ def oracle_check(page, which: str) -> dict:
     consistent = not hits or f == t_invariant(b_mu, p)
     return {
         "bound": bound,
-        "details": details,
         "equality_hits": hits,
         "passed": all(w for _, _, w in details) and consistent,
     }
