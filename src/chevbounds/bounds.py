@@ -10,14 +10,13 @@ rule that produced each number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import floor
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
-from .errors import InputError, OracleError, _check_cap, _shown, require_int
+from .errors import InputError, OracleError, Record, _check_cap, _shown, require_int
 from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset
 from .primes import require_prime
 from .rootsys import RootSystem
@@ -104,8 +103,7 @@ def g_ext_vanishing_holds(d: int, p: int, s: int, m: int) -> bool:
     return s >= bs_vanish_threshold(d, p, m, bs_vanish_variants(p)[0])
 
 
-@dataclass(frozen=True)
-class StabilityConstants:
+class StabilityConstants(Record):
     """Twist thresholds for stable cohomology in a fixed degree."""
 
     c_stability: Q  # tag T511: twists s >= C give the stable value
@@ -209,8 +207,7 @@ def finite_group_vanishing_range(p: int, r: int) -> int:
     return r * _p_minus_2(p)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(Record):
     """One theorem's thresholds: twist floor s_min = e and field-size floor r_min.
 
     inputs_echo is a read-only copy of the mapping given, left out of the hash.
@@ -221,11 +218,14 @@ class ThresholdReport:
     f: int
     r_min: int
     conditions: tuple[str, ...]
-    inputs_echo: Mapping = field(default_factory=dict, hash=False)
+    inputs_echo: Mapping = MappingProxyType({})
 
     @property
     def s_min(self) -> Q:
         return self.e
+
+    def __hash__(self) -> int:
+        return hash((self.theorem_tag, self.e, self.f, self.r_min, self.conditions))
 
     def __post_init__(self) -> None:
         if self.theorem_tag not in THEOREM_TAGS:
@@ -353,8 +353,7 @@ def cpsvdk_thresholds(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Side-by-side thresholds with their gaps."""
 
     bnp: ThresholdReport

@@ -12,7 +12,6 @@ that lam + p^s * mu selects is ever built.  Everything is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
@@ -20,7 +19,7 @@ from operator import add, mul
 from typing import Iterator, Optional, Union
 
 from .bounds import _p_minus_2, bs_vanish_threshold, bs_vanish_variants
-from .errors import InputError, _check_cap, require_int
+from .errors import InputError, Record, _check_cap, require_int
 from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset, _degree_fold, _scale_coords
 from .primes import require_prime
 from .rootsys import Coords, RootSystem, Weight, WeightLike
@@ -31,8 +30,7 @@ MAX_LEVELS = 4
 MAX_DEGREE = 8
 
 
-@dataclass(frozen=True)
-class ExponentTuple:
+class ExponentTuple(Record):
     """Exponents of one first-page summand, with its (i, j) bidegree.
 
     For odd p both a and b are indexed 0..levels with a[0] = 0 and
@@ -175,8 +173,7 @@ def _carry_class(
     return tuple((gamma, mult) for (gamma, _), mult in states.items())
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantPage:
+class InvariantPage(Record):
     """The twist-invariant first page in one total degree."""
 
     system: RootSystem
@@ -246,8 +243,7 @@ def invariant_page(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class BoundCheckReport:
+class BoundCheckReport(Record):
     """Outcome of checking every page weight against one bound."""
 
     passed: bool
@@ -333,8 +329,7 @@ def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Opt
     return None
 
 
-@dataclass(frozen=True, slots=True)
-class VanishReport:
+class VanishReport(Record):
     """Threshold evaluation next to the page it predicts empty."""
 
     lam: Weight
@@ -389,8 +384,7 @@ def check_bs_vanishing(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class E1Report:
+class E1Report(Record):
     """The checks of one page: each report, or the reason its check does not apply."""
 
     rough: BoundCheckReport

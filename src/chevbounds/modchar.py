@@ -30,14 +30,13 @@ orbits and keeps the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import comb, gcd
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Mapping, Optional
 
-from .errors import InputError, OracleError, _check_cap, _shown, require_int
+from .errors import InputError, OracleError, Record, _check_cap, _shown, require_int
 from .rootsys import Coords, RootSystem, WeightLike
 
 DEFAULT_ENTRY_CAP = 10**7
@@ -48,8 +47,7 @@ Entries = tuple[tuple[Coords, int], ...]
 Summary = tuple[int, int, frozenset[int]]
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class WeightMultiset:
+class WeightMultiset(Record, eq=False):
     """A finite multiset of weights of one root system, with positive multiplicities.
 
     `system` is the one record of the group whose module this is.  `dominant`

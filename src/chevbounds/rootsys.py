@@ -9,13 +9,12 @@ Cartan matrix with integer arithmetic only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InputError, OracleError, _shown, require_int
+from .errors import InputError, OracleError, Record, _shown, require_int
 
 Coords = tuple[int, ...]
 
@@ -24,8 +23,7 @@ MAX_CLASSICAL_RANK = 12
 _INT = frozenset((int,))
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(Record):
     """An element of the weight lattice in fundamental-weight coordinates.
 
     It has no arithmetic, because it cannot check an operand's rank; read
@@ -59,8 +57,7 @@ class Weight:
 WeightLike = Union[Weight, Iterable[int]]
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Record):
     """A positive root with both coordinate systems precomputed.
 
     omega_coords: fundamental-weight coordinates (row vector times Cartan).
@@ -75,8 +72,7 @@ class Root:
     length2: int
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(Record, eq=False):
     """Immutable container for one irreducible root system.
 
     `positive_roots` run by increasing height, so the highest root comes last.

@@ -7,11 +7,10 @@ are fractions.Fraction values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Union
 
-from .errors import InputError, _shown, require_int
+from .errors import InputError, Record, _shown, require_int
 from .modchar import WeightMultiset, _class_order
 from .rootsys import RootSystem, WeightLike
 
@@ -61,8 +60,7 @@ def p_adic_digits(n: int, p: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-@dataclass(frozen=True, slots=True)
-class BInvariant:
+class BInvariant(Record):
     """Largest coroot pairing against any long root.
 
     value: max over weights sigma and long roots beta of <sigma, beta-vee>.

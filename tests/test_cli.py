@@ -599,28 +599,6 @@ def test_exit_code_argparse_error(capsys) -> None:
     capsys.readouterr()
 
 
-def test_exit_code_resource_limit(capsys) -> None:
-    code = run(
-        [
-            "verify-e1",
-            "--type",
-            "B2",
-            "--p",
-            "2",
-            "--s",
-            "2",
-            "--f",
-            "1",
-            "--m",
-            "4",
-            "--cap",
-            "10",
-        ]
-    )
-    assert code == 3
-    assert "resource limit" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, reached", [
     (["verify-e1", "--type", "B2", "--p", "2", "--s", "2", "--f", "1", "--m", "4", "--cap", "10"],
      "page level: distinct weights 11"),

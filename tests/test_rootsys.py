@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import astuple, fields
 from fractions import Fraction as Q
 
 import pytest
 
 from chevbounds import rootsys
-from chevbounds.errors import InputError, OracleError
+from chevbounds.errors import InputError, OracleError, Record
 from chevbounds.rootsys import (
     MAX_CLASSICAL_RANK,
     RootSystem,
@@ -388,13 +387,22 @@ def test_positive_roots_run_by_height_with_the_highest_root_last() -> None:
         assert rs.coxeter_number == sum(short.coroot_pairing) + 1 == 2 * len(roots) // rank
 
 
+def _astuple(value: object) -> object:
+    """A record as the tuple of its fields, entered recursively through records and tuples."""
+    if isinstance(value, Record):
+        return tuple(_astuple(getattr(value, f)) for f in value.__slots__)
+    if isinstance(value, tuple):
+        return tuple(map(_astuple, value))
+    return value
+
+
 def _build_digest() -> str:
     """SHA-256 over every field of every supported system, each Root included."""
     digest = hashlib.sha256()
     for family, rank in SUPPORTED_SYSTEMS:
         rs = build_root_system.__wrapped__(family, rank)
-        digest.update(repr([f.name for f in fields(rs)]).encode())
-        digest.update(repr(astuple(rs)).encode())
+        digest.update(repr(list(rs.__slots__)).encode())
+        digest.update(repr(_astuple(rs)).encode())
     return digest.hexdigest()
 
 

@@ -1,6 +1,6 @@
 """Time fixed CLI runs on one or more source trees, one JSON line per run.
 
-    python3 tools/probe.py                          # the seven probes, this checkout
+    python3 tools/probe.py                          # the eight probes, this checkout
     python3 tools/probe.py --tree A --tree B --rounds 3
     python3 tools/probe.py --rounds 1 -- info --type A1
 
@@ -46,6 +46,8 @@ PROBES = (
      "--cap", "100000000000000000000000000"],
     ["compare", "--type", "F4", "--p", "7", "--m", "6", "--weight", "3,3,3,3",
      "--cap", "100000000000000000000000000"],
+    # The start-up probe: a page of a few weights, so its time is process start.
+    ["verify-e1", "--type", "A1", "--p", "2", "--s", "1", "--f", "0", "--m", "1", "--weight", "1"],
 )
 
 
