@@ -23,7 +23,7 @@ from .errors import InputError, Record, _check_cap, require_int
 from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset, _degree_fold, _scale_coords
 from .primes import require_prime
 from .rootsys import Coords, RootSystem, Weight, WeightLike
-from .weightcomb import b_invariant, b_of_weight, p_adic_digits, t_invariant
+from .weightcomb import _module_b, b_of_weight, t_invariant
 
 # The page shapes this oracle builds: s + f levels and total degree m.
 MAX_LEVELS = 4
@@ -190,7 +190,7 @@ def _exact_bound(p: int, s: int, m: int, d: int, t: int) -> int:
     """The exact bound for <lambda, theta-vee> = d >= 1 with t = t(d)."""
     # At p = 2, c = 1 and d's leading binary digit is 1: both terms are m - (s - t).
     c = _p_minus_2(p)
-    top = p_adic_digits(d, p)[-1]
+    top = d // p ** (t - 1)  # the leading base-p digit of d
     return min(m - (s - t + 1) * c + top, m - (s - t) * c)
 
 
@@ -231,16 +231,8 @@ def invariant_page(
             gamma = tuple(map(add, gamma0, shift))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
     # Keys are coordinate tuples and counts are positive by construction.
-    return InvariantPage(
-        system=rs,
-        p=p,
-        s=s,
-        f=f,
-        m=m,
-        lam=lam,
-        mu_set=mu_set,
-        gammas=WeightMultiset(rs, tuple(sorted(gathered.items()))),
-    )
+    gammas = WeightMultiset(rs, tuple(sorted(gathered.items())))
+    return InvariantPage(rs, p, s, f, m, lam, mu_set, gammas)
 
 
 class BoundCheckReport(Record):
@@ -252,21 +244,31 @@ class BoundCheckReport(Record):
     equality_consistent: bool
 
 
+def _exact_hypotheses(page: InvariantPage) -> tuple[Optional[str], int, int, int]:
+    """(why the exact bound does not apply or None, d, t(lambda), t(mu_set)), each read once.
+
+    d = <lambda, theta-vee> and t(lambda) = t(d).  Past a failed hypothesis
+    the values it did not reach are 0.
+    """
+    lam = page.lam
+    if not lam.is_dominant() or lam.is_zero():
+        return "exact bound needs lambda dominant and nonzero", 0, 0, 0
+    d = page.system.pairing(lam)
+    t_lam = t_invariant(d, page.p)
+    if page.s < t_lam:
+        return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}", d, t_lam, 0
+    t_mu = t_invariant(_module_b(page.system, page.mu_set), page.p)
+    if page.f < t_mu:
+        return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}", d, t_lam, t_mu
+    return None, d, t_lam, t_mu
+
+
 def exact_bound_failure(page: InvariantPage) -> Optional[str]:
     """Why the exact bound does not apply to the page, or None when it does.
 
     It needs lambda dominant and nonzero, s >= t(lambda) and f >= t(mu_set).
     """
-    lam = page.lam
-    if not lam.is_dominant() or lam.is_zero():
-        return "exact bound needs lambda dominant and nonzero"
-    t_lam = t_invariant(page.system.pairing(lam), page.p)
-    if page.s < t_lam:
-        return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}"
-    t_mu = t_invariant(b_invariant(page.system, page.mu_set).value, page.p)
-    if page.f < t_mu:
-        return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}"
-    return None
+    return _exact_hypotheses(page)[0]
 
 
 def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
@@ -280,16 +282,14 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     rs = page.system
     p = page.p
     if which == "exact":
-        reason = exact_bound_failure(page)
+        reason, d, t_lam, t_mu = _exact_hypotheses(page)
         if reason is not None:
             raise InputError(reason)
-        d = rs.pairing(page.lam)
-        bound = num = _exact_bound(p, page.s, page.m, d, t_invariant(d, p))
+        bound = num = _exact_bound(p, page.s, page.m, d, t_lam)
         den = 1
     elif which == "rough":
         den = p ** (page.s + page.f)
-        b_mu = b_invariant(rs, page.mu_set).value
-        num = p**page.s * b_mu + b_of_weight(rs, page.lam) + page.m * den
+        num = p**page.s * _module_b(rs, page.mu_set) + b_of_weight(rs, page.lam) + page.m * den
         bound = Q(num, den)
     else:
         raise InputError(f"unknown check {which!r}; expected 'exact' or 'rough'")
@@ -300,14 +300,10 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     hits: tuple[Coords, ...] = ()
     if which == "exact":
         hits = tuple(coords for (coords, _), bg in zip(items, bs) if bg == bound)
-    consistent = not hits or page.f == t_invariant(b_invariant(rs, page.mu_set).value, p)
-    return BoundCheckReport(
-        # b(gamma) <= bound as b * den <= num, in integers.
-        passed=consistent and all(bg * den <= num for bg in bs),
-        bound=bound,
-        equality_hits=hits,
-        equality_consistent=consistent,
-    )
+    consistent = not hits or page.f == t_mu
+    # b(gamma) <= bound as b * den <= num, in integers.
+    passed = consistent and (not bs or max(bs) * den <= num)
+    return BoundCheckReport(passed, bound, hits, consistent)
 
 
 def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Optional[str]:
@@ -375,13 +371,7 @@ def check_bs_vanishing(
     _check_page_shape(s, m)
     q = p**s
     empty = not _carry_class(rs, p, s, m, cap, tuple([-c % q for c in lam.coords]))
-    return VanishReport(
-        lam=lam,
-        thresholds=thresholds,
-        met=met,
-        page_empty=empty,
-        consistent=(not met) or empty,
-    )
+    return VanishReport(lam, thresholds, met, empty, (not met) or empty)
 
 
 class E1Report(Record):

@@ -59,7 +59,8 @@ class _RecordType(type):
     """Builds each record class: slots, and __init__, __eq__ and __hash__ from one exec.
 
     The fields are the class annotations, in order; a value in the class body
-    is that field's default.  `__init__` sets every field and then calls
+    is that field's default.  `__init__` writes every field through its slot
+    descriptor, which `Record.__setattr__` does not reach, and then calls
     `__post_init__` if the class has one.  Unless the class is declared with
     eq=False, __eq__ and __hash__ compare and hash the tuple of fields, as a
     frozen dataclass does.  A method the class body writes itself is kept.
@@ -72,7 +73,7 @@ class _RecordType(type):
         cls = super().__new__(mcls, name, bases, ns)
         params = ", ".join(f"{f}=_d_{f}" if f"_d_{f}" in defaults else f for f in fields)
         lines = [f"def __init__(self, {params}):"]
-        lines += [f" _set(self, {f!r}, {f})" for f in fields]
+        lines += [f" _set_{f}(self, {f})" for f in fields]
         lines.append(" self.__post_init__()" if hasattr(cls, "__post_init__") else " pass")
         row = "".join(f"self.{f}," for f in fields)
         lines += [
@@ -84,7 +85,8 @@ class _RecordType(type):
             f" return hash(({row}))",
         ]
         made = {}
-        exec("\n".join(lines), {"_set": object.__setattr__, **defaults}, made)
+        setters = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+        exec("\n".join(lines), {**setters, **defaults}, made)
         for method in ("__init__", "__eq__", "__hash__") if eq else ("__init__",):
             if method not in ns:
                 made[method].__qualname__ = f"{cls.__qualname__}.{method}"

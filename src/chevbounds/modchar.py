@@ -155,10 +155,11 @@ class WeightMultiset(Record, eq=False):
 
     @staticmethod
     def trivial(rs: RootSystem) -> "WeightMultiset":
-        entries = (((0,) * rs.rank, 1),)
-        # Callers build one per page query, so its summary is given, not scanned:
-        # the zero weight pairs to 0, has coefficients 0 and lies in the root lattice.
-        return WeightMultiset(rs, entries, entries, (0, 0, frozenset((1,))))
+        """The zero weight once; every call with one system returns the same multiset."""
+        try:
+            return _trivial(rs)
+        except TypeError:  # an unhashable rs fails, or builds, as it did uncached
+            return _trivial.__wrapped__(rs)
 
     def as_dict(self) -> dict[Coords, int]:
         return dict(self.items)
@@ -178,6 +179,17 @@ class WeightMultiset(Record, eq=False):
     def is_empty(self) -> bool:
         # A W-stable multiset is empty exactly when it has no dominant entry.
         return not (self.items if self.dominant is None else self.dominant)
+
+
+@lru_cache(maxsize=64)
+def _trivial(rs: RootSystem) -> WeightMultiset:
+    """`WeightMultiset.trivial(rs)`, built once per system, as page queries share it.
+
+    Its summary is given, not scanned: the zero weight pairs to 0, has
+    coefficients 0 and lies in the root lattice.
+    """
+    entries = (((0,) * rs.rank, 1),)
+    return WeightMultiset(rs, entries, entries, (0, 0, frozenset((1,))))
 
 
 def _class_order(scaled: Coords, det: int) -> int:

@@ -38,10 +38,10 @@ class Weight(Record):
             raise InputError("Weight coordinates must be a tuple of integers")
 
     def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
+        return min(self.coords, default=0) >= 0
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     @staticmethod
     def of(w: "WeightLike") -> "Weight":

@@ -80,10 +80,15 @@ def b_invariant(rs: RootSystem, weights: WeightMultiset) -> BInvariant:
     The value is the b of `weights.summary`, scanned once per multiset.
     A multiset of another root system raises InputError.
     """
+    return BInvariant(_module_b(rs, weights))
+
+
+def _module_b(rs: RootSystem, weights: WeightMultiset) -> int:
+    """The value of `b_invariant(rs, weights)`, after the same checks, without the record."""
     weights.check_system(rs)
     if weights.is_empty():
         raise InputError("b_invariant needs a non-empty weight multiset")
-    return BInvariant(value=weights.summary[0])
+    return weights.summary[0]
 
 
 def b_of_weight(rs: RootSystem, w: WeightLike) -> int:

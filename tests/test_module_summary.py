@@ -21,6 +21,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import mul
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,13 +166,22 @@ def test_summary_of_a_plain_multiset_is_a_scan_of_its_weights(case) -> None:
 
 
 def test_the_trivial_module_is_given_the_summary_a_scan_finds() -> None:
+    # Page queries share one trivial module per system, built with its summary given.
     for family, ranks in CONCRETE_RANKS.items():
         for rank in ranks:
             rs = build_root_system(family, rank)
             trivial = WeightMultiset.trivial(rs)
+            assert WeightMultiset.trivial(rs) is trivial
             entries = trivial.dominant
             assert trivial.summary == WeightMultiset(rs, entries, entries).summary
+            scanned = WeightMultiset.from_dict(rs, {rs.zero: 1})
+            assert trivial == scanned and hash(trivial) == hash(scanned)
+            assert trivial.summary == scanned.summary
             _assert_summary_matches(rs, trivial, _long_coroots(rs))
+    # What is not a root system is refused as the uncached constructor refused it.
+    for bad in ([], "A2", None):
+        with pytest.raises(AttributeError, match="object has no attribute 'rank'"):
+            WeightMultiset.trivial(bad)
 
 
 def test_a_second_comparison_scans_no_weight(monkeypatch) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction as Q
-from itertools import count
+from itertools import count, product
 from operator import add
 
 import pytest
@@ -33,7 +33,7 @@ from chevbounds.errors import InputError
 from chevbounds.modchar import DEFAULT_ENTRY_CAP, WeightMultiset, weyl_character
 from chevbounds.primes import _is_prime, require_prime
 from chevbounds.rootsys import Weight, build_root_system
-from chevbounds.weightcomb import BInvariant, b_of_weight, t_invariant
+from chevbounds.weightcomb import BInvariant, b_of_weight
 
 SYSTEMS = {
     name: build_root_system(name[0], int(name[1:]))
@@ -75,6 +75,11 @@ def oracle_gammas(rs, p, s, f, lam, mu_set, m) -> WeightMultiset:
     return WeightMultiset.from_dict(rs, gathered)
 
 
+def _digits(n: int, p: int) -> int:
+    """t(n), the number of base-p digits of n, by counting powers of p."""
+    return next(k for k in count() if p**k > n)
+
+
 def oracle_check(page, which: str) -> dict:
     """The bound report's fields by b_of_weight per weight and Fraction comparison.
 
@@ -85,7 +90,7 @@ def oracle_check(page, which: str) -> dict:
     b_mu = max(b_of_weight(rs, c) for c, _ in page.mu_set.items)
     if which == "exact":
         d = rs.pairing(page.lam)
-        t = next(k for k in count() if p**k > d)
+        t = _digits(d, p)
         top = d // p ** (t - 1)
         if p == 2:
             bound = m - (s - t)
@@ -98,12 +103,30 @@ def oracle_check(page, which: str) -> dict:
         (c, b_of_weight(rs, c), Q(b_of_weight(rs, c)) <= bound) for c, _ in page.gammas.items
     )
     hits = tuple(c for c, bg, _ in details if which == "exact" and bg == bound)
-    consistent = not hits or f == t_invariant(b_mu, p)
+    consistent = not hits or f == _digits(b_mu, p)
     return {
         "bound": bound,
         "equality_hits": hits,
+        "equality_consistent": consistent,
         "passed": all(w for _, _, w in details) and consistent,
     }
+
+
+def _drawn_module(data, rs) -> WeightMultiset:
+    """The trivial module, a fundamental character, or a few weights through `from_dict`.
+
+    The last is not known to be W-stable, so its b is scanned from its weights.
+    """
+    i = data.draw(st.integers(0, rs.rank + 1), label="mu index")
+    if i == 0:
+        return WeightMultiset.trivial(rs)
+    if i <= rs.rank:
+        return weyl_character(rs, rs.fundamental_weight(i))
+    weights = st.tuples(*[st.integers(-2, 2)] * rs.rank)
+    table = data.draw(
+        st.dictionaries(weights, st.integers(1, 3), min_size=1, max_size=3), label="mu weights"
+    )
+    return WeightMultiset.from_dict(rs, table)
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,22 +140,31 @@ def test_page_query_matches_the_per_weight_oracle(data) -> None:
     f = levels - s
     m = data.draw(st.integers(0, 6), label="m")
     lam = Weight(data.draw(st.sampled_from(LAMBDAS[name]), label="lambda"))
-    i = data.draw(st.integers(0, rs.rank), label="mu index")
-    mu_set = WeightMultiset.trivial(rs) if i == 0 else weyl_character(rs, rs.fundamental_weight(i))
+    mu_set = _drawn_module(data, rs)
 
     page = invariant_page(rs, p, s, f, lam, mu_set, m)
     assert page.gammas.items == oracle_gammas(rs, p, s, f, lam, mu_set, m).items
-    for which in ("rough", "exact"):
-        if which == "exact" and exact_bound_failure(page) is not None:
-            with pytest.raises(InputError):
-                check_weight_bounds(page, which)
+    # The same weights checked at a lower degree: both bounds fall with m, so
+    # some weights may now pass a bound and others break it.
+    lowered = dataclasses.replace(page, m=m - data.draw(st.integers(1, 3), label="m drop"))
+    reason = exact_bound_failure(page)
+    # The hypotheses: lambda dominant and nonzero, s >= t(lambda) and f >= t(mu).
+    b_mu = max(b_of_weight(rs, c) for c, _ in mu_set.items)
+    d = rs.pairing(lam)
+    assert (reason is None) == (
+        min(lam.coords) >= 0 and d > 0 and s >= _digits(d, p) and f >= _digits(b_mu, p)
+    )
+    for checked, which in product((page, lowered), ("rough", "exact")):
+        if which == "exact" and reason is not None:
+            with pytest.raises(InputError) as refused:
+                check_weight_bounds(checked, which)
+            assert str(refused.value) == reason
             continue
-        report = check_weight_bounds(page, which)
-        want = oracle_check(page, which)
+        report = check_weight_bounds(checked, which)
+        want = oracle_check(checked, which)
         assert {key: getattr(report, key) for key in want} == want
         assert type(report.bound) is type(want["bound"])
-    if f == 0 and s >= 1 and rs.pairing(lam) >= 1:
-        d = rs.pairing(lam)
+    if f == 0 and s >= 1 and d >= 1:
         report = check_bs_vanishing(rs, p, lam, s, m)
         uncached = tuple(
             (v, bs_vanish_threshold.__wrapped__(d, p, m, v)) for v in bs_vanish_variants(p)
