@@ -24,7 +24,6 @@ from .weightcomb import (
     b_invariant,
     ceil_log,
     floor_log,
-    p_adic_digits,
     structural_constants,
     t_invariant,
     _p_part,
@@ -50,6 +49,17 @@ def _p_minus_2(p: int) -> int:
     return p - 2 if p > 2 else 1
 
 
+def _p241_terms(p: int, m: int, d: int, t: int) -> tuple[int, int, int]:
+    """(c, first, second) for d >= 1 of t = t(d) base-p digits, the first of them top.
+
+    c is p - 2, read as 1 at p = 2; first = m + t c and second = m + top + (t - 1) c
+    are c times the 'a'/'b' and the 'c' P241 thresholds, and the exact E1 bound at
+    twist s is min(first, second) - s c: each threshold is where its term less s c is 0.
+    """
+    c = _p_minus_2(p)
+    return c, m + t * c, m + d // p ** (t - 1) + (t - 1) * c
+
+
 @lru_cache(maxsize=1024, typed=True)
 def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     """Smallest admissible tower height s forcing degree-m vanishing.
@@ -59,9 +69,8 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     'b' and 'c' are the two odd-prime clauses.  'c' differs from 'b' by
     top/(p-2) - 1, top the leading base-p digit of d: it is at most 'b' unless
     top = p - 1, where it is 1/(p-2) larger (d = 2, p = 3 gives 'b' m + 1 and
-    'c' m + 2).  'a'/'b' is the s at which the exact bound's second term
-    m - (s - t)(p - 2) reaches 0, and 'c' the s at which its first term
-    does, so P241 is met exactly when the exact bound is <= 0.  A pure
+    'c' m + 2).  Both are read off `_p241_terms`, as the exact bound is, so
+    P241 is met exactly when the exact bound is <= 0.  A pure
     function of its arguments with an immutable result, so it is memoized;
     typed, so that d = 2.0 misses d = 2's entry and is refused.
     """
@@ -70,12 +79,8 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     if variant is None:
         raise InputError("a threshold needs one variant, got None")
     bs_vanish_variants(p, variant)
-    c = _p_minus_2(p)
-    base = Q(m, c) + t_invariant(d, p)
-    if variant != "c":
-        return base
-    top = p_adic_digits(d, p)[-1]
-    return base + (Q(top, c) - 1)
+    c, first, second = _p241_terms(p, m, d, t_invariant(d, p))
+    return Q(second if variant == "c" else first, c)
 
 
 def bs_vanish_variants(p: int, variant: Optional[str] = None) -> tuple[str, ...]:
@@ -176,7 +181,7 @@ def lemma61_scan(
     _check_cap("lemma61 scan", len(LEMMA61_PRIMES) * max_value**3, cap, "grid cells")
     bad = []
     for p in LEMMA61_PRIMES:
-        parts = ("a",) if p == 2 else ("b", "c")
+        parts = bs_vanish_variants(p)
         for s in range(1, max_value + 1):
             for f in range(1, max_value + 1):
                 for t in range(s + 1, max_value + 1):

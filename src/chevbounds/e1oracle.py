@@ -18,7 +18,7 @@ from itertools import product
 from operator import add, mul
 from typing import Iterator, Optional, Union
 
-from .bounds import _p_minus_2, bs_vanish_threshold, bs_vanish_variants
+from .bounds import _p241_terms, bs_vanish_threshold, bs_vanish_variants
 from .errors import InputError, Record, _check_cap, require_int
 from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset, _degree_fold, _scale_coords
 from .primes import require_prime
@@ -186,14 +186,6 @@ class InvariantPage(Record):
     gammas: WeightMultiset
 
 
-def _exact_bound(p: int, s: int, m: int, d: int, t: int) -> int:
-    """The exact bound for <lambda, theta-vee> = d >= 1 with t = t(d)."""
-    # At p = 2, c = 1 and d's leading binary digit is 1: both terms are m - (s - t).
-    c = _p_minus_2(p)
-    top = d // p ** (t - 1)  # the leading base-p digit of d
-    return min(m - (s - t + 1) * c + top, m - (s - t) * c)
-
-
 def invariant_page(
     rs: RootSystem,
     p: int,
@@ -285,7 +277,8 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
         reason, d, t_lam, t_mu = _exact_hypotheses(page)
         if reason is not None:
             raise InputError(reason)
-        bound = num = _exact_bound(p, page.s, page.m, d, t_lam)
+        c, first, second = _p241_terms(p, page.m, d, t_lam)
+        bound = num = min(first, second) - page.s * c
         den = 1
     elif which == "rough":
         den = p ** (page.s + page.f)

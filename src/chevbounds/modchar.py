@@ -17,11 +17,12 @@ and the distinct weights a degree fold holds.
 Orbit sizes, not orbits, check the result against the Weyl dimension
 formula: the orbit of mu has |W| / |W_J| weights.
 
-A multiset known to be W-stable (a Weyl character, or the trivial module)
-also carries its dominant entries in `dominant`.  Every orbit invariant of
-the module (the highest-coroot pairing b, the largest root-basis coefficient,
-the class modulo the root lattice) is attained at a dominant weight, so
-`summary` scans `dominant` instead of the full `items`, once per multiset.
+A multiset known to be W-stable (a Weyl character, the trivial module L(0)
+among them) also carries its dominant entries in `dominant`.  Every orbit
+invariant of the module (the highest-coroot pairing b, the largest root-basis
+coefficient, the class modulo the root lattice) is attained at a dominant
+weight, so `summary` scans `dominant` instead of the full `items`, once per
+multiset.
 Any other multiset is read at its weights' dominant representatives, so its
 summary is that of the orbits its weights meet.  A character stores only its
 dominant entries; the first read of `items` spreads them along their Weyl
@@ -56,8 +57,7 @@ class WeightMultiset(Record, eq=False):
     two multisets of the same system with the same items are the same.  A
     Weyl character is made from `dominant` alone and fills `items` on first
     read; with `dominant` set, the two sizes sum its entries' orbit sizes.
-    `summary` is likewise scanned on first read and kept; `trivial` passes
-    the zero weight's to the constructor.
+    `summary` is likewise scanned on first read and kept.
     """
 
     system: RootSystem
@@ -155,11 +155,8 @@ class WeightMultiset(Record, eq=False):
 
     @staticmethod
     def trivial(rs: RootSystem) -> "WeightMultiset":
-        """The zero weight once; every call with one system returns the same multiset."""
-        try:
-            return _trivial(rs)
-        except TypeError:  # an unhashable rs fails, or builds, as it did uncached
-            return _trivial.__wrapped__(rs)
+        """The trivial module k = L(0): the character of the zero weight, shared per system."""
+        return _character_cached(rs, (0,) * rs.rank, DEFAULT_ENTRY_CAP)
 
     def as_dict(self) -> dict[Coords, int]:
         return dict(self.items)
@@ -179,17 +176,6 @@ class WeightMultiset(Record, eq=False):
     def is_empty(self) -> bool:
         # A W-stable multiset is empty exactly when it has no dominant entry.
         return not (self.items if self.dominant is None else self.dominant)
-
-
-@lru_cache(maxsize=64)
-def _trivial(rs: RootSystem) -> WeightMultiset:
-    """`WeightMultiset.trivial(rs)`, built once per system, as page queries share it.
-
-    Its summary is given, not scanned: the zero weight pairs to 0, has
-    coefficients 0 and lies in the root lattice.
-    """
-    entries = (((0,) * rs.rank, 1),)
-    return WeightMultiset(rs, entries, entries, (0, 0, frozenset((1,))))
 
 
 def _class_order(scaled: Coords, det: int) -> int:
@@ -487,6 +473,8 @@ def _degree_fold(
         # before a lower degree adds to it: it still holds the earlier product.
         for deg in range(n, -1, -1):
             src = levels[deg]
+            if not src:
+                continue
             for k, shift, count in factor:
                 if deg + k > n:
                     break

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InputError, OracleError, Record, _shown, require_int
 
@@ -124,14 +124,13 @@ class RootSystem(Record, eq=False):
         """cartan_det times the root-basis coordinates; the caller checks the rank."""
         return tuple(sum(map(mul, coords, col)) for col in self.adjugate_columns)
 
-    def pairing(self, w: WeightLike, coroot: Optional[Coords] = None) -> int:
-        """<w, alpha-vee> from a `coroot_pairing` vector; the highest coroot by default.
+    def pairing(self, w: WeightLike) -> int:
+        """<w, theta-vee>, the pairing with the highest coroot.
 
         The caller passes a weight of this system's rank; it is not checked.
         """
         coords = w.coords if isinstance(w, Weight) else w
-        vec = self.highest_root_pairing if coroot is None else coroot
-        return sum(map(mul, vec, coords))
+        return sum(map(mul, self.highest_root_pairing, coords))
 
     def reflect(self, coords: Coords, i: int) -> Coords:
         """The i-th simple reflection (0-indexed) of coords; the caller checks the rank."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevbounds import bounds, e1oracle
+from chevbounds import bounds
 from chevbounds.bounds import (
     ComparisonReport,
     ThresholdReport,
@@ -266,8 +266,8 @@ def test_p2_clauses_match_their_closed_forms() -> None:
         for d in range(1, 41):
             t = digits2(d)
             assert bs_vanish_threshold(d, 2, m, "a") == m + t
-            for s in range(6):
-                assert e1oracle._exact_bound(2, s, m, d, t) == m - (s - t)
+            # Both P241 terms are m + t, so the exact bound at s is m - (s - t).
+            assert bounds._p241_terms(2, m, d, t) == (1, m + t, m + t)
         for b_m in range(41):
             rep = generic_thresholds(B2, 2, m, b_m)
             assert (rep.theorem_tag, rep.e, rep.r_min) == ("T811", m, m + digits2(b_m) + 1)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chevbounds import modchar
 from chevbounds.errors import InputError, ResourceLimitError
 from chevbounds.modchar import (
     WeightMultiset,
@@ -353,3 +354,21 @@ def test_degree_fold_matches_the_naive_expansion(drawn) -> None:
     assert _degree_fold(zero, factors, n, total, "fold test") == expected
     with pytest.raises(ResourceLimitError, match=f"^fold test: distinct weights {total}, "):
         _degree_fold(zero, factors, n, total - 1, "fold test")
+
+
+def test_a_long_power_of_one_weight_reads_only_its_filled_degree(monkeypatch) -> None:
+    # Sym^n of A1's one positive root is one weight.  Only degree 0 holds an
+    # entry when the fold reads the one factor, so it makes one cap check per
+    # term, n in all; a fold that also walked the empty degrees makes n(n + 1)/2.
+    checks = []
+    check_cap = modchar._check_cap
+
+    def counted(*args):
+        checks.append(args[1])
+        check_cap(*args)
+
+    monkeypatch.setattr(modchar, "_check_cap", counted)
+    n = 20_000
+    power = graded_power("sym", nilradical_dual_weights(A1), n)
+    assert power.as_dict() == {(2 * n,): 1}
+    assert checks == list(range(2, n + 2))

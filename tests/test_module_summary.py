@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from chevbounds.bounds import _module_stats, compare_thresholds
 from chevbounds.modchar import WeightMultiset, weyl_character, weyl_dimension
-from chevbounds.rootsys import Coords, RootSystem, build_root_system
+from chevbounds.rootsys import MAX_CLASSICAL_RANK, Coords, RootSystem, build_root_system
 from chevbounds.weightcomb import b_invariant
 
 # The systems and dimension cap of ACCEPTANCE 8: 155 fundamental characters.
@@ -165,20 +165,25 @@ def test_summary_of_a_plain_multiset_is_a_scan_of_its_weights(case) -> None:
     assert module.summary == WeightMultiset.from_dict(rs, reps).summary
 
 
-def test_the_trivial_module_is_given_the_summary_a_scan_finds() -> None:
-    # Page queries share one trivial module per system, built with its summary given.
-    for family, ranks in CONCRETE_RANKS.items():
-        for rank in ranks:
-            rs = build_root_system(family, rank)
-            trivial = WeightMultiset.trivial(rs)
-            assert WeightMultiset.trivial(rs) is trivial
-            entries = trivial.dominant
-            assert trivial.summary == WeightMultiset(rs, entries, entries).summary
-            scanned = WeightMultiset.from_dict(rs, {rs.zero: 1})
-            assert trivial == scanned and hash(trivial) == hash(scanned)
-            assert trivial.summary == scanned.summary
-            _assert_summary_matches(rs, trivial, _long_coroots(rs))
-    # What is not a root system is refused as the uncached constructor refused it.
+def test_the_trivial_module_is_the_character_of_zero() -> None:
+    # k = L(0) is built as every character is, and page queries share it.
+    systems = [
+        build_root_system(family, rank)
+        for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+        for rank in range(low, MAX_CLASSICAL_RANK + 1)
+    ] + [build_root_system(*fr) for fr in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+    assert len(systems) == 48
+    for rs in systems:
+        trivial = WeightMultiset.trivial(rs)
+        assert WeightMultiset.trivial(rs) is trivial
+        character = weyl_character(rs, rs.zero)
+        assert hash(trivial) == hash(character) and trivial.dominant == character.dominant
+        assert trivial.items == character.items and trivial.summary == character.summary
+        scanned = WeightMultiset.from_dict(rs, {rs.zero: 1})
+        assert trivial == scanned and hash(trivial) == hash(scanned)
+        assert trivial.summary == scanned.summary == (0, 0, frozenset({1}))
+        _assert_summary_matches(rs, trivial, _long_coroots(rs))
+    # What is not a root system is refused before the character cache is read.
     for bad in ([], "A2", None):
         with pytest.raises(AttributeError, match="object has no attribute 'rank'"):
             WeightMultiset.trivial(bad)

@@ -10,6 +10,7 @@ versions must give equal results, in the same order.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ def oracle_weyl_dimension(rs: RootSystem, coords: Coords) -> int:
     num = 1
     den = 1
     for root in rs.positive_roots:
-        num *= rs.pairing(shifted, root.coroot_pairing)
+        num *= sum(map(mul, shifted, root.coroot_pairing))
         den *= sum(root.coroot_pairing)
     if num % den:
         raise OracleError("Weyl dimension formula did not give an integer")

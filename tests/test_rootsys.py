@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
@@ -183,7 +184,7 @@ def test_pairing_against_cartan_matrix() -> None:
     ]
     for i in range(rs.rank):
         for j in range(rs.rank):
-            value = rs.pairing(rs.cartan_matrix[i], simple_as_roots[j].coroot_pairing)
+            value = sum(map(mul, rs.cartan_matrix[i], simple_as_roots[j].coroot_pairing))
             assert value == rs.cartan_matrix[i][j]
 
 
