@@ -311,7 +311,7 @@ def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
     lam = rs.zero if args.weight is None else Weight(_parse_coords(args.weight))
     mu_set = _resolve_module(rs, args.module_weight, None, cap)
     page = invariant_page(rs, args.p, args.s, args.f, lam, mu_set, args.m, cap=cap)
-    report = verify_e1(page, cap, args.variant)
+    report = verify_e1(page, args.variant)
     rough, exact, vanish = report.rough, report.exact, report.vanish
     body: dict[str, Any] = {
         "type": rs.name,
@@ -319,8 +319,8 @@ def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
         "s": args.s,
         "f": args.f,
         "m": args.m,
-        "lambda": lam,
-        "mu": _entries_text(mu_set.items),
+        "lambda": page.lam,
+        "mu": _entries_text(page.mu_set.items),
         "page_size": page.gammas.total_dimension,
         "gammas": _entries_text(page.gammas.items),
         "rough_bound": rough.bound,

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 from operator import add, mul
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .bounds import _p241_terms, bs_vanish_threshold, bs_vanish_variants
 from .errors import InputError, Record, _check_cap, require_int
@@ -236,47 +236,24 @@ class BoundCheckReport(Record):
     equality_consistent: bool
 
 
-def _exact_hypotheses(page: InvariantPage) -> tuple[Optional[str], int, int, int]:
-    """(why the exact bound does not apply or None, d, t(lambda), t(mu_set)), each read once.
+def _bound_check(page: InvariantPage, which: str) -> Union[BoundCheckReport, str]:
+    """The page's check against the exact or the rough bound, or why the exact one does not apply.
 
-    d = <lambda, theta-vee> and t(lambda) = t(d).  Past a failed hypothesis
-    the values it did not reach are 0.
+    The exact bound needs lambda dominant and nonzero, s >= t(lambda) and
+    f >= t(mu_set), read in one pass: d = <lambda, theta-vee>, t(lambda) =
+    t(d) and t(mu_set) once each.  The rough bound applies unconditionally.
     """
-    lam = page.lam
-    if not lam.is_dominant() or lam.is_zero():
-        return "exact bound needs lambda dominant and nonzero", 0, 0, 0
-    d = page.system.pairing(lam)
-    t_lam = t_invariant(d, page.p)
-    if page.s < t_lam:
-        return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}", d, t_lam, 0
-    t_mu = t_invariant(_module_b(page.system, page.mu_set), page.p)
-    if page.f < t_mu:
-        return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}", d, t_lam, t_mu
-    return None, d, t_lam, t_mu
-
-
-def exact_bound_failure(page: InvariantPage) -> Optional[str]:
-    """Why the exact bound does not apply to the page, or None when it does.
-
-    It needs lambda dominant and nonzero, s >= t(lambda) and f >= t(mu_set).
-    """
-    return _exact_hypotheses(page)[0]
-
-
-def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
-    """Check page weights against the exact or the rough bound.
-
-    The exact bound raises InputError with the reason from
-    `exact_bound_failure` when its hypotheses fail, and reports as equality
-    hits the page weights gamma with b(gamma) equal to the bound.  The rough
-    bound applies unconditionally.
-    """
-    rs = page.system
-    p = page.p
+    rs, p = page.system, page.p
     if which == "exact":
-        reason, d, t_lam, t_mu = _exact_hypotheses(page)
-        if reason is not None:
-            raise InputError(reason)
+        if not page.lam.is_dominant() or page.lam.is_zero():
+            return "exact bound needs lambda dominant and nonzero"
+        d = rs.pairing(page.lam)
+        t_lam = t_invariant(d, p)
+        if page.s < t_lam:
+            return f"hypothesis s >= t(lambda) fails: s = {page.s}, t = {t_lam}"
+        t_mu = t_invariant(_module_b(rs, page.mu_set), p)
+        if page.f < t_mu:
+            return f"hypothesis f >= t(mu_set) fails: f = {page.f}, t = {t_mu}"
         c, first, second = _p241_terms(p, page.m, d, t_lam)
         bound = num = min(first, second) - page.s * c
         den = 1
@@ -299,13 +276,31 @@ def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     return BoundCheckReport(passed, bound, hits, consistent)
 
 
-def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Optional[str]:
-    """Why the P241 vanishing check does not apply, or None when it does.
+def exact_bound_failure(page: InvariantPage) -> Optional[str]:
+    """Why the exact bound does not apply to the page, or None when it does.
 
-    It needs f = 0, s >= 1 and a positive highest-coroot pairing of lambda.
-    A lambda that is not a weight of rs, or an s or f that is not an int
-    >= 0, raises InputError.
+    It needs lambda dominant and nonzero, s >= t(lambda) and f >= t(mu_set).
     """
+    report = _bound_check(page, "exact")
+    return report if isinstance(report, str) else None
+
+
+def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
+    """Check page weights against the exact or the rough bound.
+
+    The exact bound raises InputError with the reason from
+    `exact_bound_failure` when its hypotheses fail, and reports as equality
+    hits the page weights gamma with b(gamma) equal to the bound.  The rough
+    bound applies unconditionally.
+    """
+    report = _bound_check(page, which)
+    if isinstance(report, str):
+        raise InputError(report)
+    return report
+
+
+def _vanish_pairing(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Union[int, str]:
+    """d = <lambda, theta-vee> when the P241 vanishing check applies, or why it does not."""
     coords = rs.coords_of(lam)
     require_int(s, "s", 0)
     require_int(f, "f", 0)
@@ -313,9 +308,19 @@ def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Opt
         return f"vanishing check needs f = 0, got f = {f}"
     if s < 1:
         return f"kernel height s must be at least 1, got {s}"
-    if rs.pairing(coords) < 1:
-        return "vanishing thresholds need a positive highest-coroot pairing"
-    return None
+    d = rs.pairing(coords)
+    return d if d >= 1 else "vanishing thresholds need a positive highest-coroot pairing"
+
+
+def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Optional[str]:
+    """Why the P241 vanishing check does not apply, or None when it does.
+
+    It needs f = 0, s >= 1 and a positive highest-coroot pairing of lambda.
+    A lambda that is not a weight of rs, or an s or f that is not an int
+    >= 0, raises InputError.
+    """
+    d = _vanish_pairing(rs, lam, s, f)
+    return d if isinstance(d, str) else None
 
 
 class VanishReport(Record):
@@ -331,6 +336,24 @@ class VanishReport(Record):
     def theorems(self) -> tuple[str, ...]:
         """The P241 tag of each threshold, in the same order."""
         return tuple(f"P241{v}" for v, _ in self.thresholds)
+
+
+def _vanish_check(
+    rs: RootSystem, p: int, lam: WeightLike, s: int, f: int, m: int,
+    variant: Optional[str], page_empty: Callable[[], bool],
+) -> Union[VanishReport, str]:
+    """The P241 vanishing check of the degree-m page, or why it does not apply.
+
+    page_empty is asked only after the thresholds, so their refusals of p, m
+    and variant come first.
+    """
+    d = _vanish_pairing(rs, lam, s, f)
+    if isinstance(d, str):
+        return d
+    thresholds = tuple((v, bs_vanish_threshold(d, p, m, v)) for v in bs_vanish_variants(p, variant))
+    met = any(s >= value for _, value in thresholds)
+    empty = page_empty()
+    return VanishReport(Weight.of(lam), thresholds, met, empty, (not met) or empty)
 
 
 def check_bs_vanishing(
@@ -351,20 +374,17 @@ def check_bs_vanishing(
     residue class it reads, -lambda mod p^s, is empty, and that class comes
     from the `_carry_class` cache after the same checks of cap, s and m.
     """
-    reason = bs_vanishing_failure(rs, lam, s, 0)
-    if reason is not None:
-        raise InputError(reason)
-    lam = Weight.of(lam)
-    d = rs.pairing(lam)
-    thresholds = tuple(
-        (v, bs_vanish_threshold(d, p, m, v)) for v in bs_vanish_variants(p, variant)
-    )
-    met = any(s >= value for _, value in thresholds)
-    require_int(cap, "cap", 1)
-    _check_page_shape(s, m)
-    q = p**s
-    empty = not _carry_class(rs, p, s, m, cap, tuple([-c % q for c in lam.coords]))
-    return VanishReport(lam, thresholds, met, empty, (not met) or empty)
+
+    def class_empty() -> bool:
+        require_int(cap, "cap", 1)
+        _check_page_shape(s, m)
+        q = p**s
+        return not _carry_class(rs, p, s, m, cap, tuple([-c % q for c in Weight.of(lam).coords]))
+
+    report = _vanish_check(rs, p, lam, s, 0, m, variant, class_empty)
+    if isinstance(report, str):
+        raise InputError(report)
+    return report
 
 
 class E1Report(Record):
@@ -376,21 +396,22 @@ class E1Report(Record):
     failed: bool
 
 
-def verify_e1(
-    page: InvariantPage, cap: int = DEFAULT_ENTRY_CAP, variant: Optional[str] = None
-) -> E1Report:
+def verify_e1(page: InvariantPage, variant: Optional[str] = None) -> E1Report:
     """Run each check that applies to the page and decide whether a check fails.
 
     The exact and P241 checks hold the reason from `exact_bound_failure` or
     `bs_vanishing_failure` when they do not apply; a variant that does not
-    apply at p is refused even then.  Pass the cap the page was built with.
+    apply at p is refused even then.  Each check runs once and reads only the
+    page.  The P241 check applies only at f = 0, where every mu weight u
+    selects the same residue class -(lambda + p^s u) = -lambda mod p^s, so
+    the page is empty exactly when that class is, the one class
+    `check_bs_vanishing` reads.
     """
-    rs, p, lam, s = page.system, page.p, page.lam, page.s
-    bs_vanish_variants(p, variant)
-    rough = check_weight_bounds(page, "rough")
-    exact = exact_bound_failure(page) or check_weight_bounds(page, "exact")
-    vanish = bs_vanishing_failure(rs, lam, s, page.f) or check_bs_vanishing(
-        rs, p, lam, s, page.m, cap, variant
+    bs_vanish_variants(page.p, variant)
+    rough = _bound_check(page, "rough")
+    exact = _bound_check(page, "exact")
+    vanish = _vanish_check(
+        page.system, page.p, page.lam, page.s, page.f, page.m, variant, page.gammas.is_empty
     )
     failed = not rough.passed
     failed |= not isinstance(exact, str) and not exact.passed

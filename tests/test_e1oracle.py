@@ -382,10 +382,20 @@ def _dominant_upto(rs, hi: int) -> list[Weight]:
 
 
 def test_vanishing_check_reads_the_page_it_predicts_empty() -> None:
-    """On the ACCEPTANCE 4 grid, page_empty is the emptiness of the built page."""
-    checked = 0
+    """On the ACCEPTANCE 4 grid, page_empty is the emptiness of the built page.
+
+    At f = 0 every mu weight u selects the class -(lambda + p^s u) = -lambda
+    mod p^s, so verify_e1 reads the same report off the page of any mu.
+    """
+    checked = with_mu = 0
     for rs in (A1, A2, B2):
         trivial = WeightMultiset.trivial(rs)
+        zeros = (0,) * (rs.rank - 1)
+        modules = (
+            weyl_character(rs, rs.fundamental_weight(1)),
+            # -omega_1 is not dominant, and the multiset is not W-stable.
+            WeightMultiset.from_dict(rs, {(-1,) + zeros: 2, (2,) + zeros: 1}),
+        )
         for lam in _dominant_upto(rs, 8):
             for p in (2, 3, 5):
                 for s in (1, 2, 3):
@@ -394,12 +404,40 @@ def test_vanishing_check_reads_the_page_it_predicts_empty() -> None:
                         page = invariant_page(rs, p, s, 0, lam, trivial, m)
                         assert report.page_empty == page.gammas.is_empty(), (rs.name, lam, p, s, m)
                         assert report.lam == lam
+                        assert verify_e1(page).vanish == report
                         checked += 1
+                        for mu_set in modules:
+                            page = invariant_page(rs, p, s, 0, lam, mu_set, m)
+                            assert verify_e1(page).vanish == report, (rs.name, lam, p, s, m)
+                            with_mu += 1
     assert checked == 4320
+    assert with_mu == 8640
 
 
-# Each refused input of the vanishing check, with the error the check raised
-# while it built its page through invariant_page.
+def test_verify_e1_reads_no_carry_class(monkeypatch) -> None:
+    # verify_e1 reads only its page: with the class cache refused, every
+    # report, the P241 one included, is the same.
+    omega = A2.fundamental_weight(1)
+    pages = [
+        invariant_page(A2, p, s, f, lam, mu_set, m)
+        for p, s, f, m in ((2, 1, 0, 2), (3, 1, 0, 1), (3, 2, 0, 3), (3, 1, 1, 2))
+        for lam in (omega, Weight((2, 1)), A2.zero)
+        for mu_set in (WeightMultiset.trivial(A2), weyl_character(A2, omega))
+    ]
+    expected = [verify_e1(page) for page in pages]
+    assert any(not isinstance(report.vanish, str) for report in expected)
+
+    def refuse(*args):
+        raise AssertionError("verify_e1 read a carry class")
+
+    monkeypatch.setattr(e1oracle, "_carry_class", refuse)
+    assert [verify_e1(page) for page in pages] == expected
+
+
+# Each refused input of the vanishing check, with its error.  The check builds
+# no page: it reads one carry class, -lambda mod p^s, after its guard, its
+# thresholds and the cap and page-shape checks, and that read applies the caps
+# of the page levels and carry states.
 VANISH_REFUSALS = {
     "p=4": ((A2, 4, (1, 0), 1, 2), {}, InputError, "p must be prime, got 4"),
     "s=0": ((A2, 3, (1, 0), 0, 2), {}, InputError, "kernel height s must be at least 1, got 0"),
@@ -465,22 +503,40 @@ def test_exact_bound_failure_reasons() -> None:
 
 
 def test_verify_e1_fails_when_one_check_that_ran_fails(monkeypatch) -> None:
-    # No page in range breaks a bound, so each check in turn is made to fail.
+    # No page in range breaks a bound, so each check in turn is made to fail
+    # in the one function verify_e1 runs it through.
     page = invariant_page(A1, 3, 1, 0, A1.fundamental_weight(1), WeightMultiset.trivial(A1), 1)
-    bounds, vanish = check_weight_bounds, check_bs_vanishing
-    assert not verify_e1(page).failed
+    bounds, vanish = e1oracle._bound_check, e1oracle._vanish_check
+    report = verify_e1(page)
+    assert not report.failed
+    assert not isinstance(report.exact, str) and not isinstance(report.vanish, str)
     for broken in ("rough", "exact", "vanish"):
         monkeypatch.setattr(
             e1oracle,
-            "check_weight_bounds",
+            "_bound_check",
             lambda page, which: dataclasses.replace(bounds(page, which), passed=which != broken),
         )
         monkeypatch.setattr(
             e1oracle,
-            "check_bs_vanishing",
+            "_vanish_check",
             lambda *args: dataclasses.replace(vanish(*args), consistent=broken != "vanish"),
         )
         assert verify_e1(page).failed, broken
+
+
+def test_verify_e1_runs_each_check_once(monkeypatch) -> None:
+    # One call reads t(lambda) and t(mu) once each for the exact bound, and
+    # the vanishing guard once.
+    page = invariant_page(A1, 3, 1, 0, A1.fundamental_weight(1), WeightMultiset.trivial(A1), 1)
+    calls: list[str] = []
+    for name in ("_bound_check", "_vanish_pairing", "t_invariant"):
+        real = getattr(e1oracle, name)
+        monkeypatch.setattr(
+            e1oracle, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    report = verify_e1(page)
+    assert not isinstance(report.exact, str) and not isinstance(report.vanish, str)
+    assert sorted(calls) == ["_bound_check"] * 2 + ["_vanish_pairing"] + ["t_invariant"] * 2
 
 
 def test_page_cap_is_checked_on_the_carry_states() -> None:
