@@ -138,27 +138,31 @@ def _page_level(rs: RootSystem, p: int, m: int, cap: int, kind: str) -> tuple[in
 
 @lru_cache(maxsize=4096)
 def _carry_class(
-    rs: RootSystem, p: int, levels: int, m: int, cap: int, r: Coords
+    rs: RootSystem, p: int, levels: int, m: int, cap: int, t: Coords
 ) -> tuple[tuple[Coords, int], ...]:
-    """The carries (w - r) / p^levels of the degree-m page's weights w = r (mod p^levels).
+    """The carries (w + t) / p^levels of the degree-m page's weights w = -t (mod p^levels).
 
-    A summand weight is sum_n p^n w_n over its levels.  Starting from the
-    carry -r, a filtered level keeps only the w_n with carry + w_n = 0 (mod p)
-    and carries (carry + w_n) / p; after the filtered levels the carry is
-    (w - r) / p^levels.  For odd p the top level, twisted p^levels, adds its
-    weights unfiltered; for p = 2 the levels are twisted 0 .. levels - 1 and
-    all of them are filtered.  The last level takes the degree still missing.
-    A level is built only when some carry state reaches it.  lambda, mu and
-    the split of levels into s + f only shift a page by one weight and pick
-    one residue class r in [0, p^levels), so every such page shares its class.
+    A summand weight is sum_n p^n w_n over its levels, and the class key t is
+    read one base-p digit t_n per level.  Starting from the zero carry, a
+    filtered level keeps only the w_n with carry + t_n + w_n = 0 (mod p) and
+    carries (carry + t_n + w_n) / p; after the filtered levels the carry is
+    (w + t) / p^levels.  For odd p the top level, twisted p^levels, adds its
+    weights unfiltered (t has no digit there); for p = 2 the levels are
+    twisted 0 .. levels - 1 and all of them are filtered.  The last level
+    takes the degree still missing.  A level is built only when some carry
+    state reaches it.  lambda, mu and the split of levels into s + f only
+    shift a page by one weight and pick one class t in [0, p^levels), so
+    every such page shares its class.
     """
-    states: dict[tuple[Coords, int], int] = {(tuple([-c for c in r]), 0): 1}
+    states: dict[tuple[Coords, int], int] = {((0,) * len(t), 0): 1}
     kinds = _level_kinds(p, levels)
     last = len(kinds) - 1
     for n, kind in enumerate(kinds):
         div, level = _page_level(rs, p, m, cap, kind)
+        digit = [c // p**n % p for c in t]
         nxt: dict[tuple[Coords, int], int] = {}
         for (carry, used), mult in states.items():
+            carry = tuple(map(add, carry, digit))
             rows = level.get(tuple([-c % div for c in carry]))
             if rows is None:
                 continue
@@ -215,11 +219,10 @@ def invariant_page(
     ps = p**s
     gathered: dict[Coords, int] = {}
     for u, mult_u in mu_set.items:
-        # v = lam + p^s u; a weight w of the class r = -v (mod q) is
-        # q * gamma0 + r, and (v + w) / q = gamma0 + ceil(v / q).
-        shift = [-((-a - ps * b) // q) for a, b in zip(lam_coords, u)]
-        r = tuple([q * c - a - ps * b for c, a, b in zip(shift, lam_coords, u)])
-        for gamma0, mult in _carry_class(rs, p, levels, m, cap, r):
+        # v = lam + p^s u = q * shift + t with 0 <= t < q; a weight w of the
+        # class t has carry gamma0 = (w + t) / q, and (w + v) / q = gamma0 + shift.
+        shift, t = zip(*[divmod(a + ps * b, q) for a, b in zip(lam_coords, u)])
+        for gamma0, mult in _carry_class(rs, p, levels, m, cap, t):
             gamma = tuple(map(add, gamma0, shift))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
     # Keys are coordinate tuples and counts are positive by construction.
@@ -371,7 +374,7 @@ def check_bs_vanishing(
     InputError with the reason from `bs_vanishing_failure` when the check
     does not apply.  The page is the f = 0, trivial-mu page of
     `invariant_page`, but no page is built: it is empty exactly when the one
-    residue class it reads, -lambda mod p^s, is empty, and that class comes
+    class it reads, lambda mod p^s, is empty, and that class comes
     from the `_carry_class` cache after the same checks of cap, s and m.
     """
 
@@ -379,7 +382,7 @@ def check_bs_vanishing(
         require_int(cap, "cap", 1)
         _check_page_shape(s, m)
         q = p**s
-        return not _carry_class(rs, p, s, m, cap, tuple([-c % q for c in Weight.of(lam).coords]))
+        return not _carry_class(rs, p, s, m, cap, tuple([c % q for c in Weight.of(lam).coords]))
 
     report = _vanish_check(rs, p, lam, s, 0, m, variant, class_empty)
     if isinstance(report, str):
@@ -403,9 +406,9 @@ def verify_e1(page: InvariantPage, variant: Optional[str] = None) -> E1Report:
     `bs_vanishing_failure` when they do not apply; a variant that does not
     apply at p is refused even then.  Each check runs once and reads only the
     page.  The P241 check applies only at f = 0, where every mu weight u
-    selects the same residue class -(lambda + p^s u) = -lambda mod p^s, so
-    the page is empty exactly when that class is, the one class
-    `check_bs_vanishing` reads.
+    selects the same class lambda + p^s u = lambda mod p^s, so the page is
+    empty exactly when that class is, the one class `check_bs_vanishing`
+    reads.
     """
     bs_vanish_variants(page.p, variant)
     rough = _bound_check(page, "rough")

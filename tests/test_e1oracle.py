@@ -435,9 +435,11 @@ def test_verify_e1_reads_no_carry_class(monkeypatch) -> None:
 
 
 # Each refused input of the vanishing check, with its error.  The check builds
-# no page: it reads one carry class, -lambda mod p^s, after its guard, its
-# thresholds and the cap and page-shape checks, and that read applies the caps
-# of the page levels and carry states.
+# no page.  It refuses by its own rules first: the guard on s, f and lambda,
+# then the thresholds, which refuse p and a negative m.  Only then come the
+# page's rules: the cap and page-shape checks, and the caps of the page levels
+# and carry states that reading the one carry class, lambda mod p^s, applies.
+# So m = -1 gets the threshold's message, not the page shape's.
 VANISH_REFUSALS = {
     "p=4": ((A2, 4, (1, 0), 1, 2), {}, InputError, "p must be prime, got 4"),
     "s=0": ((A2, 3, (1, 0), 0, 2), {}, InputError, "kernel height s must be at least 1, got 0"),
@@ -466,7 +468,7 @@ VANISH_REFUSALS = {
 
 
 @pytest.mark.parametrize("name", sorted(VANISH_REFUSALS))
-def test_vanishing_check_refuses_as_the_page_build_did(name: str) -> None:
+def test_vanishing_check_refuses_by_thresholds_before_page_rules(name: str) -> None:
     args, kwargs, error, message = VANISH_REFUSALS[name]
     with pytest.raises(error) as info:
         check_bs_vanishing(*args, **kwargs)

@@ -1,9 +1,9 @@
 """The per-query page path against the loops it replaced, and its guards.
 
-`invariant_page` builds each mu weight's shift and residue in one pass and
-`check_weight_bounds` compares b(gamma) with the bound in integers.  The
-loops they replaced (per-weight tuples, `WeightMultiset.from_dict`, Fraction
-comparison) are kept here as oracles.  The remaining tests pin what a caller
+`invariant_page` takes each mu weight's shift and class key from one divmod
+per coordinate, and `check_weight_bounds` compares b(gamma) with the bound in
+integers.  The loops they replaced (per-weight tuples,
+`WeightMultiset.from_dict`, Fraction comparison) are kept here as oracles.  The remaining tests pin what a caller
 may rely on: the records stay frozen dataclasses, a repeated query reuses its
 residue classes, the class cache stays bounded, and a warm primality cache
 still refuses pseudoprimes.
@@ -53,22 +53,31 @@ def _dominant_upto(rs, d_max: int) -> list[tuple[int, ...]]:
 LAMBDAS = {name: _dominant_upto(rs, MAX_D) for name, rs in SYSTEMS.items()}
 
 
-def oracle_gammas(rs, p, s, f, lam, mu_set, m) -> WeightMultiset:
-    """The page weights by the per-weight tuples v, r and shift, then from_dict.
+def _step_into_range(c: int, q: int) -> tuple[int, int]:
+    """(shift, t) with c = q * shift + t and 0 <= t < q, by steps of q."""
+    shift, t = 0, c
+    while t < 0:
+        shift, t = shift - 1, t + q
+    while t >= q:
+        shift, t = shift + 1, t - q
+    return shift, t
 
-    Each class comes from the uncached carry pass.  Any integer shift with
-    r = q * shift - v gives the same page, so the oracle also checks that
-    the class cache answers the reduced residue r in [0, q), which every
-    page of the class shares, with the same tuple.
+
+def oracle_gammas(rs, p, s, f, lam, mu_set, m) -> WeightMultiset:
+    """The page weights by the per-weight tuples v, t and shift, then from_dict.
+
+    Each class comes from the uncached carry pass, keyed by t = v mod q with
+    v = q * shift + t.  The oracle also checks that the class cache answers
+    the key t in [0, q), which every page of the class shares, with the same
+    tuple.
     """
     q = p ** (s + f)
     gathered: dict = {}
     for u, mult_u in mu_set.items:
         v = tuple(a + p**s * b for a, b in zip(lam.coords, u))
-        r = tuple((-c) % q for c in v)
-        shift = tuple((a + b) // q for a, b in zip(v, r))
-        entries = _carry_class.__wrapped__(rs, p, s + f, m, DEFAULT_ENTRY_CAP, r)
-        assert _carry_class(rs, p, s + f, m, DEFAULT_ENTRY_CAP, r) == entries, r
+        shift, t = zip(*(_step_into_range(c, q) for c in v))
+        entries = _carry_class.__wrapped__(rs, p, s + f, m, DEFAULT_ENTRY_CAP, t)
+        assert _carry_class(rs, p, s + f, m, DEFAULT_ENTRY_CAP, t) == entries, t
         for gamma0, mult in entries:
             gamma = tuple(map(add, gamma0, shift))
             gathered[gamma] = gathered.get(gamma, 0) + mult * mult_u
