@@ -375,9 +375,9 @@ def _module_stats(rs: RootSystem, module: WeightMultiset, p: int) -> tuple[Q, in
     Both maxima over a Weyl orbit are attained at its dominant weight, since
     mu - w(mu) lies in the positive root cone and W fixes each class modulo
     the root lattice, so `module.summary` reads the dominant representatives
-    only, as b_M does.  A dominant weight has non-negative root-basis
-    coefficients, so c_M >= 0.  Only the p-part is taken here.  The caller
-    passes a non-empty module of rs.
+    only, as b_M does, and a character its highest weight alone.  A dominant
+    weight has non-negative root-basis coefficients, so c_M >= 0.  Only the
+    p-part is taken here.  The caller passes a non-empty module of rs.
     """
     _, c, orders = module.summary
     return Q(c, rs.cartan_det), max(_p_part(order, p) for order in orders)

@@ -393,9 +393,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--max": dict(type=int, default=12, help="scan bound (default 12)"),
     "--cap": dict(
         type=int,
-        help="size cap (default 10^7): generic and compare count a character's dimension "
-        "and Freudenthal steps, verify-e1 a page's distinct weights and carry states, "
-        "verify-lemma61 grid cells",
+        help="size cap (default 10^7): generic and compare count a character's dimension, "
+        "verify-e1 a page's distinct weights and carry states, verify-lemma61 grid cells",
     ),
     "kind": dict(nargs="?", default="structural", choices=TABLE_KINDS),
     "--format": dict(

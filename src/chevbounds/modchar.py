@@ -12,8 +12,9 @@ norm bound |nu| <= |lam|, which every weight of the module meets, before it
 builds or reflects a weight past it; such a weight would have failed the
 membership test, so the step count that the cap checks is unchanged.
 The cap bounds three counts here, each through `errors._check_cap`: a
-character's dimension, checked before it is built, its Freudenthal steps,
-and the distinct weights a degree fold holds.
+character's dimension, checked when the character is made, its Freudenthal
+steps, checked when its multiplicities are built, and the distinct weights a
+degree fold holds.
 Orbit sizes, not orbits, check the result against the Weyl dimension
 formula: the orbit of mu has |W| / |W_J| weights.
 
@@ -24,9 +25,15 @@ coefficient, the class modulo the root lattice) is attained at a dominant
 weight, so `summary` scans `dominant` instead of the full `items`, once per
 multiset.
 Any other multiset is read at its weights' dominant representatives, so its
-summary is that of the orbits its weights meet.  A character stores only its
-dominant entries; the first read of `items` spreads them along their Weyl
-orbits and keeps the result.
+summary is that of the orbits its weights meet.
+
+`weyl_character` checks the Weyl dimension against the cap and stores only
+the highest weight lam and the cap.  The first read of `dominant` runs the
+dominant search and Freudenthal, with the step cap and the Weyl dimension
+check; the first read of `items` spreads those entries along their orbits.
+Every dominant weight of L(lam) is lam minus a sum of positive roots, so the
+three invariants are attained at lam: a character's summary reads lam alone,
+and no threshold runs Freudenthal.
 """
 
 from __future__ import annotations
@@ -55,15 +62,32 @@ class WeightMultiset(Record, eq=False):
     holds the sorted dominant entries of a W-stable multiset and is None when
     stability is not known.  It takes no part in equality, hashing or repr:
     two multisets of the same system with the same items are the same.  A
-    Weyl character is made from `dominant` alone and fills `items` on first
-    read; with `dominant` set, the two sizes sum its entries' orbit sizes.
-    `summary` is likewise scanned on first read and kept.
+    Weyl character is made from `_highest`, its highest weight and cap, alone,
+    and builds `dominant`, then `items`, on first read; with `dominant` set,
+    the two sizes sum its entries' orbit sizes.  `summary` is likewise read on
+    first use and kept.
     """
 
     system: RootSystem
     _items: Optional[Entries]
-    dominant: Optional[Entries] = None
+    _dominant: Optional[Entries] = None
     _summary: Optional[Summary] = None
+    _highest: Optional[tuple[Coords, int]] = None
+
+    @property
+    def dominant(self) -> Optional[Entries]:
+        """The sorted dominant entries, or None; a character builds them here."""
+        if self._dominant is None and self._highest is not None:
+            rs = self.system
+            lam, cap = self._highest
+            mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam), cap)
+            built = sum(m * _orbit_size(rs, mu) for mu, m in mult.items())
+            if built != (dim := weyl_dimension(rs, lam)):
+                raise OracleError(
+                    f"character of {lam}: built dimension {built}, Weyl formula says {dim}"
+                )
+            object.__setattr__(self, "_dominant", tuple(sorted(mult.items())))
+        return self._dominant
 
     @property
     def items(self) -> Entries:
@@ -90,15 +114,20 @@ class WeightMultiset(Record, eq=False):
         largest root-basis coefficient of one times `cartan_det`, so the
         largest over the weights' Weyl orbits; orders is the set of their
         orders in X(T) modulo the root lattice.  So the summary depends only
-        on which Weyl orbits the weights meet.  `dominant` lists them; a
-        multiset without it reflects its weights.  Scanned on first read; the
-        caller checks the system and that the multiset is not empty.
+        on which Weyl orbits the weights meet.  A character reads its highest
+        weight alone, which is above all its dominant weights by sums of
+        positive roots, so largest in both maxima and in the same class;
+        `dominant` lists the orbits otherwise, and a multiset without it
+        reflects its weights.  Read on first use; the caller checks the system
+        and that the multiset is not empty.
         """
         if self._summary is None:
             rs = self.system
             det = rs.cartan_det
             hrp = rs.highest_root_pairing
-            if self.dominant:
+            if self._highest is not None:
+                reps = [self._highest[0]]
+            elif self.dominant:
                 reps = [coords for coords, _ in self.dominant]
             else:
                 reps = {rs.dominant_representative(coords) for coords, _ in self.items}
@@ -128,11 +157,12 @@ class WeightMultiset(Record, eq=False):
         The constructor checks nothing, so a multiset not known to be W-stable
         is scanned here: each weight is read through `rs.coords_of`, each
         multiplicity must be positive, and the weights must strictly increase,
-        as `from_dict` lists them.  One the library built W-stable is trusted.
+        as `from_dict` lists them.  One the library built W-stable is trusted,
+        and a character's multiplicities are not built here.
         """
         if self.system is not rs:
             raise InputError(f"a weight multiset of {self.system.name} is not one of {rs.name}")
-        if self.dominant is None:
+        if self._dominant is None and self._highest is None:
             last = ()  # below every weight, as a weight has at least one coordinate
             for coords, mult in self.items:
                 key = rs.coords_of(coords)
@@ -174,8 +204,11 @@ class WeightMultiset(Record, eq=False):
         return len(self.items)
 
     def is_empty(self) -> bool:
-        # A W-stable multiset is empty exactly when it has no dominant entry.
-        return not (self.items if self.dominant is None else self.dominant)
+        # A character holds its highest weight; any other W-stable multiset is
+        # empty exactly when it has no dominant entry.
+        return self._highest is None and not (
+            self.items if self._dominant is None else self._dominant
+        )
 
 
 def _class_order(scaled: Coords, det: int) -> int:
@@ -397,23 +430,20 @@ def _zero_set(mu: Coords) -> Coords:
 
 @lru_cache(maxsize=256)
 def _character_cached(rs: RootSystem, lam: Coords, cap: int) -> WeightMultiset:
-    dim = weyl_dimension(rs, lam)
-    _check_cap(f"character of {_shown(lam)}", dim, cap, "dimension")
-    mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam), cap)
-    dominant = tuple(sorted(mult.items()))
-    character = WeightMultiset(rs, None, dominant)
-    if character.total_dimension != dim:
-        raise OracleError(
-            f"character of {lam}: built dimension {character.total_dimension}, "
-            f"Weyl formula says {dim}"
-        )
-    return character
+    _check_cap(f"character of {_shown(lam)}", weyl_dimension(rs, lam), cap, "dimension")
+    return WeightMultiset(rs, None, _highest=(lam, cap))
 
 
 def weyl_character(
     rs: RootSystem, lam: WeightLike, cap: int = DEFAULT_ENTRY_CAP
 ) -> WeightMultiset:
-    """Weight multiset of the highest-weight module with highest weight lam."""
+    """Weight multiset of the highest-weight module with highest weight lam.
+
+    Its Weyl dimension is checked against `cap` here.  Its multiplicities are
+    built on the first read of `dominant`, `items`, either size or equality,
+    where the Freudenthal step count is checked against the same cap; its
+    summary, so every threshold, reads lam alone and never builds them.
+    """
     require_int(cap, "cap", 1)
     coords = rs.coords_of(lam)
     if min(coords) < 0:

@@ -75,9 +75,9 @@ def b_invariant(rs: RootSystem, weights: WeightMultiset) -> BInvariant:
     The long roots form a single Weyl orbit, so for one weight sigma the
     maximum over all long roots equals <dom(sigma), highest-root-vee>; that
     identity gives the exact value without enumerating the orbit.  A W-stable
-    multiset (one with `dominant` entries set, such as a Weyl character)
-    attains the maximum at a dominant weight, so only those are scanned.
-    The value is the b of `weights.summary`, scanned once per multiset.
+    multiset attains the maximum at a dominant weight, so only its `dominant`
+    entries are scanned, and a Weyl character attains it at its highest weight.
+    The value is the b of `weights.summary`, read once per multiset.
     A multiset of another root system raises InputError.
     """
     return BInvariant(_module_b(rs, weights))

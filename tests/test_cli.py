@@ -607,10 +607,8 @@ def test_exit_code_argparse_error(capsys) -> None:
      "page carry: carry states 21"),
     (["generic", "--type", "A2", "--p", "3", "--m", "1", "--weight", "9,9", "--cap", "10"],
      "character of (9, 9): dimension 1000"),
-    (["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "10", "--cap", "14"],
-     "character of (10,): Freudenthal steps 15"),
     (["verify-lemma61", "--max", "5", "--cap", "499"], "lemma61 scan: grid cells 500"),
-], ids=["page level", "page carry", "dimension", "Freudenthal steps", "grid"])
+], ids=["page level", "page carry", "dimension", "grid"])
 def test_every_capped_stage_exits_3_with_one_message(
     argv: list[str], reached: str, capsys
 ) -> None:
@@ -622,6 +620,21 @@ def test_every_capped_stage_exits_3_with_one_message(
     ))
     # The default cap lets each of them run.
     assert run(argv[:-2]) in (0, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "10", "--cap", "14"],
+    ["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "9998", "--cap", "10000"],
+], ids=["compare", "generic"])
+def test_a_threshold_never_takes_a_freudenthal_step(argv: list[str], capsys) -> None:
+    # The cap is above the character's dimension and below its Freudenthal
+    # steps (15 and about 1.25e7).  A threshold reads the highest weight
+    # alone, so the steps are never taken and the default cap prints the same.
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert run(argv[:-2]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_cap_goes_through_the_integer_gate(capsys) -> None:
@@ -923,8 +936,8 @@ def test_every_argv_exits_with_a_documented_code(argv: list[str]) -> None:
     (["verify-e1", "--type", "A1", "--p", "3", "--s", "3", "--f", "2", "--m", "1"], 2),
     (["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "8"], 0),
     (["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "9"], 2),
-    # About 1.25e7 Freudenthal steps: the step cap refuses it at once.
-    (["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "9998", "--cap", "10000"], 3),
+    # Its character would take about 1.25e7 Freudenthal steps; the threshold takes none.
+    (["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "9998", "--cap", "10000"], 0),
 ])
 def test_page_shape_and_step_cap_boundaries(argv: list[str], code: int) -> None:
     got, seconds = _timed_run(argv)

@@ -231,6 +231,54 @@ def test_threshold_readers_never_expand_a_character(monkeypatch, capsys) -> None
         ch.items
 
 
+def test_thresholds_never_run_freudenthal(monkeypatch, capsys) -> None:
+    cases = [("A", 3, (1, 0, 1)), ("B", 3, (0, 1, 1)), ("G", 2, (2, 1)), ("F", 4, (1, 0, 0, 1))]
+    expected = []
+    for family, rank, lam in cases:
+        rs = build_root_system(family, rank)
+        built = WeightMultiset(rs, None, weyl_character(rs, lam).dominant)
+        expected.append((b_invariant(rs, built), compare_thresholds(rs, 3, 2, built)))
+
+    def refuse(*args):
+        raise AssertionError("Freudenthal ran")
+
+    monkeypatch.setattr(modchar, "_freudenthal_multiplicities", refuse)
+    _character_cached.cache_clear()
+    for (family, rank, lam), (b, report) in zip(cases, expected):
+        rs = build_root_system(family, rank)
+        ch = weyl_character(rs, lam)
+        assert b_invariant(rs, ch) == b and compare_thresholds(rs, 3, 2, ch) == report
+        generic_thresholds(rs, 5, 2, b_invariant(rs, ch).value)
+    # E8 at rho has dimension 2**120 and b = <rho, theta-vee> = h - 1 = 29.
+    argv = ["--type", "E8", "--p", "5", "--m", "3", "--weight", "1,1,1,1,1,1,1,1"]
+    for command in ("generic", "compare"):
+        assert run([command, *argv, "--cap", str(2**120)]) == 0
+    assert "\nb_M=29\n" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="Freudenthal ran"):
+        ch.total_dimension
+
+
+# Each cap passes the dimension and is below the Freudenthal steps.
+@pytest.mark.parametrize("family, rank, lam, cap", [
+    ("A", 1, (10,), 14), ("A", 1, (100,), 1274), ("A", 2, (60, 0), 1891),
+])
+def test_the_first_read_raises_what_the_eager_build_raised(family, rank, lam, cap) -> None:
+    rs = build_root_system(family, rank)
+    with pytest.raises(ResourceLimitError) as eager:
+        modchar._freudenthal_multiplicities(rs, lam, modchar._dominant_levels(rs, lam), cap)
+    character = weyl_character(rs, lam, cap)
+    # Every reader of the multiplicities raises it, each time.
+    for read in ("dominant", "items", "total_dimension", "support_size", "dominant"):
+        with pytest.raises(ResourceLimitError) as lazy:
+            getattr(character, read)
+        assert str(lazy.value) == str(eager.value)
+    assert character._dominant is None and not character.is_empty()
+    if lam == (10,):
+        assert str(eager.value) == (
+            "character of (10,): Freudenthal steps 15, above the cap 14; raise the cap to allow"
+        )
+
+
 def _dominant_by_reflection(rs: RootSystem, coords: Coords) -> Coords:
     """Reflect through the first negative coordinate until none is left."""
     while True:

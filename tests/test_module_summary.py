@@ -208,3 +208,31 @@ def test_a_second_comparison_scans_no_weight(monkeypatch) -> None:
         compare_thresholds(e8, p, m, module)
     assert len(calls) == len(character.dominant)
     assert compare_thresholds(e8, 3, 2, module) == first
+
+
+def _small_weights(rs: RootSystem) -> list[Coords]:
+    """The zero weight, each 2·omega_i, and each omega_i + omega_j with i <= j."""
+    n = rs.rank
+    out = [rs.zero]
+    for i in range(n):
+        for j in range(i, n):
+            lam = [0] * n
+            lam[i] += 1
+            lam[j] += 1
+            out.append(tuple(lam))
+    return out
+
+
+def test_a_characters_summary_is_that_of_its_dominant_entries() -> None:
+    # The summary of a character reads its highest weight alone; a multiset
+    # holding the same dominant entries scans every one of them.
+    cases = _fundamental_characters()
+    for family, ranks in CONCRETE_RANKS.items():
+        for rank in ranks:
+            rs = build_root_system(family, rank)
+            for lam in _small_weights(rs):
+                if weyl_dimension(rs, lam) <= 10**4:
+                    cases.append((rs, weyl_character(rs, lam)))
+    assert len(cases) == 485
+    for rs, character in cases:
+        assert character.summary == WeightMultiset(rs, None, character.dominant).summary

@@ -134,7 +134,7 @@ def test_arguments_by_position_and_by_keyword(record: Record) -> None:
 
 def test_defaults() -> None:
     items = PAGE.gammas.items
-    assert _values(WeightMultiset(RS, items)) == (RS, items, None, None)
+    assert _values(WeightMultiset(RS, items)) == (RS, items, None, None, None)
     report = ThresholdReport("T511", 1, 0, 1, ())
     assert report.inputs_echo == {} and isinstance(report.inputs_echo, MappingProxyType)
 
