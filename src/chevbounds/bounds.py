@@ -249,18 +249,6 @@ def _is_a1(rs: RootSystem) -> bool:
     return rs.family == "A" and rs.rank == 1
 
 
-def check_generic_inputs(p: int, m: int) -> None:
-    """The p and m checks of `generic_thresholds`, for a caller to run before it builds a module."""
-    require_prime(p)
-    require_int(m, "m", 0)
-
-
-def check_compare_inputs(p: int, m: int) -> None:
-    """The p and m checks of `compare_thresholds`, for a caller to run before it builds a module."""
-    require_prime(p)  # before the module scan, which divides by p
-    require_int(m, "m", 1)
-
-
 def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdReport:
     """Strongest applicable generic-cohomology threshold for the inputs.
 
@@ -269,7 +257,8 @@ def generic_thresholds(rs: RootSystem, p: int, m: int, b_m: int) -> ThresholdRep
     overrides refine it: T821 for degree 1 at odd primes, and T831 for type
     A1 at odd primes.  Conditions record which rule fired and why.
     """
-    check_generic_inputs(p, m)
+    require_prime(p)
+    require_int(m, "m", 0)
     require_int(b_m, "b_m", 0)
     f_val = t_invariant(b_m, p)
     base_e = Q(m, _p_minus_2(p))
@@ -387,7 +376,8 @@ def compare_thresholds(
     rs: RootSystem, p: int, m: int, module: WeightMultiset
 ) -> ComparisonReport:
     """Compare the generic thresholds against the structural-constant ones, for m >= 1."""
-    check_compare_inputs(p, m)
+    require_prime(p)  # before the module scan, which divides by p
+    require_int(m, "m", 1)
     if module.is_empty():
         raise InputError("compare_thresholds needs a non-empty module multiset")
     b_m = b_invariant(rs, module).value

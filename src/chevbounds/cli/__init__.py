@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..bounds import (
     LEMMA61_PRIMES,
-    check_compare_inputs,
-    check_generic_inputs,
     compare_thresholds,
     finite_group_vanishing_range,
     generic_thresholds,
@@ -190,7 +188,7 @@ def _parse_coords(text: str) -> tuple[int, ...]:
 
 
 def _resolve_module(
-    rs: RootSystem, module_weight: Optional[list[str]], weight: Optional[str], cap: int
+    rs: RootSystem, module_weight: Optional[list[str]], weight: Optional[str]
 ) -> WeightMultiset:
     """Module selection: explicit weight entries win over a character weight."""
     if module_weight:
@@ -207,7 +205,7 @@ def _resolve_module(
             table[coords] = table.get(coords, 0) + mult
         return WeightMultiset.from_dict(rs, table)
     if weight is not None:
-        return weyl_character(rs, _parse_coords(weight), cap)
+        return weyl_character(rs, _parse_coords(weight))
     return WeightMultiset.trivial(rs)
 
 
@@ -268,18 +266,14 @@ def _cmd_vanish_range(args: argparse.Namespace) -> _Report:
 
 def _cmd_generic(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
-    # The library's p and m checks run first: a bad one is bad input (exit 2),
-    # even when the module would hit its cap (exit 3).
-    check_generic_inputs(args.p, args.m)
-    module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
+    module = _resolve_module(rs, args.module_weight, args.weight)
     b_m = b_invariant(rs, module).value
     return {**_threshold_doc(generic_thresholds(rs, args.p, args.m, b_m)), "b_M": b_m}, False
 
 
 def _cmd_compare(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
-    check_compare_inputs(args.p, args.m)
-    module = _resolve_module(rs, args.module_weight, args.weight, _cap(args))
+    module = _resolve_module(rs, args.module_weight, args.weight)
     report = compare_thresholds(rs, args.p, args.m, module)
     return {
         "bnp": _threshold_doc(report.bnp),
@@ -309,7 +303,7 @@ def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
     rs = parse_type(args.type)
     cap = _cap(args)
     lam = rs.zero if args.weight is None else Weight(_parse_coords(args.weight))
-    mu_set = _resolve_module(rs, args.module_weight, None, cap)
+    mu_set = _resolve_module(rs, args.module_weight, None)
     page = invariant_page(rs, args.p, args.s, args.f, lam, mu_set, args.m, cap=cap)
     report = verify_e1(page, args.variant)
     rough, exact, vanish = report.rough, report.exact, report.vanish
@@ -393,8 +387,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--max": dict(type=int, default=12, help="scan bound (default 12)"),
     "--cap": dict(
         type=int,
-        help="size cap (default 10^7): generic and compare count a character's dimension, "
-        "verify-e1 a page's distinct weights and carry states, verify-lemma61 grid cells",
+        help="size cap (default 10^7): verify-e1 counts a page's distinct weights and "
+        "carry states, verify-lemma61 grid cells",
     ),
     "kind": dict(nargs="?", default="structural", choices=TABLE_KINDS),
     "--format": dict(
@@ -402,7 +396,7 @@ _FLAGS: dict[str, dict[str, Any]] = {
     ),
 }
 
-_MODULE_FLAGS = ("--type", "--p", "--m", "--weight", "--module-weight", "--cap")
+_MODULE_FLAGS = ("--type", "--p", "--m", "--weight", "--module-weight")
 
 # Each subcommand: its handler, its help, its flags before --format, and the
 # string fields printed as bare sentence lines in text mode.

@@ -12,9 +12,8 @@ norm bound |nu| <= |lam|, which every weight of the module meets, before it
 builds or reflects a weight past it; such a weight would have failed the
 membership test, so the step count that the cap checks is unchanged.
 The cap bounds three counts here, each through `errors._check_cap`: a
-character's dimension, checked when the character is made, its Freudenthal
-steps, checked when its multiplicities are built, and the distinct weights a
-degree fold holds.
+character's dimension and its Freudenthal steps, both checked when its
+multiplicities are built, and the distinct weights a degree fold holds.
 Orbit sizes, not orbits, check the result against the Weyl dimension
 formula: the orbit of mu has |W| / |W_J| weights.
 
@@ -27,13 +26,13 @@ multiset.
 Any other multiset is read at its weights' dominant representatives, so its
 summary is that of the orbits its weights meet.
 
-`weyl_character` checks the Weyl dimension against the cap and stores only
-the highest weight lam and the cap.  The first read of `dominant` runs the
-dominant search and Freudenthal, with the step cap and the Weyl dimension
-check; the first read of `items` spreads those entries along their orbits.
-Every dominant weight of L(lam) is lam minus a sum of positive roots, so the
-three invariants are attained at lam: a character's summary reads lam alone,
-and no threshold runs Freudenthal.
+`weyl_character` stores only the highest weight lam and the cap.  The first
+read of `dominant` checks the Weyl dimension against the cap, runs the
+dominant search and Freudenthal, with the step cap, and checks the built
+dimension against the same Weyl dimension; the first read of `items` spreads
+those entries along their orbits.  Every dominant weight of L(lam) is lam
+minus a sum of positive roots, so the three invariants are attained at lam: a
+character's summary reads lam alone, and no threshold reaches the cap.
 """
 
 from __future__ import annotations
@@ -76,15 +75,17 @@ class WeightMultiset(Record, eq=False):
 
     @property
     def dominant(self) -> Optional[Entries]:
-        """The sorted dominant entries, or None; a character builds them here."""
+        """The sorted dominant entries, or None; a character checks its cap and builds them here."""
         if self._dominant is None and self._highest is not None:
             rs = self.system
             lam, cap = self._highest
+            stage = f"character of {_shown(lam)}"
+            _check_cap(stage, dim := weyl_dimension(rs, lam), cap, "dimension")
             mult = _freudenthal_multiplicities(rs, lam, _dominant_levels(rs, lam), cap)
             built = sum(m * _orbit_size(rs, mu) for mu, m in mult.items())
-            if built != (dim := weyl_dimension(rs, lam)):
+            if built != dim:
                 raise OracleError(
-                    f"character of {lam}: built dimension {built}, Weyl formula says {dim}"
+                    f"{stage}: built dimension {_shown(built)}, Weyl formula says {_shown(dim)}"
                 )
             object.__setattr__(self, "_dominant", tuple(sorted(mult.items())))
         return self._dominant
@@ -430,7 +431,6 @@ def _zero_set(mu: Coords) -> Coords:
 
 @lru_cache(maxsize=256)
 def _character_cached(rs: RootSystem, lam: Coords, cap: int) -> WeightMultiset:
-    _check_cap(f"character of {_shown(lam)}", weyl_dimension(rs, lam), cap, "dimension")
     return WeightMultiset(rs, None, _highest=(lam, cap))
 
 
@@ -439,10 +439,10 @@ def weyl_character(
 ) -> WeightMultiset:
     """Weight multiset of the highest-weight module with highest weight lam.
 
-    Its Weyl dimension is checked against `cap` here.  Its multiplicities are
-    built on the first read of `dominant`, `items`, either size or equality,
-    where the Freudenthal step count is checked against the same cap; its
-    summary, so every threshold, reads lam alone and never builds them.
+    It stores lam and `cap` alone.  The first read of `dominant`, `items`,
+    either size or equality checks the Weyl dimension, then the Freudenthal
+    step count, against `cap` and builds the multiplicities; its summary, so
+    every threshold, reads lam alone and never reaches the cap.
     """
     require_int(cap, "cap", 1)
     coords = rs.coords_of(lam)

@@ -71,7 +71,7 @@ def test_every_capped_stage_calls_the_gate() -> None:
     assert sorted(_src_callers("_check_cap")) == [
         "chevbounds/bounds.py::lemma61_scan",
         "chevbounds/e1oracle.py::_carry_class",
-        "chevbounds/modchar.py::_character_cached",
         "chevbounds/modchar.py::_degree_fold",
         "chevbounds/modchar.py::_freudenthal_multiplicities",
+        "chevbounds/modchar.py::dominant",
     ]

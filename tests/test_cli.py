@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chevbounds
+from chevbounds import modchar
 from chevbounds.bounds import bs_vanish_threshold, bs_vanish_variants
 from chevbounds.cli import DEFAULT_INT_DIGITS, _parser, emit_table, run
 from chevbounds.e1oracle import invariant_page, verify_e1
@@ -506,13 +507,29 @@ def test_compare_refuses_a_non_prime_before_it_scans_the_module(p: str, capsys) 
     (["compare", "--type", "A2", "--p", "3", "--m", "0"], "m = 0 below 1"),
     (["generic", "--type", "A2", "--p", "4", "--m", "0"], "p must be prime, got 4"),
 ], ids=["compare p", "generic p", "compare m", "generic p and m"])
-def test_bad_p_or_m_is_bad_input_before_the_module_hits_its_cap(
-    argv: list[str], message: str, capsys
-) -> None:
-    # The character of (9, 9) has dimension 1000, above the cap: the library
-    # checks p and m before the module is built, so the exit code is 2, not 3.
-    assert run(argv + ["--weight", "9,9", "--cap", "10"]) == 2
+def test_bad_p_or_m_with_a_character_is_bad_input(argv: list[str], message: str, capsys) -> None:
+    # The thresholds check p and m themselves and build no character.
+    assert run(argv + ["--weight", "9,9"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["generic", "compare"])
+@pytest.mark.parametrize("system, rho", [("E7", "1,1,1,1,1,1,1"), ("E8", "1,1,1,1,1,1,1,1")])
+def test_a_threshold_reads_a_character_far_above_the_default_cap(
+    command: str, system: str, rho: str
+) -> None:
+    # E7 and E8 at rho have dimensions 2**63 and 2**120; no threshold builds them.
+    got, seconds = _timed_run([command, "--type", system, "--p", "5", "--m", "3", "--weight", rho])
+    assert got == 0
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("command", ["generic", "compare"])
+def test_a_threshold_takes_no_cap(command: str, capsys) -> None:
+    argv = [command, "--type", "A2", "--p", "3", "--m", "1", "--weight", "1,1", "--cap", "10"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --cap 10" in err
 
 
 def test_import_loads_no_command_line_only_module() -> None:
@@ -605,10 +622,8 @@ def test_exit_code_argparse_error(capsys) -> None:
     (["verify-e1", "--type", "A1", "--p", "2", "--s", "4", "--m", "8", "--weight", "16",
       "--cap", "20"],
      "page carry: carry states 21"),
-    (["generic", "--type", "A2", "--p", "3", "--m", "1", "--weight", "9,9", "--cap", "10"],
-     "character of (9, 9): dimension 1000"),
     (["verify-lemma61", "--max", "5", "--cap", "499"], "lemma61 scan: grid cells 500"),
-], ids=["page level", "page carry", "dimension", "grid"])
+], ids=["page level", "page carry", "grid"])
 def test_every_capped_stage_exits_3_with_one_message(
     argv: list[str], reached: str, capsys
 ) -> None:
@@ -623,22 +638,29 @@ def test_every_capped_stage_exits_3_with_one_message(
 
 
 @pytest.mark.parametrize("argv", [
-    ["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "10", "--cap", "14"],
-    ["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "9998", "--cap", "10000"],
+    ["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "10"],
+    ["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "9998"],
 ], ids=["compare", "generic"])
-def test_a_threshold_never_takes_a_freudenthal_step(argv: list[str], capsys) -> None:
-    # The cap is above the character's dimension and below its Freudenthal
-    # steps (15 and about 1.25e7).  A threshold reads the highest weight
-    # alone, so the steps are never taken and the default cap prints the same.
+def test_a_threshold_never_takes_a_freudenthal_step(argv: list[str], monkeypatch, capsys) -> None:
+    # The characters take 15 and about 1.25e7 Freudenthal steps, the second
+    # above the default cap.  A threshold reads the highest weight alone, so
+    # it runs with Freudenthal refused and prints what the one weight's orbit
+    # prints as an explicit module.
+    assert run([*argv[:-2], "--module-weight", argv[-1]]) == 0
+    expected = capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("Freudenthal ran")
+
+    monkeypatch.setattr(modchar, "_freudenthal_multiplicities", refuse)
+    modchar._character_cached.cache_clear()
     assert run(argv) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert run(argv[:-2]) == 0
-    assert capsys.readouterr() == (out, "")
+    assert capsys.readouterr() == expected and expected.err == ""
 
 
 def test_cap_goes_through_the_integer_gate(capsys) -> None:
-    argv = ["compare", "--type", "A1", "--p", "3", "--m", "2", "--weight", "10", "--cap"]
+    argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "2", "--weight", "10",
+            "--cap"]
     assert run(argv + ["15"]) == 0
     capsys.readouterr()
     assert run(argv + ["0"]) == 2
@@ -836,8 +858,8 @@ def test_verify_e1_renders_a_failed_report_as_exit_1(monkeypatch, capsys) -> Non
 _FUZZ_OPTIONS = {
     "info": ("type",),
     "vanish-range": ("p", "r"),
-    "generic": ("type", "p", "m", "weight", "module-weight", "cap"),
-    "compare": ("type", "p", "m", "weight", "module-weight", "cap"),
+    "generic": ("type", "p", "m", "weight", "module-weight"),
+    "compare": ("type", "p", "m", "weight", "module-weight"),
     "stability": ("type", "p", "m"),
     "verify-e1": ("type", "p", "s", "f", "m", "weight", "module-weight", "variant", "cap"),
     "verify-lemma61": ("max", "cap"),
@@ -890,7 +912,8 @@ def test_parser_flags_are_the_fuzzed_ones() -> None:
 def _fuzz_argv(draw) -> list[str]:
     sub = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
     # One draw in three is wild: it may leave out options and go out of range.
-    # The cap is always given, so that no draw runs at the default cap.
+    # A command that takes the cap is always given it, so that no draw runs
+    # at the default cap.
     wild = draw(st.integers(0, 2)) == 2
     argv = [sub]
     rank = 1
@@ -936,8 +959,9 @@ def test_every_argv_exits_with_a_documented_code(argv: list[str]) -> None:
     (["verify-e1", "--type", "A1", "--p", "3", "--s", "3", "--f", "2", "--m", "1"], 2),
     (["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "8"], 0),
     (["verify-e1", "--type", "A1", "--p", "3", "--s", "1", "--m", "9"], 2),
-    # Its character would take about 1.25e7 Freudenthal steps; the threshold takes none.
-    (["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "9998", "--cap", "10000"], 0),
+    # Its character would take about 1.25e7 Freudenthal steps, above the
+    # default cap; the threshold takes none.
+    (["generic", "--type", "A1", "--p", "3", "--m", "1", "--weight", "9998"], 0),
 ])
 def test_page_shape_and_step_cap_boundaries(argv: list[str], code: int) -> None:
     got, seconds = _timed_run(argv)

@@ -249,10 +249,11 @@ def test_thresholds_never_run_freudenthal(monkeypatch, capsys) -> None:
         ch = weyl_character(rs, lam)
         assert b_invariant(rs, ch) == b and compare_thresholds(rs, 3, 2, ch) == report
         generic_thresholds(rs, 5, 2, b_invariant(rs, ch).value)
-    # E8 at rho has dimension 2**120 and b = <rho, theta-vee> = h - 1 = 29.
+    # E8 at rho has dimension 2**120, far above the default cap, and
+    # b = <rho, theta-vee> = h - 1 = 29.
     argv = ["--type", "E8", "--p", "5", "--m", "3", "--weight", "1,1,1,1,1,1,1,1"]
     for command in ("generic", "compare"):
-        assert run([command, *argv, "--cap", str(2**120)]) == 0
+        assert run([command, *argv]) == 0
     assert "\nb_M=29\n" in capsys.readouterr().out
     with pytest.raises(AssertionError, match="Freudenthal ran"):
         ch.total_dimension

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chevbounds import modchar
-from chevbounds.errors import InputError, ResourceLimitError
+from chevbounds.errors import InputError, OracleError, ResourceLimitError
 from chevbounds.modchar import (
     WeightMultiset,
     _degree_fold,
@@ -162,10 +162,13 @@ def test_graded_power_refuses_weights_of_different_ranks() -> None:
 def test_resource_caps() -> None:
     # Each message names the stage, the size it reached, the cap and the knob.
     knob = "above the cap {}; raise the cap to allow$"
-    with pytest.raises(
-        ResourceLimitError, match=r"^character of \(9, 9\): dimension 1000, " + knob.format(10)
-    ):
-        weyl_character(A2, Weight((9, 9)), cap=10)
+    # A character checks its dimension on the first read of its multiplicities,
+    # so a graded power of it refuses the character too.
+    for read in (lambda ch: ch.total_dimension, lambda ch: graded_power("sym", ch, 1)):
+        with pytest.raises(
+            ResourceLimitError, match=r"^character of \(9, 9\): dimension 1000, " + knob.format(10)
+        ):
+            read(weyl_character(A2, Weight((9, 9)), cap=10))
     with pytest.raises(
         ResourceLimitError,
         match=r"^graded power sym\^9: distinct weights \d+, " + knob.format(5),
@@ -177,7 +180,49 @@ def test_resource_caps() -> None:
         ResourceLimitError,
         match=re.escape(f"character of ({too_long},): dimension {too_long}, above the cap "),
     ):
-        weyl_character(A1, (10**5000,), cap=10**4400)
+        weyl_character(A1, (10**5000,), cap=10**4400).total_dimension
+
+
+def test_a_built_character_reads_its_weyl_dimension_once(monkeypatch) -> None:
+    calls = []
+
+    def counted(rs, lam):
+        calls.append(lam)
+        return weyl_dimension(rs, lam)
+
+    monkeypatch.setattr(modchar, "weyl_dimension", counted)
+    modchar._character_cached.cache_clear()
+    for rs, lam in ((A1, (7,)), (A2, (2, 1)), (B2, (1, 3))):
+        ch = weyl_character(rs, lam)
+        assert calls == []
+        assert ch.total_dimension == weyl_dimension(rs, lam)
+        ch.items, ch.support_size, ch.dominant
+        assert calls == [lam]
+        calls.clear()
+
+
+def test_a_built_dimension_off_the_weyl_formula_is_an_oracle_error(monkeypatch) -> None:
+    real = modchar._freudenthal_multiplicities
+
+    def one_off(rs, lam, level, cap):
+        mult = real(rs, lam, level, cap)
+        mult[lam] += 1
+        return mult
+
+    monkeypatch.setattr(modchar, "_freudenthal_multiplicities", one_off)
+    modchar._character_cached.cache_clear()
+    with pytest.raises(OracleError) as built:
+        weyl_character(A2, (1, 1)).dominant
+    assert str(built.value) == "character of (1, 1): built dimension 14, Weyl formula says 8"
+    # Numbers too long to print are named, as in every message.  The search
+    # is cut to lam alone, so A1 at 10**5000 builds one weight, not 5e4999.
+    monkeypatch.setattr(modchar, "_dominant_levels", lambda rs, lam: {lam: 0})
+    too_long = "<int too long to print>"
+    with pytest.raises(OracleError) as built:
+        weyl_character(A1, (10**5000,), cap=10**5001).dominant
+    assert str(built.value) == (
+        f"character of ({too_long},): built dimension 4, Weyl formula says {too_long}"
+    )
 
 
 def test_graded_power_cap_is_checked_inside_the_fold() -> None:

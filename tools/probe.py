@@ -40,15 +40,12 @@ PROBES = (
      "--weight", "0,0,0,0,0,0,1"],
     ["verify-e1", "--type", "F4", "--p", "2", "--s", "4", "--f", "0", "--m", "8",
      "--weight", "0,0,0,1"],
-    # The character probes: dimensions far above the default cap, so the cap
-    # is raised past each.  A threshold reads the highest weight alone, so no
-    # character is built; E8 at rho has dimension 2**120, about 1.3e36.
-    ["compare", "--type", "E7", "--p", "7", "--m", "6", "--weight", "1,1,1,1,1,1,1",
-     "--cap", "100000000000000000000000000"],
-    ["compare", "--type", "F4", "--p", "7", "--m", "6", "--weight", "3,3,3,3",
-     "--cap", "100000000000000000000000000"],
-    ["generic", "--type", "E8", "--p", "5", "--m", "3", "--weight", "1,1,1,1,1,1,1,1",
-     "--cap", "10000000000000000000000000000000000000"],
+    # The character probes: dimensions far above the default cap.  A threshold
+    # reads the highest weight alone, so no character is built; E8 at rho has
+    # dimension 2**120, about 1.3e36.
+    ["compare", "--type", "E7", "--p", "7", "--m", "6", "--weight", "1,1,1,1,1,1,1"],
+    ["compare", "--type", "F4", "--p", "7", "--m", "6", "--weight", "3,3,3,3"],
+    ["generic", "--type", "E8", "--p", "5", "--m", "3", "--weight", "1,1,1,1,1,1,1,1"],
     # The start-up probe: a page of a few weights, so its time is process start.
     ["verify-e1", "--type", "A1", "--p", "2", "--s", "1", "--f", "0", "--m", "1", "--weight", "1"],
 )
