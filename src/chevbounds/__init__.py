@@ -29,12 +29,10 @@ from .e1oracle import (
     ExponentTuple,
     InvariantPage,
     VanishReport,
-    bs_vanishing_failure,
     check_bs_vanishing,
     check_weight_bounds,
     dyadic_sharpness,
     enumerate_tuples,
-    exact_bound_failure,
     invariant_page,
     verify_e1,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "b_invariant",
     "b_of_weight",
     "bs_vanish_threshold",
-    "bs_vanishing_failure",
     "build_root_system",
     "ceil_log",
     "check_bs_vanishing",
@@ -105,7 +102,6 @@ __all__ = [
     "dual_weight",
     "dyadic_sharpness",
     "enumerate_tuples",
-    "exact_bound_failure",
     "finite_group_vanishing_range",
     "floor_log",
     "g_ext_vanishing_holds",

@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import floor
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from .errors import InputError, OracleError, Record, _check_cap, _shown, require_int
 from .modchar import DEFAULT_ENTRY_CAP, WeightMultiset
@@ -78,24 +78,16 @@ def bs_vanish_threshold(d: int, p: int, m: int, variant: str) -> Q:
     require_int(m, "m", 0)
     if variant is None:
         raise InputError("a threshold needs one variant, got None")
-    bs_vanish_variants(p, variant)
+    if variant not in bs_vanish_variants(p):
+        raise InputError(f"variant {variant!r} does not apply at p={p}")
     c, first, second = _p241_terms(p, m, d, t_invariant(d, p))
     return Q(second if variant == "c" else first, c)
 
 
-def bs_vanish_variants(p: int, variant: Optional[str] = None) -> tuple[str, ...]:
-    """The threshold variants that apply at the prime p: 'a' at p = 2, 'b' and 'c' at odd p.
-
-    With `variant` given, only that one; a variant that does not apply at p
-    is an InputError.
-    """
+def bs_vanish_variants(p: int) -> tuple[str, ...]:
+    """The threshold variants that apply at the prime p: 'a' at p = 2, 'b' and 'c' at odd p."""
     require_prime(p)
-    variants = ("a",) if p == 2 else ("b", "c")
-    if variant is None:
-        return variants
-    if variant not in variants:
-        raise InputError(f"variant {variant!r} does not apply at p={p}")
-    return (variant,)
+    return ("a",) if p == 2 else ("b", "c")
 
 
 def g_ext_vanishing_holds(d: int, p: int, s: int, m: int) -> bool:

@@ -305,7 +305,7 @@ def _cmd_verify_e1(args: argparse.Namespace) -> _Report:
     lam = rs.zero if args.weight is None else Weight(_parse_coords(args.weight))
     mu_set = _resolve_module(rs, args.module_weight, None)
     page = invariant_page(rs, args.p, args.s, args.f, lam, mu_set, args.m, cap=cap)
-    report = verify_e1(page, args.variant)
+    report = verify_e1(page)
     rough, exact, vanish = report.rough, report.exact, report.vanish
     body: dict[str, Any] = {
         "type": rs.name,
@@ -383,7 +383,6 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--m": dict(type=int, required=True, help="cohomological degree"),
     "--weight": dict(help="fundamental-weight coordinates, e.g. 1,0,2"),
     "--module-weight": dict(action="append", help="module weight entry coords[:mult], repeatable"),
-    "--variant": dict(choices=("a", "b", "c"), help="threshold clause"),
     "--max": dict(type=int, default=12, help="scan bound (default 12)"),
     "--cap": dict(
         type=int,
@@ -411,7 +410,7 @@ _COMMANDS = {
     "verify-e1": (
         _cmd_verify_e1,
         "brute-force page verification",
-        ("--type", "--p", "--s", "--f", "--m", "--weight", "--module-weight", "--variant", "--cap"),
+        ("--type", "--p", "--s", "--f", "--m", "--weight", "--module-weight", "--cap"),
         (),
     ),
     "verify-lemma61": (

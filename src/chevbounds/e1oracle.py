@@ -279,22 +279,13 @@ def _bound_check(page: InvariantPage, which: str) -> Union[BoundCheckReport, str
     return BoundCheckReport(passed, bound, hits, consistent)
 
 
-def exact_bound_failure(page: InvariantPage) -> Optional[str]:
-    """Why the exact bound does not apply to the page, or None when it does.
-
-    It needs lambda dominant and nonzero, s >= t(lambda) and f >= t(mu_set).
-    """
-    report = _bound_check(page, "exact")
-    return report if isinstance(report, str) else None
-
-
 def check_weight_bounds(page: InvariantPage, which: str) -> BoundCheckReport:
     """Check page weights against the exact or the rough bound.
 
-    The exact bound raises InputError with the reason from
-    `exact_bound_failure` when its hypotheses fail, and reports as equality
-    hits the page weights gamma with b(gamma) equal to the bound.  The rough
-    bound applies unconditionally.
+    The exact bound needs lambda dominant and nonzero, s >= t(lambda) and
+    f >= t(mu_set), and raises InputError with the failed hypothesis
+    otherwise; it reports as equality hits the page weights gamma with
+    b(gamma) equal to the bound.  The rough bound applies unconditionally.
     """
     report = _bound_check(page, which)
     if isinstance(report, str):
@@ -315,17 +306,6 @@ def _vanish_pairing(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Union[in
     return d if d >= 1 else "vanishing thresholds need a positive highest-coroot pairing"
 
 
-def bs_vanishing_failure(rs: RootSystem, lam: WeightLike, s: int, f: int) -> Optional[str]:
-    """Why the P241 vanishing check does not apply, or None when it does.
-
-    It needs f = 0, s >= 1 and a positive highest-coroot pairing of lambda.
-    A lambda that is not a weight of rs, or an s or f that is not an int
-    >= 0, raises InputError.
-    """
-    d = _vanish_pairing(rs, lam, s, f)
-    return d if isinstance(d, str) else None
-
-
 class VanishReport(Record):
     """Threshold evaluation next to the page it predicts empty."""
 
@@ -343,17 +323,18 @@ class VanishReport(Record):
 
 def _vanish_check(
     rs: RootSystem, p: int, lam: WeightLike, s: int, f: int, m: int,
-    variant: Optional[str], page_empty: Callable[[], bool],
+    page_empty: Callable[[], bool],
 ) -> Union[VanishReport, str]:
     """The P241 vanishing check of the degree-m page, or why it does not apply.
 
-    page_empty is asked only after the thresholds, so their refusals of p, m
-    and variant come first.
+    It reads every clause that applies at p, so it is met exactly when the
+    exact bound is <= 0.  page_empty is asked only after the thresholds, so
+    their refusals of p and m come first.
     """
     d = _vanish_pairing(rs, lam, s, f)
     if isinstance(d, str):
         return d
-    thresholds = tuple((v, bs_vanish_threshold(d, p, m, v)) for v in bs_vanish_variants(p, variant))
+    thresholds = tuple((v, bs_vanish_threshold(d, p, m, v)) for v in bs_vanish_variants(p))
     met = any(s >= value for _, value in thresholds)
     empty = page_empty()
     return VanishReport(Weight.of(lam), thresholds, met, empty, (not met) or empty)
@@ -366,13 +347,13 @@ def check_bs_vanishing(
     s: int,
     m: int,
     cap: int = DEFAULT_ENTRY_CAP,
-    variant: Optional[str] = None,
 ) -> VanishReport:
     """One-directional consistency: threshold met implies an empty page.
 
-    The thresholds are those of `bs_vanish_variants(p, variant)`.  Raises
-    InputError with the reason from `bs_vanishing_failure` when the check
-    does not apply.  The page is the f = 0, trivial-mu page of
+    The thresholds are those of every variant in `bs_vanish_variants(p)`.
+    The check needs f = 0, s >= 1 and a positive highest-coroot pairing of
+    lambda, and raises InputError with the reason when it does not apply.
+    The page is the f = 0, trivial-mu page of
     `invariant_page`, but no page is built: it is empty exactly when the one
     class it reads, lambda mod p^s, is empty, and that class comes
     from the `_carry_class` cache after the same checks of cap, s and m.
@@ -384,7 +365,7 @@ def check_bs_vanishing(
         q = p**s
         return not _carry_class(rs, p, s, m, cap, tuple([c % q for c in Weight.of(lam).coords]))
 
-    report = _vanish_check(rs, p, lam, s, 0, m, variant, class_empty)
+    report = _vanish_check(rs, p, lam, s, 0, m, class_empty)
     if isinstance(report, str):
         raise InputError(report)
     return report
@@ -399,22 +380,20 @@ class E1Report(Record):
     failed: bool
 
 
-def verify_e1(page: InvariantPage, variant: Optional[str] = None) -> E1Report:
+def verify_e1(page: InvariantPage) -> E1Report:
     """Run each check that applies to the page and decide whether a check fails.
 
-    The exact and P241 checks hold the reason from `exact_bound_failure` or
-    `bs_vanishing_failure` when they do not apply; a variant that does not
-    apply at p is refused even then.  Each check runs once and reads only the
-    page.  The P241 check applies only at f = 0, where every mu weight u
-    selects the same class lambda + p^s u = lambda mod p^s, so the page is
-    empty exactly when that class is, the one class `check_bs_vanishing`
-    reads.
+    The exact and P241 checks hold the reason when they do not apply: the
+    failed hypothesis of the exact bound, or f != 0, s < 1 or d(lambda) < 1
+    for P241.  Each check runs once and reads only the page.  The P241 check
+    applies only at f = 0, where every mu weight u selects the same class
+    lambda + p^s u = lambda mod p^s, so the page is empty exactly when that
+    class is, the one class `check_bs_vanishing` reads.
     """
-    bs_vanish_variants(page.p, variant)
     rough = _bound_check(page, "rough")
     exact = _bound_check(page, "exact")
     vanish = _vanish_check(
-        page.system, page.p, page.lam, page.s, page.f, page.m, variant, page.gammas.is_empty
+        page.system, page.p, page.lam, page.s, page.f, page.m, page.gammas.is_empty
     )
     failed = not rough.passed
     failed |= not isinstance(exact, str) and not exact.passed

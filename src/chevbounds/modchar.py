@@ -17,14 +17,11 @@ multiplicities are built, and the distinct weights a degree fold holds.
 Orbit sizes, not orbits, check the result against the Weyl dimension
 formula: the orbit of mu has |W| / |W_J| weights.
 
-A multiset known to be W-stable (a Weyl character, the trivial module L(0)
-among them) also carries its dominant entries in `dominant`.  Every orbit
-invariant of the module (the highest-coroot pairing b, the largest root-basis
-coefficient, the class modulo the root lattice) is attained at a dominant
-weight, so `summary` scans `dominant` instead of the full `items`, once per
-multiset.
-Any other multiset is read at its weights' dominant representatives, so its
-summary is that of the orbits its weights meet.
+A Weyl character (the trivial module L(0) among them) also carries its
+dominant entries in `dominant`.  Every orbit invariant of a module (the
+highest-coroot pairing b, the largest root-basis coefficient, the class
+modulo the root lattice) is read at its weights' dominant representatives,
+once per multiset, so `summary` is that of the orbits the weights meet.
 
 `weyl_character` stores only the highest weight lam and the cap.  The first
 read of `dominant` checks the Weyl dimension against the cap, runs the
@@ -58,8 +55,9 @@ class WeightMultiset(Record, eq=False):
     """A finite multiset of weights of one root system, with positive multiplicities.
 
     `system` is the one record of the group whose module this is.  `dominant`
-    holds the sorted dominant entries of a W-stable multiset and is None when
-    stability is not known.  It takes no part in equality, hashing or repr:
+    holds the sorted dominant entries of a W-stable multiset, such as a built
+    Weyl character, and is None when stability is not known; only `items`
+    and the two sizes read it.  It takes no part in equality, hashing or repr:
     two multisets of the same system with the same items are the same.  A
     Weyl character is made from `_highest`, its highest weight and cap, alone,
     and builds `dominant`, then `items`, on first read; with `dominant` set,
@@ -117,10 +115,9 @@ class WeightMultiset(Record, eq=False):
         orders in X(T) modulo the root lattice.  So the summary depends only
         on which Weyl orbits the weights meet.  A character reads its highest
         weight alone, which is above all its dominant weights by sums of
-        positive roots, so largest in both maxima and in the same class;
-        `dominant` lists the orbits otherwise, and a multiset without it
-        reflects its weights.  Read on first use; the caller checks the system
-        and that the multiset is not empty.
+        positive roots, so largest in both maxima and in the same class; any
+        other multiset reflects its weights.  Read on first use; the caller
+        checks the system and that the multiset is not empty.
         """
         if self._summary is None:
             rs = self.system
@@ -128,8 +125,6 @@ class WeightMultiset(Record, eq=False):
             hrp = rs.highest_root_pairing
             if self._highest is not None:
                 reps = [self._highest[0]]
-            elif self.dominant:
-                reps = [coords for coords, _ in self.dominant]
             else:
                 reps = {rs.dominant_representative(coords) for coords, _ in self.items}
             rows = list(map(rs.root_basis_scaled, reps))
@@ -155,15 +150,15 @@ class WeightMultiset(Record, eq=False):
     def check_system(self, rs: RootSystem) -> None:
         """Raise InputError unless this is a multiset of rs.
 
-        The constructor checks nothing, so a multiset not known to be W-stable
+        The constructor checks nothing, so a multiset that is not a character
         is scanned here: each weight is read through `rs.coords_of`, each
         multiplicity must be positive, and the weights must strictly increase,
-        as `from_dict` lists them.  One the library built W-stable is trusted,
-        and a character's multiplicities are not built here.
+        as `from_dict` lists them.  A character the library built is trusted,
+        and its multiplicities are not built here.
         """
         if self.system is not rs:
             raise InputError(f"a weight multiset of {self.system.name} is not one of {rs.name}")
-        if self._dominant is None and self._highest is None:
+        if self._highest is None:
             last = ()  # below every weight, as a weight has at least one coordinate
             for coords, mult in self.items:
                 key = rs.coords_of(coords)
@@ -205,11 +200,8 @@ class WeightMultiset(Record, eq=False):
         return len(self.items)
 
     def is_empty(self) -> bool:
-        # A character holds its highest weight; any other W-stable multiset is
-        # empty exactly when it has no dominant entry.
-        return self._highest is None and not (
-            self.items if self._dominant is None else self._dominant
-        )
+        # A character holds its highest weight.
+        return self._highest is None and not self.items
 
 
 def _class_order(scaled: Coords, det: int) -> int:

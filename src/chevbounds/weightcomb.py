@@ -74,9 +74,8 @@ def b_invariant(rs: RootSystem, weights: WeightMultiset) -> BInvariant:
 
     The long roots form a single Weyl orbit, so for one weight sigma the
     maximum over all long roots equals <dom(sigma), highest-root-vee>; that
-    identity gives the exact value without enumerating the orbit.  A W-stable
-    multiset attains the maximum at a dominant weight, so only its `dominant`
-    entries are scanned, and a Weyl character attains it at its highest weight.
+    identity gives the exact value without enumerating the orbit.  A Weyl
+    character attains the maximum at its highest weight, which is read alone.
     The value is the b of `weights.summary`, read once per multiset.
     A multiset of another root system raises InputError.
     """

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import chevbounds
 from chevbounds import modchar
-from chevbounds.bounds import bs_vanish_threshold, bs_vanish_variants
+from chevbounds.bounds import bs_vanish_threshold
 from chevbounds.cli import DEFAULT_INT_DIGITS, _parser, emit_table, run
 from chevbounds.e1oracle import invariant_page, verify_e1
 from chevbounds.errors import InputError
@@ -196,15 +197,36 @@ def test_closed_stdout_is_not_a_traceback(argv: list[str]) -> None:
     assert b"BrokenPipeError" not in done.stderr
 
 
-def test_verify_e1_refuses_a_variant_the_vanishing_check_would_not_run(capsys) -> None:
-    base = ["verify-e1", "--type", "A1", "--p", "2", "--s", "1", "--m", "1", "--weight", "1"]
-    for f in ("1", "0"):
-        assert run(base + ["--f", f, "--variant", "b"]) == 2
+def test_verify_e1_takes_no_variant(capsys) -> None:
+    # verify-e1 checks every P241 clause that applies at p, so it has no clause filter.
+    for variant in ("a", "b", "c"):
+        argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "2", "--f", "0", "--m", "1",
+                "--weight", "2", "--variant", variant]
+        assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: variant 'b' does not apply at p=2\n"
-        assert run(base + ["--f", f, "--variant", "a"]) == 0
-        capsys.readouterr()
+        assert f"unrecognized arguments: --variant {variant}" in captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_line_examples_run(capsys) -> None:
+    # The sh block under "## Command line": each `chevbounds` line runs, and
+    # each `# -> ` line after one is a line of its stdout.
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    examples: list[tuple[list[str], list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("chevbounds "):
+            examples.append((shlex.split(line)[1:], []))
+        elif line.startswith("# -> "):
+            examples[-1][1].append(line.removeprefix("# -> "))
+    assert examples
+    for argv, expected in examples:
+        assert run(argv) == 0, argv
+        out = lines_of(capsys)
+        assert all(line in out for line in expected), argv
 
 
 def test_generic_text_has_tag(capsys) -> None:
@@ -570,11 +592,6 @@ def test_exit_code_input_errors(capsys) -> None:
         (generic_a2 + ["--weight", "1,x"], "bad weight '1,x': "),
         (generic_a2 + ["--module-weight", "1,0:x"], "bad multiplicity in '1,0:x'"),
         (generic_a2 + ["--module-weight", "1,0:"], "bad multiplicity in '1,0:'"),
-        (
-            ["verify-e1", "--type", "A1", "--p", "2", "--s", "1", "--m", "1", "--weight", "1"]
-            + ["--variant", "b"],
-            "does not apply at p=2",
-        ),
     ):
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err, argv
@@ -734,8 +751,8 @@ def test_verify_e1_decisions_match_the_paper(capsys) -> None:
         if s + f < 1:
             continue
         rs = build_root_system(name[0], int(name[1]))
-        for weight, module, variant in itertools.product(
-            (None, GRID_WEIGHTS[name]), (None, GRID_MODULES[name]), (None, "a", "b", "c")
+        for weight, module in itertools.product(
+            (None, GRID_WEIGHTS[name]), (None, GRID_MODULES[name])
         ):
             argv = ["verify-e1", "--type", name, "--p", str(p), "--s", str(s),
                     "--f", str(f), "--m", "2", "--format", "json"]
@@ -743,8 +760,6 @@ def test_verify_e1_decisions_match_the_paper(capsys) -> None:
                 argv.append(f"--weight={weight}")
             for entry in module or ():
                 argv.append(f"--module-weight={entry}")
-            if variant:
-                argv += ["--variant", variant]
             lam = tuple(int(c) for c in weight.split(",")) if weight else (0,) * rs.rank
             d = sum(v * c for v, c in zip(rs.highest_root_pairing, lam))
             b_mu = max(
@@ -755,13 +770,7 @@ def test_verify_e1_decisions_match_the_paper(capsys) -> None:
             applies = ("a",) if p == 2 else ("b", "c")
             vanish = f == 0 and d >= 1
             code = run(argv)
-            captured = capsys.readouterr()
-            if variant is not None and variant not in applies:
-                assert code == 2
-                assert f"does not apply at p={p}" in captured.err
-                seen.add(("variant refused", True))
-                continue
-            doc = json.loads(captured.out)
+            doc = json.loads(capsys.readouterr().out)
             exact = (
                 min(lam) >= 0 and d >= 1 and s >= t_invariant(d, p) and f >= t_invariant(b_mu, p)
             )
@@ -770,19 +779,16 @@ def test_verify_e1_decisions_match_the_paper(capsys) -> None:
             assert ("vanish_met" in doc) == vanish, argv
             if not vanish:
                 continue
-            chosen = applies if variant is None else (variant,)
-            thresholds = [bs_vanish_threshold(d, p, 2, v) for v in chosen]
+            thresholds = [bs_vanish_threshold(d, p, 2, v) for v in applies]
             met = any(s >= thr for thr in thresholds)
-            assert doc["vanish_theorems"] == [f"P241{v}" for v in chosen], argv
+            assert doc["vanish_theorems"] == [f"P241{v}" for v in applies], argv
             assert doc["vanish_thresholds"] == [str(thr) for thr in thresholds], argv
             assert doc["vanish_met"] == met, argv
             assert doc["vanish_consistent"] == (not met or doc["vanish_page_empty"]), argv
             assert code == (0 if doc["verdict"] == "ok" else 1)
             seen.add(("met", met))
     # The grid reaches both outcomes of every decision.
-    assert seen == {
-        ("variant refused", True), ("exact", True), ("exact", False), ("met", True), ("met", False)
-    }
+    assert seen == {("exact", True), ("exact", False), ("met", True), ("met", False)}
 
 
 REPORT_SYSTEMS = {name: build_root_system(name[0], int(name[1])) for name in ("A1", "A2", "B2")}
@@ -805,21 +811,18 @@ def test_verify_e1_prints_the_library_report(data) -> None:
     dominant = [c for c in itertools.product(range(9), repeat=rs.rank) if rs.pairing(c) <= 8]
     lam = data.draw(st.sampled_from(dominant), label="lambda")
     omega_1 = data.draw(st.booleans(), label="mu = L(omega_1)")
-    variant = data.draw(st.sampled_from((None,) + bs_vanish_variants(p)), label="variant")
     argv = ["verify-e1", "--type", name, "--p", str(p), "--s", str(s), "--f", str(levels - s),
             "--m", str(m), "--weight", ",".join(map(str, lam)), "--format", "json"]
     mu_set = WeightMultiset.trivial(rs)
     if omega_1:
         mu_set = weyl_character(rs, rs.fundamental_weight(1))
         argv += [f"--module-weight={','.join(map(str, c))}:{n}" for c, n in mu_set.items]
-    if variant is not None:
-        argv += ["--variant", variant]
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = run(argv)
     doc = json.loads(out.getvalue())
 
     page = invariant_page(rs, p, s, levels - s, lam, mu_set, m)
-    report = verify_e1(page, variant=variant)
+    report = verify_e1(page)
     rough, exact, vanish = report.rough, report.exact, report.vanish
     want = {
         "rough_bound": str(rough.bound),
@@ -861,7 +864,7 @@ _FUZZ_OPTIONS = {
     "generic": ("type", "p", "m", "weight", "module-weight"),
     "compare": ("type", "p", "m", "weight", "module-weight"),
     "stability": ("type", "p", "m"),
-    "verify-e1": ("type", "p", "s", "f", "m", "weight", "module-weight", "variant", "cap"),
+    "verify-e1": ("type", "p", "s", "f", "m", "weight", "module-weight", "cap"),
     "verify-lemma61": ("max", "cap"),
     "table": ("kind",),
 }
@@ -873,7 +876,6 @@ _FUZZ_VALID = {
     "s": st.integers(1, 3),
     "f": st.integers(0, 1),
     "m": st.integers(0, 8),
-    "variant": st.sampled_from(("a", "b", "c")),
     "max": st.integers(1, 60),
     "cap": st.integers(1, 5000),
     "kind": st.sampled_from(("structural", "comparison-p2", "comparison-odd")),
@@ -887,7 +889,6 @@ _FUZZ_WILD = {
     "s": st.integers(-1, 5),
     "f": st.integers(-1, 5),
     "m": st.integers(-2, 10),
-    "variant": st.just("d"),
     "max": st.integers(-2, 0),
     "cap": st.integers(-1, 0),
     "kind": st.just("none"),

@@ -17,12 +17,10 @@ from chevbounds.e1oracle import (
     MAX_LEVELS,
     _compositions,
     _page_level,
-    bs_vanishing_failure,
     check_bs_vanishing,
     check_weight_bounds,
     dyadic_sharpness,
     enumerate_tuples,
-    exact_bound_failure,
     invariant_page,
     verify_e1,
 )
@@ -324,21 +322,24 @@ def test_bs_vanishing_guards() -> None:
         check_bs_vanishing(A1, 3, A1.zero, 1, 1)
 
 
-def test_bs_vanishing_failure_is_the_guard_of_the_check() -> None:
+def test_the_vanishing_reason_is_the_guard_of_the_check() -> None:
     omega = A1.fundamental_weight(1)
-    assert bs_vanishing_failure(A1, omega, 1, 0) is None
-    failure = bs_vanishing_failure(A1, omega, 2, 1)
-    assert failure == "vanishing check needs f = 0, got f = 1"
     trivial = WeightMultiset.trivial(A1)
+    failure = "vanishing check needs f = 0, got f = 1"
     assert verify_e1(invariant_page(A1, 3, 2, 1, omega, trivial, 1)).vanish == failure
     ran = verify_e1(invariant_page(A1, 3, 1, 0, omega, trivial, 1)).vanish
     assert ran == check_bs_vanishing(A1, 3, omega, 1, 1)
-    for lam, s in ((omega, 0), (A1.zero, 1), (Weight((-1,)), 2)):
-        reason = bs_vanishing_failure(A1, lam, s, 0)
-        assert reason is not None
+    no_pairing = "vanishing thresholds need a positive highest-coroot pairing"
+    for lam, s, reason in (
+        (omega, 0, "kernel height s must be at least 1, got 0"),
+        (A1.zero, 1, no_pairing),
+        (Weight((-1,)), 2, no_pairing),
+    ):
         with pytest.raises(InputError) as info:
             check_bs_vanishing(A1, 3, lam, s, 1)
         assert str(info.value) == reason
+        if s >= 1:
+            assert verify_e1(invariant_page(A1, 3, s, 0, lam, trivial, 1)).vanish == reason
 
 
 def test_bs_vanishing_variant_labels() -> None:
@@ -350,26 +351,15 @@ def test_bs_vanishing_variant_labels() -> None:
     ]
 
 
-def test_bs_vanishing_selected_variant() -> None:
+def test_bs_vanishing_is_met_when_one_clause_is() -> None:
     omega = A1.fundamental_weight(1)
     for p, s, m in ((3, 1, 1), (3, 2, 1), (5, 1, 3), (5, 3, 2), (2, 1, 0), (2, 1, 2)):
-        full = check_bs_vanishing(A1, p, omega, s, m)
+        report = check_bs_vanishing(A1, p, omega, s, m)
         chosen = ("a",) if p == 2 else ("b", "c")
-        assert full.theorems == tuple(f"P241{v}" for v in chosen)
-        for v in chosen:
-            one = check_bs_vanishing(A1, p, omega, s, m, variant=v)
-            threshold = bs_vanish_threshold(1, p, m, v)
-            assert one.thresholds == ((v, threshold),)
-            assert one.theorems == (f"P241{v}",)
-            assert one.met == (s >= threshold)
-            assert one.page_empty == full.page_empty
-            assert one.consistent == (not one.met or one.page_empty)
-        assert full.met == any(
-            check_bs_vanishing(A1, p, omega, s, m, variant=v).met for v in chosen
-        )
-        for v in sorted({"a", "b", "c"} - set(chosen)):
-            with pytest.raises(InputError, match=f"variant '{v}' does not apply at p={p}"):
-                check_bs_vanishing(A1, p, omega, s, m, variant=v)
+        assert report.thresholds == tuple((v, bs_vanish_threshold(1, p, m, v)) for v in chosen)
+        assert report.theorems == tuple(f"P241{v}" for v in chosen)
+        assert report.met == any(s >= threshold for _, threshold in report.thresholds)
+        assert report.consistent == (not report.met or report.page_empty)
 
 
 def _dominant_upto(rs, hi: int) -> list[Weight]:
@@ -476,7 +466,7 @@ def test_vanishing_check_refuses_by_thresholds_before_page_rules(name: str) -> N
     assert str(info.value) == message
 
 
-def test_exact_bound_failure_reasons() -> None:
+def test_exact_bound_reasons() -> None:
     trivial = WeightMultiset.trivial(A1)
     omega = A1.fundamental_weight(1)
     mu = WeightMultiset.from_dict(A1, {(4,): 1})  # b = 4, so t(mu) = 2 at p = 3
@@ -489,7 +479,6 @@ def test_exact_bound_failure_reasons() -> None:
     )
     for lam, s, f, mu_set, reason in cases:
         page = invariant_page(A1, 3, s, f, lam, mu_set, 2)
-        assert exact_bound_failure(page) == reason
         assert verify_e1(page).exact == (reason or check_weight_bounds(page, "exact"))
         if reason is None:
             bound = paper_exact_bound(3, s, 2, A1.pairing(lam))
@@ -764,9 +753,9 @@ def test_page_lookup_matches_brute_force(data) -> None:
         expected = brute_force_page(summands, p, s, f, lam, mu)
         page = invariant_page(rs, p, s, f, lam, mu_set, m)
         assert page.gammas.as_dict() == expected
-        if exact_bound_failure(page) is None:
+        report = verify_e1(page).exact
+        if not isinstance(report, str):
             bound = paper_exact_bound(p, s, m, rs.pairing(lam))
-            report = check_weight_bounds(page, "exact")
             assert report.bound == bound
             assert report.equality_hits == tuple(
                 g for g in sorted(expected) if b_of_weight(rs, g) == bound

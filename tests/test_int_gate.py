@@ -29,7 +29,6 @@ from chevbounds.bounds import (
     stability_constants,
 )
 from chevbounds.e1oracle import (
-    bs_vanishing_failure,
     check_bs_vanishing,
     dyadic_sharpness,
     enumerate_tuples,
@@ -108,8 +107,6 @@ PARAMS = {
     "check_bs_vanishing cap": (
         lambda v: check_bs_vanishing(A2, 3, (1, 0), 1, 2, cap=v), 1, None
     ),
-    "bs_vanishing_failure s": (lambda v: bs_vanishing_failure(A2, (1, 0), v, 0), 0, None),
-    "bs_vanishing_failure f": (lambda v: bs_vanishing_failure(A2, (1, 0), 1, v), 0, None),
     "dyadic_sharpness s": (lambda v: dyadic_sharpness(v, 1), 0, None),
     "dyadic_sharpness f": (lambda v: dyadic_sharpness(1, v), 0, None),
     "graded_power n": (lambda v: graded_power("sym", NIL, v), 0, None),
@@ -181,9 +178,6 @@ PROBES = {
     "compare_thresholds m=0": lambda: compare_thresholds(A2, 3, 0, MODULE),
     "lemma61_scan 0": lambda: lemma61_scan(0),
     "lemma61_scan -3": lambda: lemma61_scan(-3),
-    "bs_vanishing_failure s=1.5": lambda: bs_vanishing_failure(A2, (1, 0), 1.5, 0),
-    "bs_vanishing_failure f=0.0": lambda: bs_vanishing_failure(A2, (1, 0), 1, 0.0),
-    "bs_vanishing_failure s=True f=False": lambda: bs_vanishing_failure(A2, (1, 0), True, False),
 }
 
 

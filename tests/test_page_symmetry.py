@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from chevbounds.e1oracle import (
     check_bs_vanishing,
     check_weight_bounds,
-    exact_bound_failure,
     invariant_page,
+    verify_e1,
 )
 from chevbounds.modchar import WeightMultiset, weyl_character
 from chevbounds.rootsys import Coords, RootSystem, build_root_system
@@ -92,11 +92,13 @@ def _moved_set(rs: RootSystem, sigma: Coords, ws: WeightMultiset) -> WeightMulti
 
 def _verdicts(page) -> tuple:
     rough = check_weight_bounds(page, "rough")
-    out = (rough.passed, rough.bound, exact_bound_failure(page))
-    if out[-1] is None:
-        exact = check_weight_bounds(page, "exact")
-        out += (exact.passed, exact.bound, len(exact.equality_hits), exact.equality_consistent)
-    return out
+    exact = verify_e1(page).exact
+    if isinstance(exact, str):
+        return (rough.passed, rough.bound, exact)
+    return (
+        rough.passed, rough.bound, None,
+        exact.passed, exact.bound, len(exact.equality_hits), exact.equality_consistent,
+    )
 
 
 @settings(max_examples=300, deadline=None)

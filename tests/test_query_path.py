@@ -25,7 +25,6 @@ from chevbounds.e1oracle import (
     _carry_class,
     check_bs_vanishing,
     check_weight_bounds,
-    exact_bound_failure,
     invariant_page,
     verify_e1,
 )
@@ -156,7 +155,8 @@ def test_page_query_matches_the_per_weight_oracle(data) -> None:
     # The same weights checked at a lower degree: both bounds fall with m, so
     # some weights may now pass a bound and others break it.
     lowered = dataclasses.replace(page, m=m - data.draw(st.integers(1, 3), label="m drop"))
-    reason = exact_bound_failure(page)
+    exact = verify_e1(page).exact
+    reason = exact if isinstance(exact, str) else None
     # The hypotheses: lambda dominant and nonzero, s >= t(lambda) and f >= t(mu).
     b_mu = max(b_of_weight(rs, c) for c, _ in mu_set.items)
     d = rs.pairing(lam)

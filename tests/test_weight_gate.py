@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from chevbounds.bounds import compare_thresholds
-from chevbounds.e1oracle import bs_vanishing_failure, check_bs_vanishing, invariant_page
+from chevbounds.e1oracle import check_bs_vanishing, invariant_page
 from chevbounds.errors import InputError
 from chevbounds.modchar import (
     WeightMultiset,
@@ -47,7 +47,6 @@ TAKERS = {
     "dual_weight": lambda w: dual_weight(A2, w),
     "dominance_leq mu": lambda w: dominance_leq(A2, w, A2.zero),
     "dominance_leq lam": lambda w: dominance_leq(A2, A2.zero, w),
-    "bs_vanishing_failure": lambda w: bs_vanishing_failure(A2, w, 1, 0),
     "check_bs_vanishing": lambda w: check_bs_vanishing(A2, 3, w, 1, 2),
     "invariant_page": lambda w: invariant_page(A2, 3, 1, 0, w, WeightMultiset.trivial(A2), 2),
     "weyl_character": lambda w: weyl_character(A2, w),

@@ -5,11 +5,12 @@
     python3 tools/probe.py --rounds 1 -- info --type A1
 
 Each run is `python -m chevbounds.cli ARGV` with PYTHONPATH=<tree>/src and
-PYTHONDONTWRITEBYTECODE=1, under an address-space limit of 2 GiB.  Runs go
-one at a time.  In each round every argv runs on every tree, and the order of
-the trees flips from one round to the next.  A line holds the tree, the argv,
+PYTHONDONTWRITEBYTECODE=1, started by perfbench's `proc.run`: under its
+address-space limit of 2 GiB and killed after TIME_LIMIT_S.  Runs go one at
+a time.  In each round every argv runs on every tree, and the order of the
+trees flips from one round to the next.  A line holds the tree, the argv,
 the exit code, the wall seconds, the peak RSS in MiB (from os.wait4) and the
-SHA-256 of stdout; stderr passes through.
+SHA-256 of stdout; the child's stderr is written to stderr after its run.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ import argparse
 import hashlib
 import json
 import os
-import resource
-import subprocess
 import sys
 from pathlib import Path
 from time import monotonic
 
-ADDRESS_SPACE_CAP = 2 * 2**30
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import proc  # noqa: E402
+
+# Far above the slowest run measured: E8 at p = 31, m = 6 takes 105 s on a 2-vCPU VM.
+TIME_LIMIT_S = 1800
 
 # The fold-bound probes: most of their time is spent building page levels.
 # The F4 page has four p = 2 levels, and its carry pass reads all 16 residue
@@ -51,30 +55,23 @@ PROBES = (
 )
 
 
-def _limit() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
-
-
 def probe(tree: Path, argv: list[str]) -> dict:
     """Run the CLI on argv from tree's sources and report the run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = monotonic()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "chevbounds.cli", *argv],
-        env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, preexec_fn=_limit,
+    done = proc.run(
+        [sys.executable, "-m", "chevbounds.cli", *argv], env, os.getcwd(), TIME_LIMIT_S
     )
-    out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
     seconds = monotonic() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    proc.stdout.close()
+    sys.stderr.buffer.write(done.err)
+    sys.stderr.flush()
     return {
         "tree": str(tree),
         "argv": argv,
-        "exit": proc.returncode,
+        "exit": done.code,
         "seconds": round(seconds, 3),
-        "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),
-        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+        "peak_rss_mib": round(done.maxrss_kib / 1024, 1),
+        "stdout_sha256": hashlib.sha256(done.out).hexdigest(),
     }
 
 
@@ -88,7 +85,7 @@ def main(args: list[str]) -> int:
     opts = parser.parse_args(own)
     if opts.rounds < 1:
         parser.error("--rounds must be at least 1")
-    trees = [tree.resolve() for tree in opts.tree or [Path(__file__).resolve().parents[1]]]
+    trees = [tree.resolve() for tree in opts.tree or [ROOT]]
     for tree in trees:
         if not (tree / "src" / "chevbounds").is_dir():
             parser.error(f"{tree} holds no src/chevbounds")
