@@ -197,23 +197,23 @@ def test_closed_stdout_is_not_a_traceback(argv: list[str]) -> None:
     assert b"BrokenPipeError" not in done.stderr
 
 
-def test_verify_e1_takes_no_variant(capsys) -> None:
+@pytest.mark.parametrize("variant", ["a", "b", "c"])
+def test_verify_e1_takes_no_variant(variant: str, capsys) -> None:
     # verify-e1 checks every P241 clause that applies at p, so it has no clause filter.
-    for variant in ("a", "b", "c"):
-        argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "2", "--f", "0", "--m", "1",
-                "--weight", "2", "--variant", variant]
-        assert run(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"unrecognized arguments: --variant {variant}" in captured.err
+    argv = ["verify-e1", "--type", "A1", "--p", "3", "--s", "2", "--f", "0", "--m", "1",
+            "--weight", "2", "--variant", variant]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --variant {variant}" in captured.err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_command_line_examples_run(capsys) -> None:
-    # The sh block under "## Command line": each `chevbounds` line runs, and
-    # each `# -> ` line after one is a line of its stdout.
+def _readme_examples() -> list[tuple[list[str], list[str]]]:
+    # The sh block under "## Command line": each `chevbounds` line with the
+    # `# -> ` lines after it.
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
     block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
     examples: list[tuple[list[str], list[str]]] = []
@@ -222,11 +222,26 @@ def test_readme_command_line_examples_run(capsys) -> None:
             examples.append((shlex.split(line)[1:], []))
         elif line.startswith("# -> "):
             examples[-1][1].append(line.removeprefix("# -> "))
-    assert examples
-    for argv, expected in examples:
-        assert run(argv) == 0, argv
-        out = lines_of(capsys)
-        assert all(line in out for line in expected), argv
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_command_line_examples() -> None:
+    assert README_EXAMPLES
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    README_EXAMPLES,
+    ids=[f"{n}-{argv[0]}" for n, (argv, _) in enumerate(README_EXAMPLES, 1)],
+)
+def test_readme_command_line_examples_run(argv: list[str], expected: list[str], capsys) -> None:
+    # Each example runs, and each `# -> ` line after it is a line of its stdout.
+    assert run(argv) == 0, argv
+    out = lines_of(capsys)
+    assert all(line in out for line in expected), argv
 
 
 def test_generic_text_has_tag(capsys) -> None:

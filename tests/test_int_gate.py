@@ -178,6 +178,11 @@ PROBES = {
     "compare_thresholds m=0": lambda: compare_thresholds(A2, 3, 0, MODULE),
     "lemma61_scan 0": lambda: lemma61_scan(0),
     "lemma61_scan -3": lambda: lemma61_scan(-3),
+    "check_bs_vanishing s=1.5": lambda: check_bs_vanishing(A2, 3, (1, 0), 1.5, 2),
+    "invariant_page f=0.0": lambda: invariant_page(A2, 3, 1, 0.0, (1, 0), TRIVIAL, 2),
+    "invariant_page s=True f=False": lambda: invariant_page(
+        A2, 3, True, False, (1, 0), TRIVIAL, 2
+    ),
 }
 
 

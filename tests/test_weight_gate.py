@@ -40,6 +40,7 @@ def _module(w) -> WeightMultiset:
 # Each takes a weight of A2 and fixes every other argument to a valid value.
 TAKERS = {
     "coords_of": lambda w: A2.coords_of(w),
+    "from_dict": lambda w: WeightMultiset.from_dict(A2, {w: 1}),
     "b_of_weight": lambda w: b_of_weight(A2, w),
     "b_invariant": lambda w: b_invariant(A2, _module(w)),
     "compare_thresholds": lambda w: compare_thresholds(A2, 3, 2, _module(w)),
